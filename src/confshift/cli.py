@@ -39,15 +39,22 @@ from .core import (
     SplitSpec,
     ValidationError,
     read_dataset,
+    read_table,
     split,
 )
-from .marginal import CalibrationSet, robust_threshold_many
 from .nuisance import TargetSpec, bound_functions, fit_propensity
-from .pac import METHODS, pac_threshold, pac_threshold_path
+from .pac import METHODS
 from .scores import ScoreFn, fit_quantile_model
-from .sensitivity import GammaGrid, gamma_values_from_rejections
-from .simulate import SimConfig, run_coverage_experiment, run_sensitivity_experiment
+from .sensitivity import GammaGrid, NullSpec, survival_curve
+from .simulate import (SimConfig, run_coverage_experiment, run_sensitivity_experiment,
+                       scan_gamma_values, threshold_path)
 from .worstcase import DiscreteJoint, worst_cdf_marginal, worst_witness_marginal
+
+# Called through .simulate; still bound here because the benchmark's tracer
+# (perfbench/tracing.py) patches the threshold callables by this module's names.
+from .marginal import robust_threshold_many  # noqa: F401
+from .pac import pac_threshold, pac_threshold_path  # noqa: F401
+from .sensitivity import gamma_values_from_rejections  # noqa: F401
 
 __all__ = ["main"]
 
@@ -254,15 +261,20 @@ def _config_hash(command: str, resolved: dict) -> str:
 
 
 def _n_threads(resolved: dict) -> int:
+    """Worker cap: --threads, else CONFSHIFT_THREADS, else all cores."""
     if resolved.get("threads") is not None:
-        return max(1, int(resolved["threads"]))
-    env = os.environ.get("CONFSHIFT_THREADS")
-    if env is not None:
+        threads, source = int(resolved["threads"]), "threads"
+    else:
+        env = os.environ.get("CONFSHIFT_THREADS")
+        if env is None:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), "CONFSHIFT_THREADS"
         except ValueError:
             raise ConfigError(f"CONFSHIFT_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -307,45 +319,27 @@ def _write_manifest(resolved: dict, h: str, command: str, outputs: list[str],
         fh.write("\n")
 
 
-def _read_xmatrix(path: str) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Test-row reader: contiguous x1..xp columns, t and y optional."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = [(no, row) for no, row in enumerate(csv.reader(fh), start=1)
-               if row and not row[0].lstrip().startswith("#")]
-    if not raw:
-        raise DataError(f"{path}: no header row")
-    _, header = raw[0]
-    names = [h.strip() for h in header]
+def _read_xmatrix(path: str, p_train: int) -> tuple:
+    """Test rows as (x, t, y): contiguous x1..xp columns as in training, then
+    optional t and y columns (None when absent)."""
+    tab = read_table(path)
+    names = tab.header
     p = sum(1 for h in names if h.startswith("x"))
-    expect = [f"x{j}" for j in range(1, p + 1)]
-    if p == 0 or names[:p] != expect:
+    if p == 0 or names[:p] != [f"x{j}" for j in range(1, p + 1)]:
         raise DataError(f"{path}: covariate columns must be contiguous x1..xp")
+    if p != p_train:
+        raise DataError(f"test has {p} covariates, training has {p_train}")
     extras = names[p:]
     if any(c not in ("t", "y") for c in extras):
         raise DataError(f"{path}: unexpected columns {extras}")
-    col = {c: p + i for i, c in enumerate(extras)}
-    xs, ts, ys = [], [], []
-    for no, row in raw[1:]:
-        if len(row) != len(names):
-            raise DataError(f"{path} row {no}: expected {len(names)} fields, got {len(row)}")
-        try:
-            xs.append([float(v) for v in row[:p]])
-            if "t" in col:
-                ts.append(float(row[col["t"]]))
-            if "y" in col:
-                ys.append(float(row[col["y"]]))
-        except ValueError as exc:
-            raise DataError(f"{path} row {no}: {exc}") from None
-    if not xs:
-        raise DataError(f"{path}: no data rows")
-    t = None
-    if ts:
-        t_arr = np.asarray(ts)
-        if not np.isin(t_arr, (0.0, 1.0)).all():
-            bad = int(np.nonzero(~np.isin(t_arr, (0.0, 1.0)))[0][0])
-            raise DataError(f"{path} row {raw[1 + bad][0]}: t must be 0 or 1")
-        t = t_arr.astype(int)
-    return np.asarray(xs), t, (np.asarray(ys) if ys else None)
+    x = np.column_stack([tab.floats(c) for c in names[:p]])
+    t = tab.floats("t") if "t" in extras else None
+    if t is not None:
+        bad = ~np.isin(t, (0.0, 1.0))
+        if bad.any():
+            raise DataError(f"{path} row {tab.lines[int(np.argmax(bad))]}: t must be 0 or 1")
+        t = t.astype(int)
+    return x, t, (tab.floats("y") if "y" in extras else None)
 
 
 def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
@@ -375,34 +369,12 @@ def _fit_nuisance(train: Dataset) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _thresholds_for(
-    method: tuple[str, str | None],
-    v_cal: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    hi_test: np.ndarray,
-    alpha: float,
-    delta: float,
-    m_env: float | None = None,
-) -> np.ndarray:
-    kind, envelope = method
-    if kind == "alg1":
-        return robust_threshold_many(v_cal, lo, hi, alpha, hi_test)
-    cs = CalibrationSet(v_cal, lo, hi, u_test=float(hi_test.max()))
-    m = m_env if m_env is not None else float(max(lo.max(), hi.max(), hi_test.max()))
-    v_hat = pac_threshold(cs, alpha, delta, envelope, M=m)
-    return np.full(hi_test.shape[0], v_hat)
-
-
 def cmd_predict(resolved: dict, h: str) -> None:
     train, calib = _load_folds(resolved)
     arm, alpha = resolved["arm"], resolved["alpha"]
     if arm not in (0, 1):
         raise ConfigError(f"arm must be 0 or 1, got {arm}")
-    x_test, _, _ = _read_xmatrix(resolved["test"])
-    if x_test.shape[1] != train.p:
-        raise DataError(
-            f"test has {x_test.shape[1]} covariates, training has {train.p}")
+    x_test, _, _ = _read_xmatrix(resolved["test"], train.p)
     target = TargetSpec(arm=arm, population=resolved["population"])
     prop, p1 = _fit_nuisance(train)
     train_arm = train.arm(arm)
@@ -414,20 +386,17 @@ def cmd_predict(resolved: dict, h: str) -> None:
     gammas = sorted(resolved["gamma"])
     if gammas[0] < 1.0:
         raise ConfigError(f"gamma values must be >= 1, got {gammas[0]}")
-    rows = []
-    for g in gammas:
-        bounds = bound_functions(target, g, prop, p1)
-        lo, hi = bounds(calib_arm.x)
-        hi_test = bounds.upper(x_test)
-        thr = _thresholds_for(resolved["method"], v_cal, lo, hi, hi_test,
-                              alpha, resolved["delta"])
-        set_lo, set_hi = fn.interval(x_test, thr)
-        for i in range(x_test.shape[0]):
-            rows.append([
-                i + 1, _cell(float(g)), _cell(float(thr[i])),
-                _cell(float(set_lo[i])), _cell(float(set_hi[i])),
-                int(math.isinf(set_lo[i])), int(math.isinf(set_hi[i])),
-            ])
+    kind, envelope = resolved["method"]
+    # One single-strength path per gamma: each gamma keeps its own alg2 scale M.
+    thr = np.vstack([
+        threshold_path(v_cal, [b(calib_arm.x) + (b.upper(x_test),)], alpha,
+                       kind, envelope, resolved["delta"])
+        for b in (bound_functions(target, g, prop, p1) for g in gammas)])
+    set_lo, set_hi = fn.interval(x_test, thr)
+    rows = [[i + 1, _cell(float(g)), _cell(float(thr[j, i])),
+             _cell(float(set_lo[j, i])), _cell(float(set_hi[j, i])),
+             int(math.isinf(set_lo[j, i])), int(math.isinf(set_hi[j, i]))]
+            for j, g in enumerate(gammas) for i in range(x_test.shape[0])]
     out = os.path.join(resolved["out_dir"], "intervals.csv")
     _write_csv(out, _stamp(resolved, h),
                ["row", "gamma", "v_hat", "lo", "hi", "unbounded_lo", "unbounded_hi"],
@@ -435,28 +404,16 @@ def cmd_predict(resolved: dict, h: str) -> None:
     _write_manifest(resolved, h, "predict", ["intervals.csv", "manifest.json"])
 
 
-def _disjoint_rows(lo: np.ndarray, hi: np.ndarray, kind: str, a: float) -> np.ndarray:
-    empty = lo > hi
-    if kind == "le":
-        hit = lo > a
-    elif kind == "ge":
-        hit = hi < a
-    else:
-        hit = (a < lo) | (a > hi)
-    return empty | hit
-
-
 def cmd_sensitivity(resolved: dict, h: str) -> None:
     train, calib = _load_folds(resolved)
-    test_x, test_t, test_y = _read_xmatrix(resolved["test"])
+    test_x, test_t, test_y = _read_xmatrix(resolved["test"], train.p)
     if test_t is None or test_y is None:
         raise DataError(f"{resolved['test']}: sensitivity test rows need t and y columns")
-    if test_x.shape[1] != train.p:
-        raise DataError(
-            f"test has {test_x.shape[1]} covariates, training has {train.p}")
     grid = (GammaGrid(resolved["gamma_grid"]) if resolved["gamma_grid"] is not None
             else GammaGrid.default())
-    alpha, delta = resolved["alpha"], resolved["delta"]
+    alpha = resolved["alpha"]
+    kind, envelope = resolved["method"]
+    null = NullSpec(resolved["null_kind"], resolved["null_a"])
     prop, p1 = _fit_nuisance(train)
 
     n = test_x.shape[0]
@@ -473,36 +430,11 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
         fn = ScoreFn(kind=resolved["score"], model=model, alpha=alpha)
         v_cal = fn.score(calib_arm.x, calib_arm.y)
         target = TargetSpec(arm=cf_arm, population=population)
-        x_side, y_side = test_x[mask], test_y[mask]
-
-        pairs = []
-        for g in grid.values:
-            bounds = bound_functions(target, g, prop, p1)
-            pairs.append(bounds(calib_arm.x) + (bounds.upper(x_side),))
-        lo_t, hi_t, hi_test_t = pairs[-1]
-        m_env = float(max(lo_t.max(), hi_t.max(), hi_test_t.max()))
-        kind, envelope = resolved["method"]
-        if kind == "alg2":
-            calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
-                      for lo, hi, ht in pairs]
-            path = pac_threshold_path(calibs, alpha, delta, envelope, M=m_env)
-        reject = np.zeros((x_side.shape[0], len(grid)), dtype=bool)
-        thr_floor = -math.inf
-        for j, (lo, hi, hi_test) in enumerate(pairs):
-            if kind == "alg1":
-                thr = robust_threshold_many(v_cal, lo, hi, alpha, hi_test)
-                thr = np.maximum(thr, thr_floor)  # nestedness repair on the grid
-                thr_floor = thr
-            else:
-                thr = np.full(x_side.shape[0], path[j])
-            cf_lo, cf_hi = fn.interval(x_side, thr)
-            if t_obs == 1:
-                ite_lo, ite_hi = y_side - cf_hi, y_side - cf_lo
-            else:
-                ite_lo, ite_hi = cf_lo - y_side, cf_hi - y_side
-            reject[:, j] = _disjoint_rows(ite_lo, ite_hi,
-                                          resolved["null_kind"], resolved["null_a"])
-        gamma_hat[mask] = gamma_values_from_rejections(reject, grid)
+        x_side = test_x[mask]
+        pairs = (bound_functions(target, g, prop, p1) for g in grid.values)
+        thr = threshold_path(v_cal, [b(calib_arm.x) + (b.upper(x_side),) for b in pairs],
+                             alpha, kind, envelope, resolved["delta"])
+        gamma_hat[mask] = scan_gamma_values(fn, x_side, t_obs, test_y[mask], thr, grid, null)
 
     censored = np.isinf(gamma_hat)
     rows = [[i + 1, int(test_t[i]), _cell(float(test_y[i])),
@@ -510,7 +442,8 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
     out_dir = resolved["out_dir"]
     _write_csv(os.path.join(out_dir, "gammas.csv"), _stamp(resolved, h),
                ["row", "t", "y", "gamma_hat", "censored"], rows)
-    surv = [[_cell(float(g)), _cell(float(np.mean(gamma_hat > g)))] for g in grid.values]
+    surv = [[_cell(float(g)), _cell(float(s))]
+            for g, s in zip(grid.values, survival_curve(gamma_hat, grid))]
     _write_csv(os.path.join(out_dir, "survival.csv"), _stamp(resolved, h),
                ["gamma", "survival"], surv)
     _write_manifest(resolved, h, "sensitivity",
@@ -518,32 +451,15 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
 
 
 def _read_instance(path: str) -> DiscreteJoint:
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = [(no, row) for no, row in enumerate(csv.reader(fh), start=1)
-               if row and not row[0].lstrip().startswith("#")]
-    if not raw:
-        raise DataError(f"{path}: no header row")
-    names = [c.strip() for c in raw[0][1]]
+    """Worst-case instance reader: columns v, lo, hi, and optional masses m."""
+    tab = read_table(path)
     for c in ("v", "lo", "hi"):
-        if c not in names:
+        if c not in tab.header:
             raise DataError(f"{path}: missing column {c!r}")
-    idx = {c: names.index(c) for c in names}
-    cols: dict[str, list[float]] = {c: [] for c in names}
-    for no, row in raw[1:]:
-        if len(row) != len(names):
-            raise DataError(f"{path} row {no}: expected {len(names)} fields, got {len(row)}")
-        for c in names:
-            try:
-                cols[c].append(float(row[idx[c]]))
-            except ValueError:
-                raise DataError(f"{path} row {no}: bad value for {c!r}") from None
-    if not cols["v"]:
-        raise DataError(f"{path}: no data rows")
-    n = len(cols["v"])
-    m = np.asarray(cols["m"]) if "m" in cols else np.full(n, 1.0 / n)
+    n = len(tab.rows)
+    m = tab.floats("m") if "m" in tab.header else np.full(n, 1.0 / n)
     try:
-        return DiscreteJoint(np.asarray(cols["v"]), m,
-                             np.asarray(cols["lo"]), np.asarray(cols["hi"]))
+        return DiscreteJoint(tab.floats("v"), m, tab.floats("lo"), tab.floats("hi"))
     except ValidationError as exc:
         raise DataError(f"{path}: {exc}") from None
 

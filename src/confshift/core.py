@@ -248,35 +248,60 @@ class PredictionSet:
 # lines are skipped (output files carry a provenance comment up top).
 
 
-def _parse_float(text: str, line_no: int, col: str) -> float:
+@dataclass(frozen=True)
+class CsvTable:
+    """Header and data rows of a CSV file, each row as long as the header."""
+
+    path: str
+    header: list[str]
+    rows: list[list[str]]
+    lines: list[int]  # 1-based file line of each data row
+
+    def floats(self, col: str) -> np.ndarray:
+        """Column ``col`` as floats; a cell that is not a finite number
+        (nan and inf included) raises, naming the file, row and column."""
+        j = self.header.index(col)
+        out = np.empty(len(self.rows))
+        for i, row in enumerate(self.rows):
+            try:
+                out[i] = float(row[j])
+            except ValueError:
+                out[i] = math.nan
+            if not math.isfinite(out[i]):
+                raise DataError(f"{self.path} row {self.lines[i]}: column {col!r} "
+                                f"is not a finite number: {row[j]!r}")
+        return out
+
+
+def read_table(path: str) -> CsvTable:
+    """Read a CSV file with a header row and at least one data row.
+
+    Blank and '#'-prefixed lines are skipped; header names are stripped. The
+    callers apply their own column rules.
+    """
     try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"row {line_no}: column {col!r} is not a number: {text!r}") from None
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        records = [(no, rec) for no, rec in enumerate(csv.reader(fh), start=1)
+                   if rec and not rec[0].lstrip().startswith("#")]
+    if not records:
+        raise DataError(f"{path}: no header row")
+    header = [c.strip() for c in records[0][1]]
+    for no, rec in records[1:]:
+        if len(rec) != len(header):
+            raise DataError(f"{path} row {no}: expected {len(header)} fields, got {len(rec)}")
+    if len(records) == 1:
+        raise DataError(f"{path}: no data rows")
+    return CsvTable(path, header, [rec for _, rec in records[1:]],
+                    [no for no, _ in records[1:]])
 
 
 def read_dataset(path: str) -> Dataset:
     """Read a dataset CSV, reporting the 1-based file line of any bad row."""
-    try:
-        fh = open(path, "r", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        line_no = 0
-        header: list[str] | None = None
-        rows: list[list[str]] = []
-        row_lines: list[int] = []
-        for record in csv.reader(fh):
-            line_no += 1
-            if not record or record[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in record]
-            else:
-                rows.append(record)
-                row_lines.append(line_no)
-    if header is None:
-        raise DataError(f"{path}: no header row")
+    tab = read_table(path)
+    header = tab.header
     x_cols = sorted(
         (c for c in header if c.startswith("x") and c[1:].isdigit()),
         key=lambda c: int(c[1:]),
@@ -287,36 +312,18 @@ def read_dataset(path: str) -> Dataset:
     for required in ("t", "y"):
         if required not in header:
             raise DataError(f"{path}: missing required column {required!r}")
-    has_cf = "y1" in header and "y0" in header
     if ("y1" in header) != ("y0" in header):
         raise DataError(f"{path}: y1 and y0 must both be present or both absent")
-    pos = {c: header.index(c) for c in header}
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    n = len(rows)
-    x = np.empty((n, p))
-    t = np.empty(n, dtype=int)
-    y = np.empty(n)
-    y1 = np.empty(n) if has_cf else None
-    y0 = np.empty(n) if has_cf else None
-    for i, (record, ln) in enumerate(zip(rows, row_lines)):
-        if len(record) != len(header):
-            raise DataError(
-                f"row {ln}: expected {len(header)} fields, got {len(record)}"
-            )
-        for j, c in enumerate(x_cols):
-            x[i, j] = _parse_float(record[pos[c]], ln, c)
-        t_raw = record[pos["t"]].strip()
-        if t_raw not in ("0", "1"):
-            raise DataError(f"row {ln}: column 't' must be 0 or 1, got {t_raw!r}")
-        t[i] = int(t_raw)
-        y[i] = _parse_float(record[pos["y"]], ln, "y")
-        if has_cf:
-            y1[i] = _parse_float(record[pos["y1"]], ln, "y1")
-            y0[i] = _parse_float(record[pos["y0"]], ln, "y0")
+    j = header.index("t")
+    for record, ln in zip(tab.rows, tab.lines):
+        if record[j].strip() not in ("0", "1"):
+            raise DataError(f"{path} row {ln}: column 't' must be 0 or 1, "
+                            f"got {record[j].strip()!r}")
+    t = np.array([int(record[j]) for record in tab.rows])
+    x = np.column_stack([tab.floats(c) for c in x_cols])
+    cf = [tab.floats("y1"), tab.floats("y0")] if "y1" in header else [None, None]
     try:
-        return Dataset(x, t, y, y1, y0)
+        return Dataset(x, t, tab.floats("y"), *cf)
     except ValidationError as exc:
         raise DataError(f"{path}: {exc}") from None
 

@@ -159,18 +159,20 @@ class ScoreFn:
     def interval(self, x, threshold) -> tuple[np.ndarray, np.ndarray]:
         """Realized outcome interval {y : V(x, y) <= threshold} per row of x.
 
-        threshold broadcasts against rows (scalar or per-row array); +inf
-        yields the whole line for every score kind, while a two-sided set may
-        come out empty (lo > hi) for negative thresholds.
+        threshold broadcasts against rows: a scalar, a per-row array, or a
+        (strengths x rows) array, which gives (strengths x rows) endpoints
+        from one quantile query. +inf yields the whole line for every score
+        kind, while a two-sided set may come out empty (lo > hi) for negative
+        thresholds.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        m = x.shape[0]
-        thr = np.broadcast_to(np.asarray(threshold, dtype=float), (m,))
+        thr = np.asarray(threshold, dtype=float)
+        shape = np.broadcast_shapes(thr.shape, (x.shape[0],))
         if self.kind == "cqr":
             q = self.model.quantile(x, self.betas)
             return q[:, 0] - thr, q[:, 1] + thr
         if self.kind == "cqr_one_sided":
             qhi = self.model.quantile(x, 1.0 - self.alpha)
-            return np.full(m, -np.inf), qhi + thr
+            return np.full(shape, -np.inf), qhi + thr
         med = self.model.quantile(x, 0.5)
         return med - thr, med + thr

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -184,61 +184,45 @@ def gamma_value(
     return GammaValue(gamma=1.0 if best is None else best, censored=False)
 
 
-def _effective(values: Sequence[GammaValue]) -> np.ndarray:
-    return np.array([gv.gamma for gv in values], dtype=float)
-
-
-def survival_curve(values: Sequence[GammaValue], grid: GammaGrid) -> np.ndarray:
+def survival_curve(gamma_hat, grid: GammaGrid) -> np.ndarray:
     """S(Gamma) = fraction of units with Gamma-hat > Gamma, on the grid."""
-    if len(values) == 0:
+    gh = np.asarray(gamma_hat, dtype=float)
+    if gh.size == 0:
         raise ValidationError("survival curve of an empty collection")
-    eff = _effective(values)
-    return np.array([float((eff > g).mean()) for g in grid.values])
+    return (gh[None, :] > np.asarray(grid.values)[:, None]).mean(axis=1)
 
 
-def fwer_estimate(
-    values: Sequence[GammaValue],
-    is_true_null: Sequence[bool],
-    gamma_star: float,
-) -> tuple[float, bool]:
+def fwer_estimate(gamma_hat, is_true_null, gamma_star: float) -> tuple[float, bool]:
     """Fraction of true-null units falsely rejected at strength gamma_star.
 
     A unit counts when its effect lies in C (caller labels truths) and its
     sensitivity value exceeds gamma_star. Returns (rate, any_null); with no
     true nulls the rate is 0 and the flag False.
     """
+    gh = np.asarray(gamma_hat, dtype=float)
     nulls = np.asarray(is_true_null, dtype=bool)
-    if nulls.shape != (len(values),):
+    if nulls.shape != gh.shape:
         raise ValidationError("labels and values must align")
     if not nulls.any():
         return 0.0, False
-    eff = _effective(values)
-    return float(np.mean(nulls & (eff > gamma_star))), True
+    return float(np.mean(nulls & (gh > gamma_star))), True
 
 
-def fdp_curve(
-    values: Sequence[GammaValue],
-    ites: Sequence[float],
-    grid: GammaGrid,
-    null: NullSpec | None = None,
-) -> np.ndarray:
+def fdp_curve(gamma_hat, ites, grid: GammaGrid, null: NullSpec | None = None) -> np.ndarray:
     """False discovery proportion along the grid, 0/0 read as 0.
 
     At each grid Gamma the discoveries are units with Gamma-hat > Gamma; the
     false ones have their realized effect inside C (default C = (-inf, 0]).
     """
     null = null if null is not None else NullSpec(kind="le", a=0.0)
+    gh = np.asarray(gamma_hat, dtype=float)
     ites = np.asarray(ites, dtype=float)
-    if ites.shape != (len(values),):
+    if ites.shape != gh.shape:
         raise ValidationError("ites and values must align")
-    eff = _effective(values)
-    false = np.array([null.contains(v) for v in ites])
-    out = np.empty(len(grid))
-    for j, g in enumerate(grid.values):
-        rejected = eff > g
-        k = int(rejected.sum())
-        out[j] = float((rejected & false).sum() / k) if k else 0.0
-    return out
+    false = np.array([null.contains(v) for v in ites], dtype=bool)
+    rejected = gh[None, :] > np.asarray(grid.values)[:, None]
+    k = rejected.sum(axis=1)
+    return np.where(k > 0, (rejected & false).sum(axis=1) / np.maximum(k, 1), 0.0)
 
 
 def gamma_values_from_rejections(reject: np.ndarray, grid: GammaGrid) -> np.ndarray:

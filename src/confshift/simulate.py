@@ -27,6 +27,7 @@ the config seed; replicates parallelize over processes when asked.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -38,9 +39,12 @@ from scipy.special import expit
 from .core import ValidationError, normal_inv_cdf, rng
 from .marginal import CalibrationSet, marginal_gap, robust_threshold_many
 from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity
-from .pac import pac_gap, pac_threshold, pac_threshold_path
+# pac_threshold is not called here; it stays bound because the benchmark's
+# tracer (perfbench/tracing.py) patches threshold callables at this module.
+from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
 from .scores import ScoreFn, fit_quantile_model
-from .sensitivity import GammaGrid, gamma_values_from_rejections
+from .sensitivity import (GammaGrid, NullSpec, fdp_curve, fwer_estimate,
+                          gamma_values_from_rejections, survival_curve)
 
 __all__ = [
     "SimConfig",
@@ -289,27 +293,87 @@ def _draw_target_units(cfg: SimConfig, r: np.random.Generator, n: int) -> SuperP
     return pool.take(np.nonzero(pool.t == want)[0])
 
 
-def _bound_pair(cfg: SimConfig, gamma: float, train: SuperPopDraw) -> tuple[BoundPair, float]:
-    """(bounds, p1) at strength gamma, oracle or fit on the training fold."""
-    target = cfg.target()
+def _bound_family(cfg: SimConfig, train: SuperPopDraw) -> Callable[[float], BoundPair]:
+    """Bound pair by strength, oracle or from one propensity fit on the training fold."""
     if cfg.bounds == "oracle":
-        p1 = true_treated_fraction(cfg.p)
-        return bound_functions(target, gamma, TruePropensity(cfg.p), p1), p1
-    model = fit_propensity(train.x, train.t)
-    p1 = float(np.mean(train.t == 1))
-    return bound_functions(target, gamma, model, p1), p1
+        prop, p1 = TruePropensity(cfg.p), true_treated_fraction(cfg.p)
+    else:
+        prop, p1 = fit_propensity(train.x, train.t), float(np.mean(train.t == 1))
+    target = cfg.target()
+    return lambda gamma: bound_functions(target, gamma, prop, p1)
 
 
 def _rep_seeds(cfg: SimConfig) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(cfg.seed).spawn(cfg.n_reps)
 
 
+def _worker_count(threads: int, n_reps: int) -> int:
+    """Worker processes for a campaign: at most one per replication and per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(threads, n_reps, cpus or 1))
+
+
 def _run_reps(worker: Callable, cfg: SimConfig, threads: int) -> list[dict]:
     jobs = [(cfg, s) for s in _rep_seeds(cfg)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, cfg.n_reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, jobs))
     return [worker(j) for j in jobs]
+
+
+# ---------------------------------------------------------------------------
+# Thresholds along a strength grid, and the unit-level scan
+# ---------------------------------------------------------------------------
+
+
+def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
+                   envelope: str = "wsr", delta: float = 0.05) -> np.ndarray:
+    """Score thresholds along ascending strengths, shape (strengths, test units).
+
+    ``envelopes`` holds one ``(lo_cal, hi_cal, hi_test)`` triple per strength.
+    alg1 gives every test unit its own robust marginal threshold; alg2 gives
+    all units the one PAC threshold of :func:`pac_threshold_path`, whose
+    envelope scale M comes from the widest (last) triple.
+
+    Repair policy, the one place it is set: thresholds take a running max
+    along the strengths, so intervals are nested and rejections form an
+    initial segment of the grid; :func:`gamma_values_from_rejections` then
+    stops each unit's scan at its first non-rejection. For the built-in bound
+    families the alg1 repair changes nothing (the bounds widen with the
+    strength), and the alg2 path is already repaired.
+    """
+    if procedure == "alg1":
+        thr = np.array([robust_threshold_many(v_cal, lo, hi, alpha, ht)
+                        for lo, hi, ht in envelopes])
+    else:
+        lo_w, hi_w, ht_w = envelopes[-1]
+        m_env = float(max(lo_w.max(), hi_w.max(), ht_w.max()))
+        calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
+                  for lo, hi, ht in envelopes]
+        path = pac_threshold_path(calibs, alpha, delta, envelope, M=m_env)
+        thr = np.repeat(path[:, None], len(envelopes[0][2]), axis=1)
+    return np.maximum.accumulate(thr, axis=0)
+
+
+def scan_gamma_values(fn: ScoreFn, x: np.ndarray, t_obs: int, y: np.ndarray,
+                      thresholds: np.ndarray, grid: GammaGrid, null: NullSpec) -> np.ndarray:
+    """Sensitivity values of units observed in arm ``t_obs`` with outcomes ``y``.
+
+    ``thresholds`` (strengths x units, from :func:`threshold_path`) give the
+    counterfactual intervals in one ``fn.interval`` call; the effect interval
+    is y - C0 for treated units and C1 - y for controls. A strength rejects
+    when the effect interval is empty or misses the null set C.
+    """
+    cf_lo, cf_hi = fn.interval(x, thresholds)
+    lo, hi = (y - cf_hi, y - cf_lo) if t_obs == 1 else (cf_lo - y, cf_hi - y)
+    if null.kind == "le":
+        hit = lo > null.a
+    elif null.kind == "ge":
+        hit = hi < null.a
+    else:
+        hit = (null.a < lo) | (null.a > hi)
+    return gamma_values_from_rejections((hit | (lo > hi)).T, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +393,15 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     calib_arm = calib.take(np.nonzero(calib.t == arm)[0])
     model = fit_quantile_model(train_arm.x, train_arm.outcome(arm))
     gamma_b = cfg.gamma_true if cfg.gamma_bounds is None else cfg.gamma_bounds
-    bounds, _ = _bound_pair(cfg, gamma_b, train)
-    lo_cal, hi_cal = bounds(calib_arm.x)
-    hi_test = bounds.upper(test.x)
+    bounds = _bound_family(cfg, train)(gamma_b)
+    envelopes = [bounds(calib_arm.x) + (bounds.upper(test.x),)]
 
     out: dict = {}
     for alpha in cfg.alphas:
         fn = ScoreFn(kind=cfg.score, model=model, alpha=alpha)
         v_cal = fn.score(calib_arm.x, calib_arm.outcome(arm))
         v_test = fn.score(test.x, test.outcome(arm))
-        if cfg.procedure == "alg1":
-            thr = robust_threshold_many(v_cal, lo_cal, hi_cal, alpha, hi_test)
-        else:
-            cs = CalibrationSet(v_cal, lo_cal, hi_cal, u_test=float(np.max(hi_test)))
-            m_env = float(max(lo_cal.max(), hi_cal.max(), np.max(hi_test)))
-            thr = pac_threshold(cs, alpha, cfg.delta, cfg.envelope, M=m_env)
+        thr = threshold_path(v_cal, envelopes, alpha, cfg.procedure, cfg.envelope, cfg.delta)[0]
         rec = {"coverage": float(np.mean(v_test <= thr))}
         if cfg.n_eval_gap > 0:
             ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)
@@ -396,9 +454,11 @@ def run_coverage_experiment(cfg: SimConfig, threads: int = 1) -> dict:
 def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     """One replication of the effect-direction sensitivity pipeline.
 
-    Counterfactual arm 0 for treated test units, one-sided upper intervals;
-    per grid gamma, per-unit thresholds (alg1) or one shared threshold
-    (alg2, running-max repaired along the grid so rejections are nested).
+    Test units are scanned as treated, with counterfactual arm 0, one-sided
+    upper intervals and the null C = (-inf, 0]. Both procedures share one
+    propensity fit (estimated bounds) and the bound pairs along the grid;
+    each gets its thresholds from :func:`threshold_path` and its sensitivity
+    values from :func:`scan_gamma_values`.
     """
     cfg, seed = job
     r = rng(seed)
@@ -413,31 +473,13 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     model = fit_quantile_model(train_c.x, train_c.y0)
     fn = ScoreFn(kind="cqr_one_sided", model=model, alpha=alpha)
     v_cal = fn.score(calib_c.x, calib_c.y0)
-    q_test = model.quantile(test.x, 1.0 - alpha)
 
-    pairs = []
-    for g in grid.values:
-        bounds, _ = _bound_pair(cfg, g, train)
-        pairs.append(bounds(calib_c.x) + (bounds.upper(test.x),))
-
-    n_gamma = len(grid)
-    reject = {"alg1": np.zeros((test.n, n_gamma), dtype=bool),
-              "alg2": np.zeros((test.n, n_gamma), dtype=bool)}
-    # Shared envelope scale across the grid: bounds only widen with gamma,
-    # so the gamma-max value dominates every grid point.
-    lo_max, hi_max, hi_test_max = pairs[-1]
-    m_env = float(max(lo_max.max(), hi_max.max(), hi_test_max.max()))
-    calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
-              for lo, hi, ht in pairs]
-    path = pac_threshold_path(calibs, alpha, cfg.delta, cfg.envelope, M=m_env)
-    for j, (lo_cal, hi_cal, hi_test) in enumerate(pairs):
-        thr1 = robust_threshold_many(v_cal, lo_cal, hi_cal, alpha, hi_test)
-        reject["alg1"][:, j] = test.y1 - (q_test + thr1) > 0
-        reject["alg2"][:, j] = test.y1 - (q_test + path[j]) > 0
-    ite = test.y1 - test.y0
-    out = {"ite": ite}
-    for key, rej in reject.items():
-        out[key] = gamma_values_from_rejections(rej, grid)
+    bounds = _bound_family(cfg, train)
+    envelopes = [b(calib_c.x) + (b.upper(test.x),) for b in map(bounds, grid.values)]
+    out = {"ite": test.y1 - test.y0}
+    for key in ("alg1", "alg2"):
+        thr = threshold_path(v_cal, envelopes, alpha, key, cfg.envelope, cfg.delta)
+        out[key] = scan_gamma_values(fn, test.x, 1, test.y1, thr, grid, NullSpec("le", 0.0))
     return out
 
 
@@ -451,23 +493,17 @@ def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
     """
     grid = GammaGrid(cfg.grid) if cfg.grid is not None else GammaGrid.default()
     reps = _run_reps(_sensitivity_rep, cfg, threads)
-    gvals = np.asarray(grid.values)
     report: dict = {
         "n_reps": cfg.n_reps,
         "seed": cfg.seed,
-        "gamma_grid": [float(g) for g in gvals],
+        "gamma_grid": [float(g) for g in grid.values],
     }
     for key in ("alg1", "alg2"):
-        fwer, fdp_max, surv = [], np.zeros(len(gvals)), np.zeros(len(gvals))
+        fwer, fdp_max, surv = [], np.zeros(len(grid)), np.zeros(len(grid))
         for rep in reps:
-            gh, ite = rep[key], rep["ite"]
-            null = ite <= 0.0
-            fwer.append(float(np.mean(null & (gh > cfg.gamma_true))) if null.any() else 0.0)
-            rej = gh[None, :] > gvals[:, None]       # (n_gamma, n_units)
-            k = rej.sum(axis=1)
-            false = (rej & null[None, :]).sum(axis=1)
-            fdp_max = np.maximum(fdp_max, np.where(k > 0, false / np.maximum(k, 1), 0.0))
-            surv += rej.mean(axis=1)
+            fwer.append(fwer_estimate(rep[key], rep["ite"] <= 0.0, cfg.gamma_true)[0])
+            fdp_max = np.maximum(fdp_max, fdp_curve(rep[key], rep["ite"], grid))
+            surv += survival_curve(rep[key], grid)
         report[key] = {
             "fwer_per_rep": [float(v) for v in fwer],
             "fwer_mean": float(np.mean(fwer)),

@@ -6,6 +6,7 @@ data, 3 bad configuration.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -248,6 +249,40 @@ def test_single_arm_calibration_exits_2(corpus, tmp_path, capsys):
     assert "no units with t=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["alg1", "alg2:wsr"])
+def test_nonfinite_dataset_cell_exits_2(corpus, tmp_path, capsys, method):
+    calib = tmp_path / "calib_nan.csv"
+    lines = open(corpus["calib"], encoding="utf-8").read().splitlines()
+    treated = next(i for i, line in enumerate(lines) if line.split(",")[2] == "1")
+    cells = lines[treated].split(",")
+    lines[treated] = ",".join(cells[:3] + ["nan"])
+    calib.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["predict", "--train", corpus["train"], "--calib", str(calib),
+               "--test", corpus["test"], "--method", method,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"calib_nan.csv row {treated + 1}: column 'y' is not a finite number" \
+        in capsys.readouterr().err
+
+
+def test_nonfinite_test_covariate_exits_2(corpus, tmp_path, capsys):
+    test = tmp_path / "test_inf.csv"
+    test.write_text("x1,x2\n0.1,0.2\n0.3,inf\n", encoding="utf-8")
+    rc = main(["predict", "--train", corpus["train"], "--calib", corpus["calib"],
+               "--test", str(test), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "test_inf.csv row 3: column 'x2' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "intervals.csv").exists()
+
+
+def test_nonfinite_instance_atom_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst_nan.csv"
+    inst.write_text("v,lo,hi,m\n1.0,0.5,2.0,0.5\nnan,0.5,2.0,0.5\n", encoding="utf-8")
+    assert main(["worstcase", "--instance", str(inst),
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "inst_nan.csv row 3: column 'v' is not a finite number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -403,3 +438,145 @@ def test_simulate_bad_threads_env_exits_3(tmp_path, monkeypatch, capsys):
                "--out-dir", str(tmp_path / "o")])
     assert rc == 3
     assert "CONFSHIFT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,value", [("flag", "0"), ("flag", "-1"),
+                                          ("env", "0"), ("env", "-2")])
+def test_simulate_nonpositive_threads_exit_3(tmp_path, monkeypatch, capsys, source, value):
+    flag = ["--threads", value] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("CONFSHIFT_THREADS", value)
+    rc = main(["simulate", "--kind", "coverage", "--n-train", "60",
+               "--n-calib", "40", "--n-test", "5", "--n-reps", "1", *flag,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"must be >= 1, got {value}" in err
+    assert ("CONFSHIFT_THREADS" in err) == (source == "env")
+
+
+# ---------------------------------------------------------------------------
+# byte identity against recorded outputs
+# ---------------------------------------------------------------------------
+
+_SENS_GRID = "1.0,1.1,1.2,1.35,1.5,2.0"
+_SIM_ARGS = ["--kind", "sensitivity", "--n-train", "80", "--n-calib", "150",
+             "--n-test", "20", "--p", "2", "--gamma-true", "1.3",
+             "--grid", "1.0,1.1,1.2,1.5,2.0", "--alphas", "0.7", "--n-reps", "2",
+             "--bounds", "estimated", "--effect-kind", "random", "--effect-a", "1.0",
+             "--seed", "11", "--threads", "1"]
+
+
+def _recorded_cases():
+    cases = {}
+    for method in ("alg1", "alg2:wsr", "alg2:hoeffding"):
+        for score in ("cqr", "abs_residual"):
+            cases[f"predict-{method}-{score}"] = (
+                "predict", ["--test", "test", "--method", method, "--score", score,
+                            "--alpha", "0.3", "--gamma", "1.0,1.5,2.5"])
+    for method in ("alg1", "alg2:wsr"):
+        for null in ("le", "ge", "point"):
+            cases[f"sensitivity-{method}-{null}"] = (
+                "sensitivity", ["--test", "obstest", "--method", method,
+                                "--score", "cqr", "--alpha", "0.5", "--null-kind", null,
+                                "--null-a", "0.5", "--gamma-grid", _SENS_GRID])
+    cases["simulate-sensitivity-estimated"] = ("simulate", _SIM_ARGS)
+    return cases
+
+
+_CASES = _recorded_cases()
+
+# SHA-256 of every output file, recorded before the CLI and the simulation
+# campaigns were moved onto one threshold-and-scan pipeline. CSV stamp lines
+# are left out: they hash the configuration, which holds the input paths.
+_DIGESTS = {
+    "predict-alg1-abs_residual": {
+        "intervals.csv":
+            "5bf209ea5d8abdb58cbd8f8445f6316c898f182396daf1dc4a27054c6c4c939e",
+    },
+    "predict-alg1-cqr": {
+        "intervals.csv":
+            "afa4798a0523f502b332b785b3715487a491fb683a148e5bb936385d36e08058",
+    },
+    "predict-alg2:hoeffding-abs_residual": {
+        "intervals.csv":
+            "17b652941904757beca6a7a2c55dbf9d4c4615a350bdcc0b9d62fea16c021ab5",
+    },
+    "predict-alg2:hoeffding-cqr": {
+        "intervals.csv":
+            "a2f715277d430ae7245962a432f9054475c5a80431b24bbeb7ee4a0f1c30bf62",
+    },
+    "predict-alg2:wsr-abs_residual": {
+        "intervals.csv":
+            "61174da1e8c828b5e9b99f556936b501e815d9bed37f28bc96739a36f30abba8",
+    },
+    "predict-alg2:wsr-cqr": {
+        "intervals.csv":
+            "ee0289e5c1151c5b3eee0b622c7ef844532b7e3282492ed31ebb3a238b3b1240",
+    },
+    "sensitivity-alg1-ge": {
+        "gammas.csv":
+            "fbcd727568ca08087400dc4a2fc9e9b897f09ed2f71ae791738d833ae059abc4",
+        "survival.csv":
+            "07bd9a91e3a35ee971265cced2d92aa83f40d9ea86ee4bb306b2af13c77eaa8f",
+    },
+    "sensitivity-alg1-le": {
+        "gammas.csv":
+            "cd9c8b339b2f49956d1b3ef1888580aa1e560388415f07f1b8ac7f899a25f759",
+        "survival.csv":
+            "1989cd8ffbd1c25a7fc64e8711ac891dca3f2ba1d3c9e0d8edee0b0c4d9764d7",
+    },
+    "sensitivity-alg1-point": {
+        "gammas.csv":
+            "ccabb44c426d96683f15b74758a71a50936b46138e6ac1ebfe1d3c2295b9f413",
+        "survival.csv":
+            "975213f4442c5aead4baab4c90e0c51e25e5fc108dfcaaa83fef2464afcb59b4",
+    },
+    "sensitivity-alg2:wsr-ge": {
+        "gammas.csv":
+            "377a19b2ac48155490f37c590900d730544c4e7253340a70a42d286a12c89a4a",
+        "survival.csv":
+            "2f1ad9e0085c9124b82bee1ff598fb7983ce8d0804b522ee47db61b322dd6d6b",
+    },
+    "sensitivity-alg2:wsr-le": {
+        "gammas.csv":
+            "d4423d981d518913fcc49dc943470d242b2c820473c64fa547be2a25ed89953f",
+        "survival.csv":
+            "b80ce2e2b5d0734f65c351f1305f888d24a488c98f81b3cbd4447b3f0cd17360",
+    },
+    "sensitivity-alg2:wsr-point": {
+        "gammas.csv":
+            "377a19b2ac48155490f37c590900d730544c4e7253340a70a42d286a12c89a4a",
+        "survival.csv":
+            "2f1ad9e0085c9124b82bee1ff598fb7983ce8d0804b522ee47db61b322dd6d6b",
+    },
+    "simulate-sensitivity-estimated": {
+        "curves.csv":
+            "3340b272e013d9115b79c44888bfdf838e146b4999d1b1c322df6959e70e0a7c",
+        "report.json":
+            "97b472d94087783136b2193480d217a0153d632c9537410cba83e3de5ef1126e",
+    },
+}
+
+
+def _output_digests(out_dir) -> dict[str, str]:
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        if name == "manifest.json":
+            continue
+        data = (out_dir / name).read_bytes()
+        if name.endswith(".csv"):
+            data = data.split(b"\n", 1)[1]
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_outputs_match_recorded_digests(corpus, tmp_path, case):
+    command, args = _CASES[case]
+    args = [corpus.get(a, a) for a in args]
+    folds = [] if command == "simulate" else [
+        "--train", corpus["train"], "--calib", corpus["calib"]]
+    out = tmp_path / "run"
+    assert main([command, *folds, *args, "--out-dir", str(out)]) == 0
+    assert _output_digests(out) == _DIGESTS[case]

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confshift import (
     GammaGrid,
-    GammaValue,
     Interval,
     NullSpec,
+    ScoreFn,
     ValidationError,
     fdp_curve,
     fwer_estimate,
@@ -20,6 +23,7 @@ from confshift import (
     rng,
     survival_curve,
 )
+from confshift.simulate import scan_gamma_values
 
 GRID = GammaGrid(values=(1.0, 1.2, 1.5, 2.0, 3.0))
 
@@ -165,13 +169,49 @@ def test_gamma_values_from_rejections_matches_scalar_scan():
         gamma_values_from_rejections(np.zeros(4, dtype=bool), GRID)
 
 
+class _ShiftQuantiles:
+    """q(x, beta) = x1 + beta - 1/2: monotone in beta and row by row exact."""
+
+    def quantile(self, x, beta):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        b = np.asarray(beta, dtype=float)
+        return x[:, 0] + (b - 0.5) if b.ndim == 0 else x[:, :1] + (b - 0.5)
+
+
+_THR = st.one_of(st.floats(-1.0, 2.0), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(ScoreFn.KINDS), null_kind=st.sampled_from(NullSpec.KINDS),
+       null_a=st.floats(-2.0, 2.0), t_obs=st.sampled_from((0, 1)),
+       upper=st.sets(st.floats(1.01, 10.0), max_size=5), data=st.data())
+def test_scan_matches_scalar_gamma_value_oracle(kind, null_kind, null_a, t_obs, upper, data):
+    grid = GammaGrid(values=tuple(sorted({1.0, *upper})))
+    n = data.draw(st.integers(1, 8))
+    x = data.draw(hnp.arrays(float, (n, 1), elements=st.floats(-2.0, 2.0)))
+    y = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    raw = data.draw(hnp.arrays(float, (len(grid), n), elements=_THR))
+    thr = np.maximum.accumulate(raw, axis=0)  # nested along the grid, as threshold_path gives
+    fn = ScoreFn(kind=kind, model=_ShiftQuantiles(), alpha=0.2)
+    null = NullSpec(kind=null_kind, a=null_a)
+    got = scan_gamma_values(fn, x, t_obs, y, thr, grid, null)
+
+    for i in range(n):
+        def build(unit, gamma, i=i):
+            lo, hi = fn.interval(x[i:i + 1], thr[grid.values.index(gamma), i])
+            return ite_set_one_missing(t_obs, float(y[i]), Interval(float(lo[0]), float(hi[0])))
+
+        assert got[i] == gamma_value(i, grid, null, build).gamma
+
+
 # ---------------------------------------------------------------------------
 # curves and error rates
 # ---------------------------------------------------------------------------
 
 
 def _gv(x):
-    return GammaValue(gamma=x, censored=math.isinf(x))
+    """A sensitivity value as the summaries take it: a plain float."""
+    return float(x)
 
 
 def test_survival_curve_hand_values():

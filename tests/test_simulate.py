@@ -1,7 +1,11 @@
 """Confounded data generator identities and the experiment runners."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
 from confshift import (
@@ -9,17 +13,20 @@ from confshift import (
     TargetSpec,
     ValidationError,
     beta_vector,
+    bound_functions,
     gen_semisynthetic,
     gen_superpop,
     oracle_bound_pair,
     propensity_threshold,
     rng,
+    robust_threshold_many,
     run_coverage_experiment,
     run_sensitivity_experiment,
     true_likelihood_ratio,
     true_treated_fraction,
 )
-from confshift.simulate import _propensity_parts, _sigma
+from confshift import simulate
+from confshift.simulate import _propensity_parts, _sigma, _worker_count, threshold_path
 
 CELLS = [(a, pop) for a in (0, 1) for pop in ("ate", "att", "atc")]
 
@@ -227,6 +234,56 @@ def test_sensitivity_survival_orders_with_effect_size():
         rep = run_sensitivity_experiment(cfg)
         areas.append(float(np.mean(rep["alg1"]["survival_mean"])))
     assert areas[1] > areas[0]
+
+
+def test_scan_replication_fits_the_propensity_once(monkeypatch):
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    real_fit = simulate.fit_propensity
+    monkeypatch.setattr(simulate, "fit_propensity", counting_fit)
+    cfg = _tiny_cfg(bounds="estimated", grid=(1.0, 1.2, 1.5, 2.0), n_reps=2,
+                    alphas=(0.2,), envelope="plugin")
+    run_sensitivity_experiment(cfg)
+    assert len(fits) == cfg.n_reps
+
+
+def test_worker_count_is_clamped_to_reps_and_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert _worker_count(1, 100) == 1
+    assert _worker_count(64, 3) == min(3, cpus)
+    assert _worker_count(10**6, 10**6) == cpus
+
+
+class _FirstColumnPropensity:
+    """e(x) read off the first covariate, so a test picks propensities directly."""
+
+    def predict(self, x):
+        return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+
+
+_E = st.floats(0.01, 0.99)
+_V = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))  # ties and spread
+
+
+@settings(max_examples=200, deadline=None)
+@given(arm=st.sampled_from((0, 1)), pop=st.sampled_from(("ate", "att", "atc")),
+       calib=st.lists(st.tuples(_E, _V), min_size=1, max_size=40),
+       e_test=st.lists(_E, min_size=1, max_size=6),
+       gammas=st.sets(st.floats(1.0, 30.0), min_size=1, max_size=8),
+       alpha=st.floats(0.01, 0.99), p1=st.floats(0.05, 0.95))
+def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
+        arm, pop, calib, e_test, gammas, alpha, p1):
+    e_cal, v = (np.array(c) for c in zip(*calib))
+    x_cal, x_test = e_cal[:, None], np.array(e_test)[:, None]
+    pairs = [bound_functions(TargetSpec(arm=arm, population=pop), g,
+                             _FirstColumnPropensity(), p1) for g in sorted(gammas)]
+    envelopes = [b(x_cal) + (b.upper(x_test),) for b in pairs]
+    raw = np.array([robust_threshold_many(v, lo, hi, alpha, ht) for lo, hi, ht in envelopes])
+    np.testing.assert_array_equal(threshold_path(v, envelopes, alpha, "alg1"), raw)
 
 
 # ---------------------------------------------------------------------------
