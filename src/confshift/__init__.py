@@ -27,9 +27,6 @@ from .core import (
     ConfigError,
     DataError,
     Dataset,
-    Level,
-    PredictionSet,
-    Sample,
     SplitSpec,
     ValidationError,
     normal_inv_cdf,
@@ -56,7 +53,6 @@ from .nuisance import (
 )
 from .pac import (
     METHODS,
-    EnvelopeEstimate,
     envelope_hoeffding,
     envelope_plugin,
     envelope_wsr,
@@ -80,7 +76,6 @@ from .sensitivity import (
     fwer_estimate,
     gamma_value,
     gamma_values_from_rejections,
-    ite_set_both_missing,
     ite_set_one_missing,
     survival_curve,
 )
@@ -128,7 +123,6 @@ __all__ = [
     "envelope_hoeffding",
     "envelope_plugin",
     "envelope_wsr",
-    "EnvelopeEstimate",
     "fdp_curve",
     "fit_propensity",
     "fit_quantile_model",
@@ -140,10 +134,8 @@ __all__ = [
     "gen_semisynthetic",
     "gen_superpop",
     "Interval",
-    "ite_set_both_missing",
     "ite_set_one_missing",
     "KNNQuantileModel",
-    "Level",
     "lp_oracle_marginal",
     "marginal_gap",
     "MarginalWitness",
@@ -155,7 +147,6 @@ __all__ = [
     "pac_threshold",
     "pac_threshold_path",
     "POPULATIONS",
-    "PredictionSet",
     "propensity_threshold",
     "PropensityModel",
     "quantile_inf",
@@ -166,7 +157,6 @@ __all__ = [
     "robust_threshold_many",
     "run_coverage_experiment",
     "run_sensitivity_experiment",
-    "Sample",
     "ScoreFn",
     "SimConfig",
     "split",

@@ -80,7 +80,10 @@ def _pint(s: str) -> int:
 
 
 def _pfloat(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return value
 
 
 def _pbool(s: str) -> bool:
@@ -93,7 +96,7 @@ def _pbool(s: str) -> bool:
 
 
 def _pfloats(s: str) -> tuple[float, ...]:
-    vals = tuple(float(part) for part in s.split(",") if part.strip() != "")
+    vals = tuple(_pfloat(part) for part in s.split(",") if part.strip() != "")
     if not vals:
         raise ValueError("empty list")
     return vals
@@ -294,6 +297,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _cells(*columns: np.ndarray):
+    """CSV rows of float cells, one per position of the equal-length columns."""
+    return zip(*(map(_cell, np.asarray(col, dtype=float).tolist()) for col in columns))
+
+
 def _write_csv(path: str, stamp: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(stamp + "\n")
@@ -466,21 +474,18 @@ def _read_instance(path: str) -> DiscreteJoint:
 
 def cmd_worstcase(resolved: dict, h: str) -> None:
     d = _read_instance(resolved["instance"])
-    queries = (sorted(set(resolved["at"])) if resolved["at"] is not None
-               else [float(v) for v in np.unique(d.v)])
-    rows = [[_cell(float(t)), _cell(float(worst_cdf_marginal(d, t)))] for t in queries]
+    queries = np.unique(resolved["at"] if resolved["at"] is not None else d.v)
+    cdf = worst_cdf_marginal(d, queries)
     out_dir = resolved["out_dir"]
     outputs = ["cdf.csv", "manifest.json"]
     _write_csv(os.path.join(out_dir, "cdf.csv"), _stamp(resolved, h),
-               ["t", "worst_cdf"], rows)
+               ["t", "worst_cdf"], _cells(queries, cdf))
     results = None
     if resolved["witness"]:
         wit = worst_witness_marginal(d)
-        wrows = [[_cell(float(d.v[i])), _cell(float(d.m[i])),
-                  _cell(float(d.lo[i])), _cell(float(d.hi[i])),
-                  _cell(float(wit.w_star[i]))] for i in range(d.v.shape[0])]
         _write_csv(os.path.join(out_dir, "witness.csv"), _stamp(resolved, h),
-                   ["v", "m", "lo", "hi", "w_star"], wrows)
+                   ["v", "m", "lo", "hi", "w_star"],
+                   _cells(d.v, d.m, d.lo, d.hi, wit.w_star))
         outputs.append("witness.csv")
         results = {"gamma_mix": wit.gamma_mix,
                    "t_star": None if math.isinf(wit.t_star) else wit.t_star}

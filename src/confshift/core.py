@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,9 +29,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "Level",
-    "PredictionSet",
-    "Sample",
     "SplitSpec",
     "ValidationError",
     "normal_inv_cdf",
@@ -98,29 +94,20 @@ def quantile_inf(values: np.ndarray, q: float, weights: np.ndarray | None = None
     return float(values[order[idx]])
 
 
-@dataclass(frozen=True)
-class Level:
-    """Nominal error levels: miscoverage ``alpha``, calibration failure ``delta``."""
+def _envelope_sums(v, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted scores and the two cumulative sums behind every envelope.
 
-    alpha: float
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta must be in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observational unit. ``y`` is the realized outcome of arm ``t``."""
-
-    x: tuple[float, ...]
-    t: int
-    y: float
-    y1: float | None = None
-    y0: float | None = None
+    Returns ``(vs, cum_lo, tail_hi)``: the scores in stable sorted order,
+    ``cum_lo[j]`` the sum of ``lo`` over the first j sorted scores and
+    ``tail_hi[j]`` the sum of ``hi`` over the rest (both of length n + 1).
+    With ``j = searchsorted(vs, t, "right")`` they give sum(lo 1{V <= t}) and
+    sum(hi 1{V > t}) at any t, ties included.
+    """
+    v = np.asarray(v, dtype=float)
+    order = np.argsort(v, kind="stable")
+    cum_lo = np.concatenate([[0.0], np.cumsum(np.asarray(lo, dtype=float)[order])])
+    tail_hi = np.concatenate([np.cumsum(np.asarray(hi, dtype=float)[order][::-1])[::-1], [0.0]])
+    return v[order], cum_lo, tail_hi
 
 
 class Dataset:
@@ -164,18 +151,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            x=tuple(self.x[i]),
-            t=int(self.t[i]),
-            y=float(self.y[i]),
-            y1=None if self.y1 is None else float(self.y1[i]),
-            y0=None if self.y0 is None else float(self.y0[i]),
-        )
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self[i] for i in range(self.n))
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
@@ -222,22 +197,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         )
     perm = rng(spec.seed).permutation(ds.n)
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Score-sublevel prediction set {y : V(x, y) <= threshold}.
-
-    ``threshold`` may be ``+inf`` (the whole outcome space, for one- and
-    two-sided scores alike). Realized outcome intervals live with the score
-    functions; membership here is on the score scale.
-    """
-
-    threshold: float
-    score_id: str
-
-    def covers(self, score_value) -> np.ndarray | bool:
-        return np.asarray(score_value, dtype=float) <= self.threshold
 
 
 # ---------------------------------------------------------------------------

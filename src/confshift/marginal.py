@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PROB_SLACK, ValidationError
+from .core import PROB_SLACK, ValidationError, _envelope_sums
 from .nuisance import BoundPair
 
 __all__ = [
@@ -84,21 +84,17 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    v = np.asarray(v, dtype=float)
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    cum_lo = np.cumsum(np.asarray(lo, dtype=float)[order])
-    hi_sorted = np.asarray(hi, dtype=float)[order]
-    tail_hi = np.concatenate([np.cumsum(hi_sorted[::-1])[::-1][1:], [0.0]])
+    vs, cum_lo, tail_hi = _envelope_sums(v, lo, hi)
+    n = vs.shape[0]
 
     # F(k) >= c with c = (1 - alpha) - slack, rewritten to avoid the division:
-    # (1 - c) cum_lo - c tail_hi >= c u_test. The left side is nondecreasing
-    # in k in exact arithmetic; accumulate-max irons out float dust so
-    # searchsorted stays valid.
+    # (1 - c) cum_lo - c tail_hi >= c u_test at the k-th sorted score. The
+    # left side is nondecreasing in k in exact arithmetic; accumulate-max
+    # irons out float dust so searchsorted stays valid.
     c = (1.0 - alpha) - PROB_SLACK
-    key = np.maximum.accumulate((1.0 - c) * cum_lo - c * tail_hi)
+    key = np.maximum.accumulate((1.0 - c) * cum_lo[1:] - c * tail_hi[1:])
     idx = np.searchsorted(key, c * np.asarray(u_tests, dtype=float), side="left")
-    out = np.where(idx < v.shape[0], vs[np.minimum(idx, v.shape[0] - 1)], math.inf)
+    out = np.where(idx < n, vs[np.minimum(idx, n - 1)], math.inf)
     return np.asarray(out, dtype=float)
 
 

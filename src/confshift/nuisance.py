@@ -20,6 +20,7 @@ At Gamma = 1 the envelope collapses to the classical covariate-shift weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -158,8 +159,8 @@ def bound_functions(
     ``propensity`` is anything with ``predict(x) -> e`` taking values in
     (0, 1); with a clipped logistic model the bounds have a finite sup.
     """
-    if gamma < 1.0:
-        raise ValidationError(f"gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValidationError(f"gamma must be finite and >= 1, got {gamma}")
     if not 0.0 < p1 < 1.0:
         raise ValidationError(f"p1 must be in (0, 1), got {p1}")
     p0 = 1.0 - p1

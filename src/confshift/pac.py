@@ -20,21 +20,31 @@ inf{g >= 0 : max_i prod_{j<=i} (1 + nu_j (f_j - g)) <= 2/delta} with betting
 fractions nu_j = min{1, sqrt(2 log(2/delta) / (n shat^2_{j-1}))} driven by the
 running mean/variance started at 1/2 and 1/4. Products use the original
 sample order; sorting would break the martingale property.
+
+A threshold is the first sorted calibration score at which the envelope
+reaches 1 - alpha; a running max repairs a curve into a monotone one without
+moving its first crossing. The plugin and Hoeffding curves need no repair:
+they are maxima of cumulative sums of positive terms (minus a constant), and
+those never decrease, in floating point too. So along a path of calibration
+sets the search may resume at the previous crossing and still returns the
+running max of the per-set thresholds. The WSR curve is not provably
+monotone in t, because its bets adapt to the running mean and variance: a
+later set could cross below the previous crossing and dip again above it.
+There the resumed search is itself the path's repair, so every entry is at
+least the previous one, and a larger threshold only adds coverage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROB_SLACK, ValidationError
+from .core import PROB_SLACK, ValidationError, _envelope_sums
 from .marginal import CalibrationSet
 from .nuisance import BoundPair
 
 __all__ = [
-    "EnvelopeEstimate",
     "METHODS",
     "envelope_hoeffding",
     "envelope_plugin",
@@ -54,6 +64,15 @@ def _default_m(calib: CalibrationSet) -> float:
     # Exact max of the envelope over calibration and test point; analytic
     # bound families (clipped propensities) keep this finite.
     return float(max(calib.lo.max(), calib.hi.max(), calib.u_test))
+
+
+def _check_levels(method: str, delta: float, alpha: float | None = None) -> None:
+    if method not in METHODS:
+        raise ValidationError(f"unknown envelope method {method!r}")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    if method != "plugin" and not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
 
 
 def _check_m(calib: CalibrationSet, m: float | None) -> float:
@@ -117,12 +136,25 @@ def _summands(calib: CalibrationSet, t: float, m: float) -> tuple[np.ndarray, np
     return f, h
 
 
+def _sum_envelope(calib: CalibrationSet, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted scores and the plug-in envelope minus ``penalty``, floored at 0.
+
+    Entry j of the curve (n + 1 entries) is the envelope with the first j
+    sorted scores at or below t: max{sum(l 1{V<=t}), n - sum(u 1{V>t})} / n.
+    """
+    vs, cum_lo, tail_hi = _envelope_sums(calib.v, calib.lo, calib.hi)
+    n = calib.n
+    return vs, np.maximum(np.maximum(cum_lo / n, 1.0 - tail_hi / n) - penalty, 0.0)
+
+
+def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
+    return m * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
 def envelope_plugin(calib: CalibrationSet, t: float) -> float:
     """Plug-in envelope max{mean(1{V<=t} l), 1 - mean(1{V>t} u)}, in [0, 1]."""
-    below = calib.v <= t
-    term1 = float(np.where(below, calib.lo, 0.0).mean())
-    term2 = 1.0 - float(np.where(below, 0.0, calib.hi).mean())
-    return min(max(max(term1, term2), 0.0), 1.0)
+    vs, curve = _sum_envelope(calib, 0.0)
+    return min(float(curve[np.searchsorted(vs, t, side="right")]), 1.0)
 
 
 def envelope_hoeffding(
@@ -133,14 +165,9 @@ def envelope_hoeffding(
     The pre-max terms are left raw (the u-term may be negative); only the
     final value is floored at 0.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    m = _check_m(calib, M)
-    below = calib.v <= t
-    term1 = float(np.where(below, calib.lo, 0.0).mean())
-    term2 = 1.0 - float(np.where(below, 0.0, calib.hi).mean())
-    penalty = m * math.sqrt(math.log(2.0 / delta) / (2.0 * calib.n))
-    return max(max(term1, term2) - penalty, 0.0)
+    _check_levels("hoeffding", delta)
+    vs, curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
+    return float(curve[np.searchsorted(vs, t, side="right")])
 
 
 def envelope_wsr(
@@ -152,8 +179,7 @@ def envelope_wsr(
     u-side bound for 1 - E[1{V>t} u] is 1 - M + M * lcb of the complementary
     summands h_j = 1 - 1{V_j > t} u_j / M.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    _check_levels("wsr", delta)
     m = _check_m(calib, M)
     f, h = _summands(calib, t, m)
     g_l = _wsr_lcb_rows(f[None, :], delta)[0]
@@ -199,6 +225,17 @@ def _wsr_first_crossing(
     return n
 
 
+def _first_crossing(calib: CalibrationSet, alpha: float, delta: float, method: str,
+                    m: float, start: int) -> int:
+    """Index of the first sorted score at or after ``start`` whose raw
+    envelope reaches 1 - alpha; n when none does."""
+    if method == "wsr":
+        return _wsr_first_crossing(calib, alpha, delta, m, start)
+    penalty = 0.0 if method == "plugin" else _hoeffding_penalty(calib.n, delta, m)
+    crossed = _sum_envelope(calib, penalty)[1][1 + start:] >= (1.0 - alpha) - PROB_SLACK
+    return start + int(np.argmax(crossed)) if crossed.any() else calib.n
+
+
 def pac_threshold(
     calib: CalibrationSet,
     alpha: float,
@@ -212,31 +249,7 @@ def pac_threshold(
     to be monotone by a running max; the first raw crossing therefore equals
     the first repaired crossing, which is what the search returns.
     """
-    if method not in METHODS:
-        raise ValidationError(f"unknown envelope method {method!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if method != "plugin" and not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    m = _check_m(calib, M)
-    vs, lo_s, hi_s = calib.sorted_arrays()
-    n = calib.n
-    level = (1.0 - alpha) - PROB_SLACK
-
-    if method == "wsr":
-        idx = _wsr_first_crossing(calib, alpha, delta, m)
-        return float(vs[idx]) if idx < n else math.inf
-    term1 = np.cumsum(lo_s) / n
-    tail_hi = np.concatenate([np.cumsum(hi_s[::-1])[::-1][1:], [0.0]])
-    raw = np.maximum(term1, 1.0 - tail_hi / n)
-    if method == "plugin":
-        values = np.clip(raw, 0.0, 1.0)
-    else:
-        penalty = m * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-        values = np.maximum(raw - penalty, 0.0)
-    crossed = values >= level
-    idx = int(np.argmax(crossed)) if crossed.any() else n
-    return float(vs[idx]) if idx < n else math.inf
+    return float(pac_threshold_path([calib], alpha, delta, method, M)[0])
 
 
 def pac_threshold_path(
@@ -249,14 +262,15 @@ def pac_threshold_path(
     """Thresholds along a path of calibration sets sharing one score vector.
 
     Intended for a widening sequence of bound pairs (a strength grid): the
-    result is repaired to be nondecreasing, each entry certifying coverage
-    for its own set (a larger threshold is always conservative). When the
-    per-set thresholds are themselves nondecreasing, the path equals them
-    exactly; the betting walk resumes each search at the previous crossing,
-    so a whole path costs little more than one search.
+    result is nondecreasing, each entry certifying coverage for its own set
+    (a larger threshold is always conservative). Each search resumes at the
+    previous crossing, so a whole path costs little more than one search;
+    for plugin and Hoeffding the path equals the running max of the per-set
+    thresholds (see the module notes).
 
     M must dominate every set's bounds; default: the largest single-set M.
     """
+    _check_levels(method, delta, alpha)
     calibs = list(calibs)
     if not calibs:
         raise ValidationError("empty calibration path")
@@ -264,61 +278,18 @@ def pac_threshold_path(
     for c in calibs[1:]:
         if not np.array_equal(c.v, v0):
             raise ValidationError("path members must share the score vector")
-    m = max(_default_m(c) for c in calibs) if M is None else M
+    m = max(_default_m(c) for c in calibs) if M is None else float(M)
     for c in calibs:
         _check_m(c, m)
-    out = np.empty(len(calibs))
-    if method != "wsr":
-        floor = -math.inf
-        for i, c in enumerate(calibs):
-            floor = max(floor, pac_threshold(c, alpha, delta, method, M=m))
-            out[i] = floor
-        return out
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    vs = calibs[0].v[calibs[0].order]
+    vs = v0[calibs[0].order]
     n = calibs[0].n
-    cur = _wsr_first_crossing(calibs[0], alpha, delta, m)
-    out[0] = float(vs[cur]) if cur < n else math.inf
-    for i, c in enumerate(calibs[1:], start=1):
+    out = np.empty(len(calibs))
+    cur = 0
+    for i, c in enumerate(calibs):
         if cur < n:
-            cur = _wsr_first_crossing(c, alpha, delta, m, start=cur)
+            cur = _first_crossing(c, alpha, delta, method, m, cur)
         out[i] = float(vs[cur]) if cur < n else math.inf
     return out
-
-
-@dataclass(frozen=True)
-class EnvelopeEstimate:
-    """A fitted lower-confidence envelope as a step function of t.
-
-    ``value`` gives the raw envelope at one t; ``curve`` evaluates it at all
-    sorted calibration scores and applies the running-max monotone repair.
-    """
-
-    method: str
-    calib: CalibrationSet
-    delta: float | None = None
-    M: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown envelope method {self.method!r}")
-        if self.method != "plugin" and self.delta is None:
-            raise ValidationError(f"method {self.method!r} requires delta")
-
-    def value(self, t: float) -> float:
-        if self.method == "plugin":
-            return envelope_plugin(self.calib, t)
-        if self.method == "hoeffding":
-            return envelope_hoeffding(self.calib, t, self.delta, self.M)
-        return envelope_wsr(self.calib, t, self.delta, self.M)
-
-    def curve(self) -> tuple[np.ndarray, np.ndarray]:
-        vs = self.calib.v[self.calib.order]
-        raw = np.array([self.value(t) for t in vs])
-        return vs, np.maximum.accumulate(raw)
 
 
 def pac_gap(x_eval, w_eval, bounds: BoundPair) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "fwer_estimate",
     "gamma_value",
     "gamma_values_from_rejections",
-    "ite_set_both_missing",
     "ite_set_one_missing",
     "survival_curve",
 ]
@@ -64,6 +63,8 @@ class GammaGrid:
         vals = tuple(float(v) for v in self.values)
         if len(vals) == 0 or vals[0] != 1.0:
             raise ValidationError("gamma grid must start at 1")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValidationError("gamma grid values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValidationError("gamma grid must be strictly increasing")
         object.__setattr__(self, "values", vals)
@@ -124,15 +125,6 @@ def ite_set_one_missing(t_obs: int, y_obs: float, cf: Interval) -> Interval:
     if t_obs == 1:
         return Interval(lo=y_obs - cf.hi, hi=y_obs - cf.lo)
     return Interval(lo=cf.lo - y_obs, hi=cf.hi - y_obs)
-
-
-def ite_set_both_missing(set1: Interval, set0: Interval) -> Interval:
-    """Effect interval from two counterfactual intervals (difference set).
-
-    The caller is responsible for running the two interval constructions at
-    adjusted levels (a Bonferroni split) so the difference keeps its level.
-    """
-    return Interval(lo=set1.lo - set0.hi, hi=set1.hi - set0.lo)
 
 
 @dataclass(frozen=True)

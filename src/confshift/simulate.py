@@ -139,8 +139,8 @@ def gen_superpop(
     effect_a: float = 0.0,
 ) -> SuperPopDraw:
     """Draw n units; RNG order is x, then u, then the treatment uniforms."""
-    if gamma_true < 1.0:
-        raise ValidationError(f"gamma_true must be >= 1, got {gamma_true}")
+    if not 1.0 <= gamma_true < math.inf:
+        raise ValidationError(f"gamma_true must be finite and >= 1, got {gamma_true}")
     if effect_kind not in ("fixed", "random"):
         raise ValidationError(f"unknown effect kind {effect_kind!r}")
     beta = beta_vector(p)
@@ -261,6 +261,10 @@ class SimConfig:
             raise ValidationError(f"unknown bounds mode {self.bounds!r}")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValidationError("alphas must lie in (0, 1)")
+        for name in ("gamma_true", "gamma_bounds"):
+            gamma = getattr(self, name)
+            if gamma is not None and not 1.0 <= gamma < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 1, got {gamma}")
 
     def target(self) -> TargetSpec:
         return TargetSpec(arm=self.arm, population=self.population)
@@ -538,8 +542,8 @@ def gen_semisynthetic(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=int)
     y = np.asarray(y, dtype=float)
-    if gamma < 1.0:
-        raise ValidationError(f"gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValidationError(f"gamma must be finite and >= 1, got {gamma}")
     prop = fit_propensity(x, t)
     control = t == 0
     if not control.any() or control.all():

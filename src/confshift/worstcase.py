@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _envelope_sums
 
 __all__ = [
     "CausalDiscreteJoint",
@@ -76,13 +76,16 @@ class DiscreteJoint:
             )
 
 
-def worst_cdf_marginal(d: DiscreteJoint, t: float) -> float:
-    """Minimal CDF value at t over all ratios inside the envelope."""
+def worst_cdf_marginal(d: DiscreteJoint, t):
+    """Minimal CDF value at t over all ratios inside the envelope.
+
+    ``t`` may be a scalar (returns a float) or an array of query points.
+    """
     d._require_feasible()
-    below = d.v <= t
-    term1 = float(d.m @ np.where(below, d.lo, 0.0))
-    term2 = 1.0 - float(d.m @ np.where(below, 0.0, d.hi))
-    return max(term1, term2)
+    vs, cum_lo, tail_hi = _envelope_sums(d.v, d.m * d.lo, d.m * d.hi)
+    j = np.searchsorted(vs, t, side="right")
+    out = np.maximum(cum_lo[j], 1.0 - tail_hi[j])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,14 @@ def worst_witness_marginal(d: DiscreteJoint) -> MarginalWitness:
     if float(d.m @ d.hi) <= 1.0 + _MASS_TOL:
         # H stays <= 1 everywhere: the upper bound itself has unit mass.
         return MarginalWitness(w_star=d.hi.copy(), t_star=-math.inf, gamma_mix=0.0)
-    distinct = np.unique(d.v)
-    t_star = math.nan
-    h_at = math.nan
-    for t in distinct:  # H is nonincreasing; first drop below 1 is the pivot
-        below = d.v <= t
-        h = float(d.m @ np.where(below, d.lo, d.hi))
-        if h <= 1.0 + 1e-12:
-            t_star, h_at = float(t), h
-            break
-    if math.isnan(t_star):
-        # Feasibility tolerance can leave H(max v) = E[l] a hair above 1.
-        t_star = float(distinct[-1])
-        h_at = float(d.m @ d.lo)
+    # H at each distinct score (the last sorted position of each tie group);
+    # H is nonincreasing, so the pivot is its first drop below 1. When none
+    # drops, the feasibility tolerance left H(max v) = E[l] a hair above 1.
+    vs, cum_lo, tail_hi = _envelope_sums(d.v, d.m * d.lo, d.m * d.hi)
+    ends = np.flatnonzero(np.append(vs[1:] != vs[:-1], True)) + 1
+    hit = cum_lo[ends] + tail_hi[ends] <= 1.0 + 1e-12
+    t_star = float(vs[ends[np.argmax(hit)] - 1] if hit.any() else vs[-1])
+    h_at = float(d.m @ np.where(d.v <= t_star, d.lo, d.hi))
     strictly_below = d.v < t_star
     h_minus = float(d.m @ np.where(strictly_below, d.lo, d.hi))
     gamma = 0.0 if h_minus <= 1.0 else (1.0 - h_at) / (h_minus - h_at)

@@ -16,7 +16,7 @@ import pytest
 
 from confshift.cli import main
 from confshift.core import Dataset, write_dataset
-from confshift.worstcase import DiscreteJoint, worst_cdf_marginal
+from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,35 @@ def test_bad_method_and_usage_errors_exit_3(corpus, tmp_path, capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("predict", "--gamma", "nan"),
+    ("predict", "--alpha", "nan"),
+    ("sensitivity", "--gamma-grid", "1,nan"),
+    ("sensitivity", "--null-a", "nan"),
+    ("worstcase", "--at", "nan"),
+    ("worstcase", "--at", "inf"),
+    ("simulate", "--gamma-bounds", "nan"),
+    ("simulate", "--gamma-true", "nan"),
+    ("simulate", "--gamma-true", "inf"),
+])
+def test_nonfinite_config_value_exits_3(corpus, tmp_path, capsys, command, option, value):
+    args = {
+        "predict": ["predict", "--train", corpus["train"], "--calib", corpus["calib"],
+                    "--test", corpus["test"]],
+        "sensitivity": ["sensitivity", "--train", corpus["train"], "--calib",
+                        corpus["calib"], "--test", corpus["obstest"]],
+        "worstcase": ["worstcase", "--instance", corpus["instance"]],
+        "simulate": ["simulate", "--kind", "coverage", "--n-train", "60", "--n-calib", "40",
+                     "--n-test", "5", "--n-reps", "1", "--threads", "1"],
+    }[command]
+    out = tmp_path / "o"
+    assert main([*args, option, value, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"bad value for {option[2:].replace('-', '_')}" in err
+    assert "not a finite number" in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_bad_data_exits_2(corpus, tmp_path, capsys):
     bad = tmp_path / "bad_train.csv"
     bad.write_text("x1,x2,t,y\n0.1,0.2,1,oops\n0.3,0.1,0,1.0\n",
@@ -375,6 +404,37 @@ def test_worstcase_default_grid_matches_library(corpus, tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 2.0]
     np.testing.assert_allclose([float(r[1]) for r in rows], expected,
                                atol=1e-12)
+
+
+def test_worstcase_default_grid_on_a_few_hundred_atoms(tmp_path):
+    """Generated instance with tied scores: every default-grid CDF value
+    matches the LP oracle and the written witness attains it."""
+    r = np.random.default_rng(17)
+    n = 300
+    v = np.round(r.normal(size=n), 1)
+    m = r.dirichlet(np.ones(n))
+    w = r.uniform(0.3, 2.0, size=n)
+    w /= float(m @ w)
+    g = r.uniform(1.0, 3.0, size=n)
+    inst = tmp_path / "inst.csv"
+    with open(inst, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["v", "lo", "hi", "m"])
+        writer.writerows([repr(float(a)) for a in row] for row in zip(v, w / g, w * g, m))
+    out = tmp_path / "run"
+    assert main(["worstcase", "--instance", str(inst), "--witness", "true",
+                 "--out-dir", str(out)]) == 0
+    _, _, rows = _read_csv(out / "cdf.csv")
+    t = np.array([float(row[0]) for row in rows])
+    cdf = np.array([float(row[1]) for row in rows])
+    np.testing.assert_array_equal(t, np.unique(v))
+    d = DiscreteJoint(v=v, m=m, lo=w / g, hi=w * g)
+    lp = np.array([lp_oracle_marginal(d, x) for x in t])
+    assert np.abs(cdf - lp).max() <= 1e-12
+    _, _, wrows = _read_csv(out / "witness.csv")
+    w_star = np.array([float(row[4]) for row in wrows])
+    attained = (v[None, :] <= t[:, None]) @ (m * w_star)
+    assert np.abs(attained - cdf).max() <= 1e-12
 
 
 def test_worstcase_bad_instance_exits_2(tmp_path, capsys):

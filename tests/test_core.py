@@ -8,8 +8,6 @@ import pytest
 from confshift import (
     DataError,
     Dataset,
-    Level,
-    PredictionSet,
     SplitSpec,
     ValidationError,
     normal_inv_cdf,
@@ -96,32 +94,6 @@ def test_rng_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# Level / PredictionSet
-# ---------------------------------------------------------------------------
-
-
-def test_level_validation():
-    Level(alpha=0.1)
-    Level(alpha=0.1, delta=0.05)
-    for bad in (0.0, 1.0, -0.2):
-        with pytest.raises(ValidationError):
-            Level(alpha=bad)
-    with pytest.raises(ValidationError):
-        Level(alpha=0.1, delta=0.0)
-
-
-def test_prediction_set_membership():
-    ps = PredictionSet(threshold=2.0, score_id="cqr")
-    assert bool(ps.covers(2.0))
-    assert not bool(ps.covers(2.0 + 1e-9))
-    np.testing.assert_array_equal(
-        ps.covers(np.array([1.0, 2.0, 3.0])), [True, True, False]
-    )
-    everything = PredictionSet(threshold=math.inf, score_id="cqr")
-    assert bool(everything.covers(1e300))
-
-
-# ---------------------------------------------------------------------------
 # Dataset / split
 # ---------------------------------------------------------------------------
 
@@ -141,10 +113,9 @@ def _toy_dataset(n=10, p=3, seed=0, counterfactuals=False):
 def test_dataset_shapes_and_access():
     ds = _toy_dataset(n=7, p=2, counterfactuals=True)
     assert (ds.n, ds.p, len(ds)) == (7, 2, 7)
-    s = ds[3]
-    assert s.x == tuple(ds.x[3])
-    assert s.y == (s.y1 if s.t == 1 else s.y0)
-    assert len(list(iter(ds))) == 7
+    np.testing.assert_array_equal(ds.y, np.where(ds.t == 1, ds.y1, ds.y0))
+    treated = ds.arm(1)
+    assert treated.n == int(ds.t.sum()) and (treated.t == 1).all()
 
 
 def test_dataset_validation():

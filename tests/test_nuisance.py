@@ -191,6 +191,9 @@ def test_bound_functions_validation():
     spec = TargetSpec(arm=1, population="ate")
     with pytest.raises(ValidationError):
         bound_functions(spec, 0.9, _FixedPropensity(0.3), 0.4)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            bound_functions(spec, gamma, _FixedPropensity(0.3), 0.4)
     with pytest.raises(ValidationError):
         bound_functions(spec, 1.5, _FixedPropensity(0.3), 0.0)
 

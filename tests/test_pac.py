@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confshift import (
     CalibrationSet,
-    EnvelopeEstimate,
     ValidationError,
     envelope_hoeffding,
     envelope_plugin,
@@ -20,6 +21,19 @@ from confshift import (
 from confshift.nuisance import BoundPair
 
 LEVEL_SLACK = 1e-12
+
+
+def _envelope_curve(method, calib, delta):
+    """Scalar reference: the envelope at every sorted score, repaired by a
+    running max, as (sorted scores, curve)."""
+    vs = np.sort(calib.v, kind="stable")
+    if method == "plugin":
+        raw = [envelope_plugin(calib, t) for t in vs]
+    elif method == "hoeffding":
+        raw = [envelope_hoeffding(calib, t, delta) for t in vs]
+    else:
+        raw = [envelope_wsr(calib, t, delta) for t in vs]
+    return vs, np.maximum.accumulate(raw)
 
 
 def _random_calib(r, n=None, collapse=False):
@@ -134,8 +148,7 @@ def test_threshold_matches_envelope_scan(method):
         c = _random_calib(r)
         alpha = float(r.uniform(0.1, 0.9))
         delta = 0.1
-        est = EnvelopeEstimate(method=method, calib=c, delta=delta)
-        vs, curve = est.curve()
+        vs, curve = _envelope_curve(method, c, delta)
         level = (1.0 - alpha) - LEVEL_SLACK
         crossed = curve >= level
         want = float(vs[np.argmax(crossed)]) if crossed.any() else math.inf
@@ -213,6 +226,28 @@ def test_path_equals_repaired_single_thresholds(method):
         assert (got[:-1] <= got[1:]).all()  # diff would nan out on inf pairs
 
 
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(("plugin", "hoeffding", "wsr")),
+       v=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30),
+       data=st.data())
+def test_path_equals_running_max_on_arbitrary_paths(method, v, data):
+    """Any path, widening or not, with tied scores: resuming each search at
+    the previous crossing gives the running max of the per-set thresholds."""
+    n = len(v)
+    bound = st.floats(0.05, 3.0)
+    path = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        lo = np.array(data.draw(st.lists(bound, min_size=n, max_size=n)))
+        extra = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+        path.append(CalibrationSet(np.array(v), lo, lo + extra, data.draw(bound)))
+    alpha = data.draw(st.floats(0.05, 0.95))
+    delta = data.draw(st.floats(0.01, 0.5))
+    m = max(max(c.lo.max(), c.hi.max(), c.u_test) for c in path)
+    singles = [pac_threshold(c, alpha, delta, method, M=m) for c in path]
+    np.testing.assert_array_equal(pac_threshold_path(path, alpha, delta, method),
+                                  np.maximum.accumulate(singles))
+
+
 def test_path_validation():
     r = rng(36)
     path = _widening_path(r, n_sets=3, n=10)
@@ -226,7 +261,7 @@ def test_path_validation():
 
 
 # ---------------------------------------------------------------------------
-# EnvelopeEstimate / pac_gap
+# envelope curves / pac_gap
 # ---------------------------------------------------------------------------
 
 
@@ -234,21 +269,11 @@ def test_estimate_curve_monotone_and_bounded():
     r = rng(37)
     c = _random_calib(r, n=30)
     for method in ("plugin", "hoeffding", "wsr"):
-        est = EnvelopeEstimate(method=method, calib=c, delta=0.1)
-        vs, curve = est.curve()
+        vs, curve = _envelope_curve(method, c, 0.1)
         assert (np.diff(curve) >= 0).all()
         assert vs.tolist() == np.sort(c.v).tolist()
         if method != "hoeffding":
             assert curve.min() >= 0.0 and curve.max() <= 1.0
-
-
-def test_estimate_validation():
-    c = _random_calib(rng(3))
-    with pytest.raises(ValidationError):
-        EnvelopeEstimate(method="magic", calib=c)
-    with pytest.raises(ValidationError):
-        EnvelopeEstimate(method="wsr", calib=c)  # delta required
-    EnvelopeEstimate(method="plugin", calib=c)
 
 
 def test_pac_gap_hand_values():

@@ -18,7 +18,6 @@ from confshift import (
     fwer_estimate,
     gamma_value,
     gamma_values_from_rejections,
-    ite_set_both_missing,
     ite_set_one_missing,
     rng,
     survival_curve,
@@ -70,11 +69,6 @@ def test_ite_one_missing_flips_for_treated():
         ite_set_one_missing(2, 0.0, cf)
 
 
-def test_ite_both_missing_difference_set():
-    got = ite_set_both_missing(Interval(1.0, 2.0), Interval(-1.0, 4.0))
-    assert (got.lo, got.hi) == (-3.0, 3.0)
-
-
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -87,6 +81,9 @@ def test_grid_validation_and_default():
         GammaGrid(values=(1.0, 1.0))
     with pytest.raises(ValidationError):
         GammaGrid(values=())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            GammaGrid(values=(1.0, 2.0, bad))
     d = GammaGrid.default()
     assert d.values[0] == 1.0 and d.max == 25.0
     assert len(d) == 101

@@ -153,6 +153,15 @@ def test_sim_config_validation():
     assert cfg.target() == TargetSpec(arm=0, population="att")
 
 
+@pytest.mark.parametrize("field", ["gamma_true", "gamma_bounds"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.5])
+def test_sim_config_rejects_nonfinite_strengths(field, value):
+    # A NaN strength used to pass every check and left the arm-unit pool
+    # loop drawing forever.
+    with pytest.raises(ValidationError, match=field):
+        SimConfig(n_train=10, n_calib=10, **{field: value})
+
+
 def _tiny_cfg(**kw):
     base = dict(
         n_train=60,

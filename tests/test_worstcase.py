@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confshift import (
     CausalDiscreteJoint,
@@ -128,6 +130,77 @@ def test_worst_cdf_is_a_cdf():
         assert worst_cdf_marginal(d, float(ts[0]) - 1.0) <= TOL + max(
             0.0, 1.0 - float(d.m @ d.hi)
         )
+
+
+def _scalar_worst_cdf(d, t):
+    """Reference closed form at one t, by masks over the atoms."""
+    below = d.v <= t
+    term1 = float(d.m @ np.where(below, d.lo, 0.0))
+    term2 = 1.0 - float(d.m @ np.where(below, 0.0, d.hi))
+    return max(term1, term2)
+
+
+def _loop_witness(d):
+    """Reference witness: scan the distinct scores for the first H(t) <= 1,
+    with H(t) = E[l 1{V<=t} + u 1{V>t}] as a dot product at each score."""
+    if float(d.m @ d.hi) <= 1.0 + 1e-9:
+        return d.hi.copy(), -math.inf, 0.0
+    distinct = np.unique(d.v)
+    t_star = h_at = math.nan
+    for t in distinct:
+        h = float(d.m @ np.where(d.v <= t, d.lo, d.hi))
+        if h <= 1.0 + 1e-12:
+            t_star, h_at = float(t), h
+            break
+    if math.isnan(t_star):
+        t_star, h_at = float(distinct[-1]), float(d.m @ d.lo)
+    strictly_below = d.v < t_star
+    h_minus = float(d.m @ np.where(strictly_below, d.lo, d.hi))
+    gamma = 0.0 if h_minus <= 1.0 else (1.0 - h_at) / (h_minus - h_at)
+    w = np.where(strictly_below, d.lo,
+                 np.where(d.v == t_star, gamma * d.hi + (1.0 - gamma) * d.lo, d.hi))
+    return w, t_star, float(gamma)
+
+
+# Atoms (score on a coarse grid so ties are common, mass, ratio, spread);
+# the ratios are rescaled to unit mean, which keeps the envelope feasible.
+_ATOMS = st.lists(
+    st.tuples(st.integers(-4, 4).map(lambda k: k / 2.0), st.floats(0.05, 1.0),
+              st.floats(0.2, 2.0), st.floats(1.0, 3.0)),
+    min_size=1, max_size=25)
+
+
+def _joint(atoms, flat_hi=False):
+    v, m, w, g = (np.array(col) for col in zip(*atoms))
+    m = m / m.sum()
+    w = w / float(m @ w)
+    return DiscreteJoint(v=v, m=m, lo=w / g, hi=w if flat_hi else w * g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=_ATOMS, extra=st.lists(st.floats(-6.0, 6.0), max_size=5))
+def test_array_worst_cdf_matches_scalar_references(atoms, extra):
+    d = _joint(atoms)
+    atoms_t = np.unique(d.v)
+    between = 0.5 * (atoms_t[1:] + atoms_t[:-1])
+    t = np.concatenate([[atoms_t[0] - 1.0], atoms_t, between, [atoms_t[-1] + 1.0], extra])
+    got = worst_cdf_marginal(d, t)
+    assert got.shape == t.shape
+    want = np.array([_scalar_worst_cdf(d, x) for x in t])
+    lp = np.array([lp_oracle_marginal(d, float(x)) for x in t])
+    assert np.abs(got - want).max() <= TOL
+    assert np.abs(got - lp).max() <= TOL
+    assert isinstance(worst_cdf_marginal(d, float(t[0])), float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=_ATOMS, flat_hi=st.booleans())
+def test_witness_equals_distinct_score_loop(atoms, flat_hi):
+    d = _joint(atoms, flat_hi)  # flat_hi: E[hi] = 1, the degenerate witness w* = u
+    wit = worst_witness_marginal(d)
+    w, t_star, gamma = _loop_witness(d)
+    np.testing.assert_array_equal(wit.w_star, w)
+    assert (wit.t_star, wit.gamma_mix) == (t_star, gamma)
 
 
 def test_marginal_validation():
