@@ -39,9 +39,7 @@ from .core import (
 from .marginal import (
     CalibrationSet,
     marginal_gap,
-    robust_threshold,
     robust_threshold_many,
-    weighted_conformal_threshold,
 )
 from .nuisance import (
     POPULATIONS,
@@ -69,12 +67,10 @@ from .scores import (
 )
 from .sensitivity import (
     GammaGrid,
-    GammaValue,
     Interval,
     NullSpec,
     fdp_curve,
     fwer_estimate,
-    gamma_value,
     gamma_values_from_rejections,
     ite_set_one_missing,
     survival_curve,
@@ -127,10 +123,8 @@ __all__ = [
     "fit_propensity",
     "fit_quantile_model",
     "fwer_estimate",
-    "gamma_value",
     "gamma_values_from_rejections",
     "GammaGrid",
-    "GammaValue",
     "gen_semisynthetic",
     "gen_superpop",
     "Interval",
@@ -153,7 +147,6 @@ __all__ = [
     "QuantileModel",
     "read_dataset",
     "rng",
-    "robust_threshold",
     "robust_threshold_many",
     "run_coverage_experiment",
     "run_sensitivity_experiment",
@@ -168,7 +161,6 @@ __all__ = [
     "true_treated_fraction",
     "TruePropensity",
     "ValidationError",
-    "weighted_conformal_threshold",
     "worst_cdf_causal",
     "worst_cdf_marginal",
     "worst_witness_marginal",

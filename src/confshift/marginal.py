@@ -10,9 +10,8 @@ pessimistic CDF estimate
 reaches 1 - alpha; +inf when even F(n) falls short. F is nondecreasing in k
 (numerator grows, denominator shrinks), so the search is a single pass.
 
-Also here: the weighted-conformal oracle (known weights; the exactness
-benchmark the robust threshold collapses to when l = u) and the marginal
-coverage-gap certificate for misspecified envelopes.
+Also here: the marginal coverage-gap certificate for misspecified
+envelopes.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from .nuisance import BoundPair
 __all__ = [
     "CalibrationSet",
     "marginal_gap",
-    "robust_threshold",
     "robust_threshold_many",
-    "weighted_conformal_threshold",
 ]
 
 
@@ -38,16 +35,19 @@ __all__ = [
 class CalibrationSet:
     """Calibration scores with their ratio envelope, plus the test bound.
 
-    Arrays stay in original sample order (the PAC machinery needs it); the
-    stable sort permutation is cached at construction. All bounds must be
-    strictly positive and l <= u elementwise.
+    Arrays stay in original sample order (the PAC machinery needs it). The
+    envelope kernel's stably sorted scores ``vs`` and cumulative sums
+    ``cum_lo``/``tail_hi`` are built once, at construction. All bounds must
+    be strictly positive and l <= u elementwise.
     """
 
     v: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     u_test: float
-    order: np.ndarray = field(init=False, repr=False)
+    vs: np.ndarray = field(init=False, repr=False)
+    cum_lo: np.ndarray = field(init=False, repr=False)
+    tail_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.v = np.asarray(self.v, dtype=float)
@@ -65,22 +65,19 @@ class CalibrationSet:
         if not (np.isfinite(self.u_test) and self.u_test > 0):
             raise ValidationError(f"u_test must be positive and finite, got {self.u_test}")
         self.u_test = float(self.u_test)
-        self.order = np.argsort(self.v, kind="stable")
+        self.vs, self.cum_lo, self.tail_hi = _envelope_sums(self.v, self.lo, self.hi)
 
     @property
     def n(self) -> int:
         return self.v.shape[0]
 
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.v[self.order], self.lo[self.order], self.hi[self.order]
-
 
 def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     """Thresholds for many test points sharing one calibration set.
 
-    Vectorized over ``u_tests``; used by the experiment layer where every
-    test unit carries its own upper bound. Semantics match
-    :func:`robust_threshold` exactly.
+    Vectorized over ``u_tests``: every test unit carries its own upper
+    bound. Returns +inf (the trivial set) where the calibration mass cannot
+    certify the level, e.g. for very small n or aggressive envelopes.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
@@ -96,40 +93,6 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     idx = np.searchsorted(key, c * np.asarray(u_tests, dtype=float), side="left")
     out = np.where(idx < n, vs[np.minimum(idx, n - 1)], math.inf)
     return np.asarray(out, dtype=float)
-
-
-def robust_threshold(calib: CalibrationSet, alpha: float) -> float:
-    """Score threshold with guaranteed 1 - alpha marginal coverage.
-
-    Returns +inf (the trivial set) when the calibration mass cannot certify
-    the level, e.g. for very small n or aggressive envelopes.
-    """
-    return float(
-        robust_threshold_many(calib.v, calib.lo, calib.hi, alpha, [calib.u_test])[0]
-    )
-
-
-def weighted_conformal_threshold(v, w, w_test: float, alpha: float) -> float:
-    """Oracle weighted-conformal threshold for exactly known weights.
-
-    Quantile(1 - alpha) of sum_i p_i delta_{V_i} + p_test delta_{+inf} with
-    p_i = w_i / (sum w + w_test); the lower-quantile convention puts the
-    threshold at +inf when the finite atoms cannot carry 1 - alpha mass.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape or v.ndim != 1 or v.size == 0:
-        raise ValidationError("scores and weights must be equal-length 1-d arrays")
-    if np.any(w < 0) or w_test < 0:
-        raise ValidationError("weights must be nonnegative")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order]) / (float(w.sum()) + float(w_test))
-    idx = int(np.searchsorted(cum, (1.0 - alpha) - PROB_SLACK, side="left"))
-    if idx >= v.size:
-        return math.inf
-    return float(v[order[idx]])
 
 
 def marginal_gap(

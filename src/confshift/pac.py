@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .core import PROB_SLACK, ValidationError, _envelope_sums
+from .core import PROB_SLACK, ValidationError
 from .marginal import CalibrationSet
 from .nuisance import BoundPair
 
@@ -136,15 +136,15 @@ def _summands(calib: CalibrationSet, t: float, m: float) -> tuple[np.ndarray, np
     return f, h
 
 
-def _sum_envelope(calib: CalibrationSet, penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted scores and the plug-in envelope minus ``penalty``, floored at 0.
+def _sum_envelope(calib: CalibrationSet, penalty: float) -> np.ndarray:
+    """The plug-in envelope minus ``penalty``, floored at 0, on the set's
+    sorted scores.
 
     Entry j of the curve (n + 1 entries) is the envelope with the first j
     sorted scores at or below t: max{sum(l 1{V<=t}), n - sum(u 1{V>t})} / n.
     """
-    vs, cum_lo, tail_hi = _envelope_sums(calib.v, calib.lo, calib.hi)
     n = calib.n
-    return vs, np.maximum(np.maximum(cum_lo / n, 1.0 - tail_hi / n) - penalty, 0.0)
+    return np.maximum(np.maximum(calib.cum_lo / n, 1.0 - calib.tail_hi / n) - penalty, 0.0)
 
 
 def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
@@ -153,8 +153,8 @@ def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
 
 def envelope_plugin(calib: CalibrationSet, t: float) -> float:
     """Plug-in envelope max{mean(1{V<=t} l), 1 - mean(1{V>t} u)}, in [0, 1]."""
-    vs, curve = _sum_envelope(calib, 0.0)
-    return min(float(curve[np.searchsorted(vs, t, side="right")]), 1.0)
+    curve = _sum_envelope(calib, 0.0)
+    return min(float(curve[np.searchsorted(calib.vs, t, side="right")]), 1.0)
 
 
 def envelope_hoeffding(
@@ -166,8 +166,8 @@ def envelope_hoeffding(
     final value is floored at 0.
     """
     _check_levels("hoeffding", delta)
-    vs, curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
-    return float(curve[np.searchsorted(vs, t, side="right")])
+    curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
+    return float(curve[np.searchsorted(calib.vs, t, side="right")])
 
 
 def envelope_wsr(
@@ -199,7 +199,7 @@ def _wsr_first_crossing(
     feasible g, and wealth is decreasing in g); likewise for the u side at
     g0 = (M-alpha)/M. No bisection, so no tolerance flicker at the boundary.
     """
-    vs = calib.v[calib.order]
+    vs = calib.vs
     n = calib.n
     if start >= n:
         return n
@@ -232,7 +232,7 @@ def _first_crossing(calib: CalibrationSet, alpha: float, delta: float, method: s
     if method == "wsr":
         return _wsr_first_crossing(calib, alpha, delta, m, start)
     penalty = 0.0 if method == "plugin" else _hoeffding_penalty(calib.n, delta, m)
-    crossed = _sum_envelope(calib, penalty)[1][1 + start:] >= (1.0 - alpha) - PROB_SLACK
+    crossed = _sum_envelope(calib, penalty)[1 + start:] >= (1.0 - alpha) - PROB_SLACK
     return start + int(np.argmax(crossed)) if crossed.any() else calib.n
 
 
@@ -281,7 +281,7 @@ def pac_threshold_path(
     m = max(_default_m(c) for c in calibs) if M is None else float(M)
     for c in calibs:
         _check_m(c, m)
-    vs = v0[calibs[0].order]
+    vs = calibs[0].vs
     n = calibs[0].n
     out = np.empty(len(calibs))
     cur = 0

@@ -75,28 +75,31 @@ class KNNQuantileModel:
         return out[:, 0] if scalar else out
 
     def _quantile_chunk(self, xq: np.ndarray, betas: np.ndarray) -> np.ndarray:
+        """Sorted neighbour outcomes and their count per row, then one gather
+        of the lower-quantile index ceil(beta * count) - 1 for every level."""
         n = self.x.shape[0]
-        # Squared Euclidean distances via the inner-product identity; sqrt is
-        # monotone so neighbor sets are unchanged.
-        d2 = (xq ** 2).sum(axis=1)[:, None] - 2.0 * (xq @ self.x.T)
-        d2 += (self.x ** 2).sum(axis=1)[None, :]
         if self.k >= n:
-            ys = np.sort(self.y)
-            idx = np.ceil(betas * n - 1e-12).astype(int) - 1
-            return np.broadcast_to(ys[np.maximum(idx, 0)], (xq.shape[0], betas.size))
-        part = np.argpartition(d2, (self.k - 1, self.k), axis=1)
-        rows = np.arange(xq.shape[0])
-        kth = d2[rows, part[:, self.k - 1]]
-        if (d2[rows, part[:, self.k]] > kth).all():
-            # No ties beyond the k-th distance: gather exactly k outcomes.
-            ys = np.sort(self.y[part[:, : self.k]], axis=1)
-            idx = np.ceil(betas * self.k - 1e-12).astype(int) - 1
-            return ys[:, np.maximum(idx, 0)]
-        # All points at the k-th distance count as neighbors (tie rule).
-        neighbor = d2 <= kth[:, None]
-        counts = neighbor.sum(axis=1)
-        ys = np.where(neighbor, self.y[None, :], np.inf)
-        ys.sort(axis=1)
+            ys = np.broadcast_to(np.sort(self.y), (xq.shape[0], n))
+            counts = np.full(xq.shape[0], n)
+        else:
+            # Squared Euclidean distances via the inner-product identity;
+            # sqrt is monotone so neighbor sets are unchanged.
+            d2 = (xq ** 2).sum(axis=1)[:, None] - 2.0 * (xq @ self.x.T)
+            d2 += (self.x ** 2).sum(axis=1)[None, :]
+            part = np.argpartition(d2, (self.k - 1, self.k), axis=1)
+            rows = np.arange(xq.shape[0])
+            kth = d2[rows, part[:, self.k - 1]]
+            if (d2[rows, part[:, self.k]] > kth).all():
+                # No ties beyond the k-th distance: exactly k outcomes.
+                ys = np.sort(self.y[part[:, : self.k]], axis=1)
+                counts = np.full(xq.shape[0], self.k)
+            else:
+                # All points at the k-th distance count as neighbors (tie
+                # rule); padding with +inf keeps them first after the sort.
+                neighbor = d2 <= kth[:, None]
+                counts = neighbor.sum(axis=1)
+                ys = np.where(neighbor, self.y[None, :], np.inf)
+                ys.sort(axis=1)
         idx = np.ceil(betas[None, :] * counts[:, None] - 1e-12).astype(int) - 1
         return ys[np.arange(xq.shape[0])[:, None], np.maximum(idx, 0)]
 
@@ -146,33 +149,34 @@ class ScoreFn:
             return (1.0 - self.alpha,)
         return (0.5,)
 
+    def _bands(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Quantile bands (a, b) with V(x, y) = max(a - y, y - b) per row.
+
+        cqr: q(alpha/2) and q(1 - alpha/2); abs_residual: the median twice
+        (fl(m - y) = -fl(y - m), so the max is |y - m|, save that a zero
+        score may carry a minus sign); cqr_one_sided: no lower band, a = -inf,
+        which stays -inf after subtracting any finite or +inf threshold.
+        """
+        q = self.model.quantile(x, self.betas)
+        if self.kind == "cqr_one_sided":
+            return np.full(q.shape[0], -np.inf), q[:, 0]
+        return q[:, 0], q[:, -1]
+
     def score(self, x, y) -> np.ndarray:
         """V(x, y), vectorized over rows of x / entries of y."""
+        a, b = self._bands(x)
         y = np.asarray(y, dtype=float)
-        if self.kind == "cqr":
-            q = self.model.quantile(x, self.betas)
-            return np.maximum(q[:, 0] - y, y - q[:, 1])
-        if self.kind == "cqr_one_sided":
-            return y - self.model.quantile(x, 1.0 - self.alpha)
-        return np.abs(y - self.model.quantile(x, 0.5))
+        return np.maximum(a - y, y - b)
 
     def interval(self, x, threshold) -> tuple[np.ndarray, np.ndarray]:
         """Realized outcome interval {y : V(x, y) <= threshold} per row of x.
 
         threshold broadcasts against rows: a scalar, a per-row array, or a
-        (strengths x rows) array, which gives (strengths x rows) endpoints
+        (... x strengths x rows) array, which gives endpoints of that shape
         from one quantile query. +inf yields the whole line for every score
         kind, while a two-sided set may come out empty (lo > hi) for negative
         thresholds.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        a, b = self._bands(np.atleast_2d(np.asarray(x, dtype=float)))
         thr = np.asarray(threshold, dtype=float)
-        shape = np.broadcast_shapes(thr.shape, (x.shape[0],))
-        if self.kind == "cqr":
-            q = self.model.quantile(x, self.betas)
-            return q[:, 0] - thr, q[:, 1] + thr
-        if self.kind == "cqr_one_sided":
-            qhi = self.model.quantile(x, 1.0 - self.alpha)
-            return np.full(shape, -np.inf), qhi + thr
-        med = self.model.quantile(x, 0.5)
-        return med - thr, med + thr
+        return a - thr, b + thr

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,33 +23,33 @@ from .core import ValidationError
 
 __all__ = [
     "GammaGrid",
-    "GammaValue",
     "Interval",
     "NullSpec",
     "fdp_curve",
     "fwer_estimate",
-    "gamma_value",
     "gamma_values_from_rejections",
     "ite_set_one_missing",
     "survival_curve",
 ]
 
-_NEST_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval with possibly infinite endpoints; lo > hi is empty."""
+    """Closed interval with possibly infinite endpoints; lo > hi is empty.
 
-    lo: float
-    hi: float
+    The endpoints may be arrays that broadcast together; the interval and
+    every test on it then work elementwise.
+    """
+
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
     @property
-    def empty(self) -> bool:
+    def empty(self):
         return self.lo > self.hi
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+    def contains(self, value):
+        return (self.lo <= value) & (value <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -96,84 +95,35 @@ class NullSpec:
         if self.kind not in self.KINDS:
             raise ValidationError(f"unknown null kind {self.kind!r}")
 
-    def contains(self, value: float) -> bool:
-        if self.kind == "point":
-            return value == self.a
-        if self.kind == "le":
-            return value <= self.a
-        return value >= self.a
+    @property
+    def region(self) -> Interval:
+        """C as a closed interval: [a, a], (-inf, a] or [a, +inf)."""
+        return Interval(-math.inf if self.kind == "le" else self.a,
+                        math.inf if self.kind == "ge" else self.a)
 
-    def disjoint(self, interval: Interval) -> bool:
-        """Is C disjoint from the (closed) interval?"""
-        if interval.empty:
-            return True
-        if self.kind == "point":
-            return self.a < interval.lo or self.a > interval.hi
-        if self.kind == "le":  # C = (-inf, a]
-            return interval.lo > self.a
-        return interval.hi < self.a  # C = [a, inf)
+    def contains(self, value):
+        """Is the effect in C? Elementwise over an array of effects."""
+        return self.region.contains(value)
+
+    def disjoint(self, interval: Interval):
+        """Does the closed interval miss C? True for an empty interval;
+        elementwise over array endpoints."""
+        c = self.region
+        return (interval.lo > interval.hi) | (interval.lo > c.hi) | (interval.hi < c.lo)
 
 
-def ite_set_one_missing(t_obs: int, y_obs: float, cf: Interval) -> Interval:
+def ite_set_one_missing(t_obs: int, y_obs, cf: Interval) -> Interval:
     """Effect interval when one potential outcome is observed.
 
     Treated unit: y_obs - C0; control unit: C1 - y_obs (endpoint arithmetic
-    handles infinite counterfactual bounds).
+    handles infinite counterfactual bounds). ``y_obs`` and the endpoints of
+    ``cf`` may be arrays that broadcast together.
     """
     if t_obs not in (0, 1):
         raise ValidationError(f"t_obs must be 0 or 1, got {t_obs}")
     if t_obs == 1:
         return Interval(lo=y_obs - cf.hi, hi=y_obs - cf.lo)
     return Interval(lo=cf.lo - y_obs, hi=cf.hi - y_obs)
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """Largest grid Gamma whose ITE interval misses C; censored at the top.
-
-    ``gamma`` is 1.0 when no grid point rejects (note: rejection exactly at
-    Gamma = 1 also reports 1.0, the grid-valued convention is conservative)
-    and +inf when even the grid maximum rejects (reported as ">= grid max").
-    """
-
-    gamma: float
-    censored: bool
-
-    def exceeds(self, gamma_star: float) -> bool:
-        return self.gamma > gamma_star
-
-
-def gamma_value(
-    unit,
-    grid: GammaGrid,
-    null: NullSpec,
-    builder: Callable[[object, float], Interval],
-) -> GammaValue:
-    """Scan the grid with nested ITE intervals and report the sensitivity value.
-
-    ``builder(unit, gamma)`` must return intervals that only grow with gamma;
-    a shrink beyond tolerance raises "nestedness-violation". The scan stops at
-    the first non-rejecting grid point (nestedness makes rejections an initial
-    segment, so nothing further can reject).
-    """
-    last: Interval | None = None
-    best: float | None = None
-    for i, g in enumerate(grid.values):
-        interval = builder(unit, g)
-        if last is not None and (
-            interval.lo > last.lo + _NEST_TOL or interval.hi < last.hi - _NEST_TOL
-        ):
-            raise ValidationError(
-                f"nestedness-violation: interval shrank between gamma "
-                f"{grid.values[i - 1]} and {g}"
-            )
-        if not null.disjoint(interval):
-            break
-        best = g
-        last = interval
-    else:
-        return GammaValue(gamma=math.inf, censored=True)
-    return GammaValue(gamma=1.0 if best is None else best, censored=False)
 
 
 def survival_curve(gamma_hat, grid: GammaGrid) -> np.ndarray:
@@ -211,28 +161,25 @@ def fdp_curve(gamma_hat, ites, grid: GammaGrid, null: NullSpec | None = None) ->
     ites = np.asarray(ites, dtype=float)
     if ites.shape != gh.shape:
         raise ValidationError("ites and values must align")
-    false = np.array([null.contains(v) for v in ites], dtype=bool)
+    false = null.contains(ites)
     rejected = gh[None, :] > np.asarray(grid.values)[:, None]
     k = rejected.sum(axis=1)
     return np.where(k > 0, (rejected & false).sum(axis=1) / np.maximum(k, 1), 0.0)
 
 
 def gamma_values_from_rejections(reject: np.ndarray, grid: GammaGrid) -> np.ndarray:
-    """Vector sensitivity values from a (units x grid) rejection matrix.
+    """Sensitivity values from a rejection array with the grid on its last axis.
 
-    Row semantics match gamma_value: the scan walks the grid left to right
-    and stops at the first non-rejection, so stray rejections after a gap are
-    ignored. Returns the largest rejecting grid value per unit, 1.0 when the
-    scan stops immediately, +inf for rows rejecting through the grid ceiling.
+    ``reject`` is (units x grid), or has further leading axes. Each unit's
+    scan walks the grid left to right and stops at its first non-rejection,
+    so stray rejections after a gap are ignored. Returns the largest
+    rejecting grid value per unit, 1.0 when the scan stops immediately (a
+    rejection exactly at Gamma = 1 also reports 1.0, the conservative grid
+    convention), +inf for units rejecting through the grid ceiling.
     """
     reject = np.asarray(reject, dtype=bool)
-    if reject.ndim != 2 or reject.shape[1] != len(grid):
+    if reject.ndim < 2 or reject.shape[-1] != len(grid):
         raise ValidationError("rejection matrix must be units x grid")
-    n_g = len(grid)
-    runs = np.argmin(reject, axis=1)  # index of first False
-    runs[reject.all(axis=1)] = n_g
-    gvals = np.asarray(grid.values)
-    return np.where(
-        runs == 0, 1.0,
-        np.where(runs == n_g, math.inf, gvals[np.minimum(np.maximum(runs - 1, 0), n_g - 1)]),
-    )
+    runs = np.argmin(reject, axis=-1)  # index of first False
+    runs[reject.all(axis=-1)] = len(grid)
+    return np.concatenate([[1.0], grid.values[:-1], [math.inf]])[runs]

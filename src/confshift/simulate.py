@@ -43,8 +43,9 @@ from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity
 # tracer (perfbench/tracing.py) patches threshold callables at this module.
 from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
 from .scores import ScoreFn, fit_quantile_model
-from .sensitivity import (GammaGrid, NullSpec, fdp_curve, fwer_estimate,
-                          gamma_values_from_rejections, survival_curve)
+from .sensitivity import (GammaGrid, Interval, NullSpec, fdp_curve, fwer_estimate,
+                          gamma_values_from_rejections, ite_set_one_missing,
+                          survival_curve)
 
 __all__ = [
     "SimConfig",
@@ -77,20 +78,21 @@ def _sigma(x: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + 0.5 * (2.5 * x[:, 0]) ** 2)
 
 
-def _propensity_parts(e: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _two_regime(e: np.ndarray, gamma: float, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regime propensities a(x), b(x) and the cut on |u| ~ |N(0, scale^2)|
+    at which the mix a 1{|u| > cut} + b 1{|u| <= cut} averages to e."""
     low = e / (e + gamma * (1.0 - e))
     high = e / (e + (1.0 - e) / gamma)
-    return low, high
+    span = high - low
+    rho = np.where(span > 0, (e - low) / np.where(span > 0, span, 1.0), 0.5)
+    return low, high, scale * normal_inv_cdf((1.0 + rho) / 2.0)
 
 
 def propensity_threshold(x: np.ndarray, gamma: float, p: int | None = None) -> np.ndarray:
     """Cutoff t(x) making the two-regime propensity average to e(x)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     e = expit(x @ beta_vector(p if p is not None else x.shape[1]))
-    low, high = _propensity_parts(e, gamma)
-    span = high - low
-    rho = np.where(span > 0, (e - low) / np.where(span > 0, span, 1.0), 0.5)
-    return _sigma(x) * normal_inv_cdf((1.0 + rho) / 2.0)
+    return _two_regime(e, gamma, _sigma(x))[2]
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,7 @@ def gen_superpop(
     sig = _sigma(x)
     u = r.standard_normal(n) * sig
     e = expit(x @ beta)
-    low, high = _propensity_parts(e, gamma_true)
-    cut = propensity_threshold(x, gamma_true, p)
+    low, high, cut = _two_regime(e, gamma_true, sig)
     e_xu = np.where(np.abs(u) > cut, low, high)
     t = (r.uniform(size=n) < e_xu).astype(int)
     y0 = x @ beta + u
@@ -337,8 +338,8 @@ def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
 
     ``envelopes`` holds one ``(lo_cal, hi_cal, hi_test)`` triple per strength.
     alg1 gives every test unit its own robust marginal threshold; alg2 gives
-    all units the one PAC threshold of :func:`pac_threshold_path`, whose
-    envelope scale M comes from the widest (last) triple.
+    all units the one PAC threshold of :func:`pac_threshold_path`, with its
+    default envelope scale M (the largest bound over all triples).
 
     Repair policy, the one place it is set: thresholds take a running max
     along the strengths, so intervals are nested and rejections form an
@@ -351,11 +352,9 @@ def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
         thr = np.array([robust_threshold_many(v_cal, lo, hi, alpha, ht)
                         for lo, hi, ht in envelopes])
     else:
-        lo_w, hi_w, ht_w = envelopes[-1]
-        m_env = float(max(lo_w.max(), hi_w.max(), ht_w.max()))
         calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
                   for lo, hi, ht in envelopes]
-        path = pac_threshold_path(calibs, alpha, delta, envelope, M=m_env)
+        path = pac_threshold_path(calibs, alpha, delta, envelope)
         thr = np.repeat(path[:, None], len(envelopes[0][2]), axis=1)
     return np.maximum.accumulate(thr, axis=0)
 
@@ -364,20 +363,15 @@ def scan_gamma_values(fn: ScoreFn, x: np.ndarray, t_obs: int, y: np.ndarray,
                       thresholds: np.ndarray, grid: GammaGrid, null: NullSpec) -> np.ndarray:
     """Sensitivity values of units observed in arm ``t_obs`` with outcomes ``y``.
 
-    ``thresholds`` (strengths x units, from :func:`threshold_path`) give the
-    counterfactual intervals in one ``fn.interval`` call; the effect interval
-    is y - C0 for treated units and C1 - y for controls. A strength rejects
-    when the effect interval is empty or misses the null set C.
+    ``thresholds`` (strengths x units, from :func:`threshold_path`, or
+    several such paths stacked on leading axes) give the counterfactual
+    intervals in one ``fn.interval`` call; the effect intervals come from
+    :func:`ite_set_one_missing`, and a strength rejects when
+    ``null.disjoint`` holds. Returns one value per unit and stacked path.
     """
-    cf_lo, cf_hi = fn.interval(x, thresholds)
-    lo, hi = (y - cf_hi, y - cf_lo) if t_obs == 1 else (cf_lo - y, cf_hi - y)
-    if null.kind == "le":
-        hit = lo > null.a
-    elif null.kind == "ge":
-        hit = hi < null.a
-    else:
-        hit = (null.a < lo) | (null.a > hi)
-    return gamma_values_from_rejections((hit | (lo > hi)).T, grid)
+    cf = Interval(*fn.interval(x, thresholds))
+    reject = null.disjoint(ite_set_one_missing(t_obs, y, cf))
+    return gamma_values_from_rejections(np.swapaxes(reject, -1, -2), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +455,9 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     Test units are scanned as treated, with counterfactual arm 0, one-sided
     upper intervals and the null C = (-inf, 0]. Both procedures share one
     propensity fit (estimated bounds) and the bound pairs along the grid;
-    each gets its thresholds from :func:`threshold_path` and its sensitivity
-    values from :func:`scan_gamma_values`.
+    each gets its thresholds from :func:`threshold_path`, and one
+    :func:`scan_gamma_values` call on the stacked paths gives both sets of
+    sensitivity values.
     """
     cfg, seed = job
     r = rng(seed)
@@ -480,11 +475,10 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
 
     bounds = _bound_family(cfg, train)
     envelopes = [b(calib_c.x) + (b.upper(test.x),) for b in map(bounds, grid.values)]
-    out = {"ite": test.y1 - test.y0}
-    for key in ("alg1", "alg2"):
-        thr = threshold_path(v_cal, envelopes, alpha, key, cfg.envelope, cfg.delta)
-        out[key] = scan_gamma_values(fn, test.x, 1, test.y1, thr, grid, NullSpec("le", 0.0))
-    return out
+    thr = np.stack([threshold_path(v_cal, envelopes, alpha, key, cfg.envelope, cfg.delta)
+                    for key in ("alg1", "alg2")])
+    alg1, alg2 = scan_gamma_values(fn, test.x, 1, test.y1, thr, grid, NullSpec("le", 0.0))
+    return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}
 
 
 def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
@@ -554,9 +548,7 @@ def gen_semisynthetic(
     r = rng(seed)
     u = r.standard_normal(x.shape[0]) * noise_sd
     e = prop.predict(x)
-    low, high = _propensity_parts(e, gamma)
-    rho = np.where(high > low, (e - low) / np.where(high > low, high - low, 1.0), 0.5)
-    cut = noise_sd * normal_inv_cdf((1.0 + rho) / 2.0)
+    low, high, cut = _two_regime(e, gamma, noise_sd)
     e_xu = np.where(np.abs(u) > cut, low, high)
     t_new = (r.uniform(size=x.shape[0]) < e_xu).astype(int)
     y0 = mu0 + u

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class DiscreteJoint:
         if np.any(self.lo < 0) or np.any(self.hi < self.lo):
             raise ValidationError("bounds must satisfy 0 <= lo <= hi")
 
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Envelope kernel on the mass-weighted bounds, built on first use."""
+        return _envelope_sums(self.v, self.m * self.lo, self.m * self.hi)
+
     def _require_feasible(self) -> None:
         e_lo = float(self.m @ self.lo)
         e_hi = float(self.m @ self.hi)
@@ -82,7 +88,7 @@ def worst_cdf_marginal(d: DiscreteJoint, t):
     ``t`` may be a scalar (returns a float) or an array of query points.
     """
     d._require_feasible()
-    vs, cum_lo, tail_hi = _envelope_sums(d.v, d.m * d.lo, d.m * d.hi)
+    vs, cum_lo, tail_hi = d._sums
     j = np.searchsorted(vs, t, side="right")
     out = np.maximum(cum_lo[j], 1.0 - tail_hi[j])
     return float(out) if np.ndim(out) == 0 else out
@@ -111,7 +117,7 @@ def worst_witness_marginal(d: DiscreteJoint) -> MarginalWitness:
     # H at each distinct score (the last sorted position of each tie group);
     # H is nonincreasing, so the pivot is its first drop below 1. When none
     # drops, the feasibility tolerance left H(max v) = E[l] a hair above 1.
-    vs, cum_lo, tail_hi = _envelope_sums(d.v, d.m * d.lo, d.m * d.hi)
+    vs, cum_lo, tail_hi = d._sums
     ends = np.flatnonzero(np.append(vs[1:] != vs[:-1], True)) + 1
     hit = cum_lo[ends] + tail_hi[ends] <= 1.0 + 1e-12
     t_star = float(vs[ends[np.argmax(hit)] - 1] if hit.any() else vs[-1])
@@ -219,6 +225,11 @@ class CausalDiscreteJoint:
         np.add.at(sums, self.atom_x, self.atom_cm)
         if np.any(np.abs(sums - 1.0) > _MASS_TOL):
             raise ValidationError("conditional masses must sum to 1 within each x")
+
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Envelope kernel on the mass-weighted bounds, built on first use."""
+        return _envelope_sums(self.v, self.m * self.lo, self.m * self.hi)
 
     def _require_feasible(self) -> None:
         if np.any(self.l0 > 1.0 + _MASS_TOL) or np.any(self.u0 < 1.0 - _MASS_TOL):

@@ -11,10 +11,8 @@ from confshift import (
     ValidationError,
     marginal_gap,
     quantile_inf,
-    robust_threshold,
     robust_threshold_many,
     rng,
-    weighted_conformal_threshold,
 )
 
 V5 = np.array([3.0, 1.0, 4.0, 1.5, 5.0])
@@ -23,6 +21,34 @@ ONES5 = np.ones(5)
 
 def _unit_calib(alpha_free_v=V5, u_test=1.0):
     return CalibrationSet(v=alpha_free_v, lo=ONES5, hi=ONES5, u_test=u_test)
+
+
+def robust_threshold(calib, alpha):
+    """robust_threshold_many at the calibration set's own test bound."""
+    return float(robust_threshold_many(calib.v, calib.lo, calib.hi, alpha, [calib.u_test])[0])
+
+
+def threshold_scan(calib, alpha):
+    """Scalar reference: the first sorted score V_[k] whose pessimistic CDF
+    F(k) = sum_{i<=k} l / (sum_{i<=k} l + sum_{i>k} u + u_test) reaches
+    1 - alpha, else +inf."""
+    order = np.argsort(calib.v, kind="stable")
+    lo, hi = calib.lo[order], calib.hi[order]
+    for k in range(1, calib.n + 1):
+        num = lo[:k].sum()
+        if num / (num + hi[k:].sum() + calib.u_test) >= (1.0 - alpha) - 1e-12:
+            return float(calib.v[order][k - 1])
+    return math.inf
+
+
+def weighted_conformal_threshold(v, w, w_test, alpha):
+    """Oracle weighted-conformal threshold for exactly known weights:
+    Quantile(1 - alpha) of sum_i p_i delta_{V_i} + p_test delta_{+inf}, with
+    p_i = w_i / (sum w + w_test) and the lower-quantile convention."""
+    order = np.argsort(v, kind="stable")
+    cum = np.cumsum(w[order]) / (float(w.sum()) + float(w_test))
+    idx = int(np.searchsorted(cum, (1.0 - alpha) - 1e-12, side="left"))
+    return math.inf if idx >= v.size else float(v[order][idx])
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +75,14 @@ def test_calibration_set_validation():
 
 def test_calibration_set_sorted_arrays():
     c = CalibrationSet(v=V5, lo=np.arange(1.0, 6.0), hi=np.arange(1.0, 6.0) + 1, u_test=1.0)
-    vs, los, his = c.sorted_arrays()
-    assert vs.tolist() == [1.0, 1.5, 3.0, 4.0, 5.0]
-    assert los.tolist() == [2.0, 4.0, 1.0, 3.0, 5.0]
-    assert his.tolist() == [3.0, 5.0, 2.0, 4.0, 6.0]
+    assert c.vs.tolist() == [1.0, 1.5, 3.0, 4.0, 5.0]
+    # sorted lo = [2, 4, 1, 3, 5], sorted hi = [3, 5, 2, 4, 6]
+    assert c.cum_lo.tolist() == [0.0, 2.0, 6.0, 7.0, 10.0, 15.0]
+    assert c.tail_hi.tolist() == [20.0, 17.0, 12.0, 10.0, 6.0, 0.0]
     # original-order arrays untouched
     assert c.v.tolist() == V5.tolist()
+    assert c.lo.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert c.hi.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +135,7 @@ def test_threshold_many_matches_scalar():
         u_tests = r.uniform(0.2, 3.0, size=7)
         many = robust_threshold_many(v, lo, hi, alpha, u_tests)
         for j, ut in enumerate(u_tests):
-            one = robust_threshold(CalibrationSet(v, lo, hi, float(ut)), alpha)
+            one = threshold_scan(CalibrationSet(v, lo, hi, float(ut)), alpha)
             assert many[j] == one
 
 
@@ -182,15 +210,6 @@ def test_exact_envelope_matches_weighted_oracle():
         robust = robust_threshold(CalibrationSet(v, w, w, w_test), alpha)
         oracle = weighted_conformal_threshold(v, w, w_test, alpha)
         assert robust == oracle
-
-
-def test_weighted_conformal_validation():
-    with pytest.raises(ValidationError):
-        weighted_conformal_threshold(np.array([1.0]), np.array([1.0]), 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        weighted_conformal_threshold(np.array([1.0]), np.array([-1.0]), 1.0, 0.5)
-    with pytest.raises(ValidationError):
-        weighted_conformal_threshold(np.array([]), np.array([]), 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Score functions and the kNN conditional-quantile baseline."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from confshift import (
     KNNQuantileModel,
@@ -103,6 +108,53 @@ def test_knn_chunking_consistent():
         assert got[i] == model.quantile(xq[i : i + 1], 0.5)[0]
 
 
+def _knn_quantile_oracle(x, y, k, xq, betas):
+    """Brute force per query row: every training point at or within the k-th
+    smallest distance, then the lower-quantile index ceil(beta * count) - 1."""
+    out = np.empty((xq.shape[0], len(betas)))
+    for i, row in enumerate(xq):
+        d = ((x - row) ** 2).sum(axis=1)
+        kth = np.sort(d)[min(k, len(d)) - 1]
+        ys = np.sort(y[d <= kth])
+        for j, b in enumerate(betas):
+            out[i, j] = ys[max(math.ceil(b * ys.size - 1e-12) - 1, 0)]
+    return out
+
+
+_BETAS = st.lists(st.sampled_from((0.05, 0.1, 0.25, 1 / 3, 0.5, 0.8, 0.9, 0.95, 1.0)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(("all", "untied", "tied")), betas=_BETAS, data=st.data())
+def test_knn_quantile_matches_brute_force(case, betas, data):
+    """Integer covariates make every distance exact, so ties are real ties.
+
+    ``all``: k >= n (every point is a neighbour); ``untied``: distinct
+    training points on a line, queried from one side, so no row has a tie
+    at the k-th distance; ``tied``: few distinct covariate values, so most
+    rows have one.
+    """
+    n = data.draw(st.integers(2, 25))
+    y = data.draw(hnp.arrays(float, n, elements=st.integers(-20, 20).map(float)))
+    if case == "untied":
+        x = np.array(data.draw(st.lists(st.integers(10, 60), min_size=n, max_size=n,
+                                        unique=True)), dtype=float)[:, None]
+        xq = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 6)), 1),
+                                  elements=st.integers(0, 9).map(float)))
+    else:
+        p = data.draw(st.integers(1, 3))
+        cells = st.integers(0, 2 if case == "tied" else 6).map(float)
+        x = data.draw(hnp.arrays(float, (n, p), elements=cells))
+        xq = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 6)), p), elements=cells))
+    k = data.draw(st.integers(n, n + 3) if case == "all" else st.integers(1, n - 1))
+    model = KNNQuantileModel(x=x, y=y, k=k)
+    want = _knn_quantile_oracle(x, y, k, xq, betas)
+    np.testing.assert_array_equal(model.quantile(xq, betas), want)
+    for j, b in enumerate(betas):
+        np.testing.assert_array_equal(model.quantile(xq, b), want[:, j])
+
+
 # ---------------------------------------------------------------------------
 # ScoreFn
 # ---------------------------------------------------------------------------
@@ -173,3 +225,60 @@ def test_interval_per_row_thresholds_and_inf():
     one = ScoreFn(kind="cqr_one_sided", model=_FlatModel(), alpha=0.2)
     lo, hi = one.interval(x, 0.25)
     assert (lo == -np.inf).all() and (hi == 1.25).all()
+
+
+class _RowModel:
+    """Quantiles q(x, beta) = x1 + x2 * (beta - 1/2), monotone in beta."""
+
+    def quantile(self, x, beta):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        b = np.asarray(beta, dtype=float)
+        if b.ndim == 0:
+            return x[:, 0] + x[:, 1] * (b - 0.5)
+        return x[:, :1] + x[:, 1:2] * (b - 0.5)
+
+
+def _score_reference(fn, x, y):
+    """Per-kind score formulas, written out separately."""
+    if fn.kind == "cqr":
+        q = fn.model.quantile(x, (fn.alpha / 2.0, 1.0 - fn.alpha / 2.0))
+        return np.maximum(q[:, 0] - y, y - q[:, 1])
+    if fn.kind == "cqr_one_sided":
+        return y - fn.model.quantile(x, 1.0 - fn.alpha)
+    return np.abs(y - fn.model.quantile(x, 0.5))
+
+
+def _interval_reference(fn, x, thr):
+    """Per-kind interval formulas, written out separately."""
+    shape = np.broadcast_shapes(np.shape(thr), (x.shape[0],))
+    if fn.kind == "cqr":
+        q = fn.model.quantile(x, (fn.alpha / 2.0, 1.0 - fn.alpha / 2.0))
+        return q[:, 0] - thr, q[:, 1] + thr
+    if fn.kind == "cqr_one_sided":
+        return np.full(shape, -np.inf), fn.model.quantile(x, 1.0 - fn.alpha) + thr
+    med = fn.model.quantile(x, 0.5)
+    return med - thr, med + thr
+
+
+_REAL = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(ScoreFn.KINDS), alpha=st.floats(0.01, 0.99), data=st.data())
+def test_score_and_interval_equal_per_kind_formulas(kind, alpha, data):
+    """Bit for bit, for strengths stacked on a leading axis. One exception:
+    max(m - y, y - m) and |y - m| may differ in the sign of a zero score
+    (y = -0.0 at m = +0.0), which no comparison or sort can tell apart."""
+    n = data.draw(st.integers(1, 8))
+    x = data.draw(hnp.arrays(float, (n, 2), elements=_REAL))
+    y = data.draw(hnp.arrays(float, n, elements=_REAL))
+    thr = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 3)), n),
+                               elements=st.one_of(_REAL, st.just(math.inf))))
+    fn = ScoreFn(kind=kind, model=_RowModel(), alpha=alpha)
+    got, want = fn.score(x, y), _score_reference(fn, x, y)
+    if kind == "abs_residual":
+        got = got + 0.0  # -0.0 + 0.0 = +0.0; every other value is unchanged
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for t in (thr, thr[0], float(thr[0, 0])):
+        for got, want in zip(fn.interval(x, t), _interval_reference(fn, x, t)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

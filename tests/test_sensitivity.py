@@ -16,7 +16,6 @@ from confshift import (
     ValidationError,
     fdp_curve,
     fwer_estimate,
-    gamma_value,
     gamma_values_from_rejections,
     ite_set_one_missing,
     rng,
@@ -57,6 +56,28 @@ def test_null_spec_membership_and_disjointness():
         NullSpec(kind="between")
 
 
+_END = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((-math.inf, math.inf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(NullSpec.KINDS), a=st.floats(-2.0, 2.0),
+       t_obs=st.sampled_from((0, 1)), data=st.data())
+def test_elementwise_primitives_match_scalar_calls(kind, a, t_obs, data):
+    n = data.draw(st.integers(1, 10))
+    lo = data.draw(hnp.arrays(float, n, elements=_END))
+    hi = data.draw(hnp.arrays(float, n, elements=_END))
+    y = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    null = NullSpec(kind=kind, a=a)
+    ite = ite_set_one_missing(t_obs, y, Interval(lo, hi))
+    miss = null.disjoint(ite)
+    inside = null.contains(y)
+    for i in range(n):
+        one = ite_set_one_missing(t_obs, float(y[i]), Interval(float(lo[i]), float(hi[i])))
+        assert (ite.lo[i], ite.hi[i]) == (one.lo, one.hi)
+        assert miss[i] == null.disjoint(one)
+        assert inside[i] == null.contains(float(y[i]))
+
+
 def test_ite_one_missing_flips_for_treated():
     cf = Interval(1.0, 3.0)
     treated = ite_set_one_missing(1, 10.0, cf)
@@ -91,42 +112,43 @@ def test_grid_validation_and_default():
 
 
 # ---------------------------------------------------------------------------
-# gamma_value scan
+# scalar reference scan
 # ---------------------------------------------------------------------------
 
 
-def _builder_from_widths(widths):
-    """Intervals [0, widths[gamma]] looked up per grid value."""
+def _misses(null, lo, hi):
+    """Scalar reference for NullSpec.disjoint: does [lo, hi] miss C?"""
+    if lo > hi:
+        return True
+    if null.kind == "point":
+        return null.a < lo or null.a > hi
+    if null.kind == "le":  # C = (-inf, a]
+        return lo > null.a
+    return hi < null.a  # C = [a, inf)
 
-    def build(unit, gamma):
-        return Interval(0.0, widths[gamma])
 
-    return build
+def gamma_value(grid, null, build):
+    """Scalar reference scan: walk the grid while the interval
+    ``build(gamma) = (lo, hi)`` misses C. Returns the largest rejecting grid
+    value, 1.0 when the scan stops at once, +inf through the grid ceiling."""
+    best = 1.0
+    for g in grid.values:
+        if not _misses(null, *build(g)):
+            return best
+        best = g
+    return math.inf
 
 
 def test_gamma_value_prefix_semantics():
     null = NullSpec(kind="ge", a=10.0)  # reject while hi < 10
     widths = {1.0: 1.0, 1.2: 2.0, 1.5: 11.0, 2.0: 12.0, 3.0: 13.0}
-    gv = gamma_value(None, GRID, null, _builder_from_widths(widths))
-    assert gv.gamma == 1.2 and not gv.censored
+    assert gamma_value(GRID, null, lambda g: (0.0, widths[g])) == 1.2
 
 
 def test_gamma_value_collapse_and_censoring():
     null = NullSpec(kind="ge", a=10.0)
-    nothing = {g: 20.0 for g in GRID.values}  # never disjoint
-    gv = gamma_value(None, GRID, null, _builder_from_widths(nothing))
-    assert gv.gamma == 1.0 and not gv.censored
-    everything = {g: 1.0 for g in GRID.values}  # rejects through the ceiling
-    gv = gamma_value(None, GRID, null, _builder_from_widths(everything))
-    assert gv.gamma == math.inf and gv.censored
-    assert gv.exceeds(1e9)
-
-
-def test_gamma_value_rejects_nestedness_violation():
-    null = NullSpec(kind="ge", a=10.0)
-    shrinking = {1.0: 2.0, 1.2: 1.0, 1.5: 1.0, 2.0: 1.0, 3.0: 1.0}
-    with pytest.raises(ValidationError, match="nestedness"):
-        gamma_value(None, GRID, null, _builder_from_widths(shrinking))
+    assert gamma_value(GRID, null, lambda g: (0.0, 20.0)) == 1.0  # never disjoint
+    assert gamma_value(GRID, null, lambda g: (0.0, 1.0)) == math.inf  # through the ceiling
 
 
 def test_gamma_value_stops_at_first_acceptance():
@@ -134,13 +156,11 @@ def test_gamma_value_stops_at_first_acceptance():
     null = NullSpec(kind="ge", a=10.0)
     calls = []
 
-    def build(unit, gamma):
+    def build(gamma):
         calls.append(gamma)
-        hi = 20.0 if gamma == 1.2 else 1.0
-        return Interval(0.0, hi)
+        return 0.0, 20.0 if gamma == 1.2 else 1.0
 
-    gv = gamma_value(None, GRID, null, build)
-    assert gv.gamma == 1.0
+    assert gamma_value(GRID, null, build) == 1.0
     assert calls == [1.0, 1.2]  # scan ended at the first non-rejection
 
 
@@ -178,6 +198,17 @@ class _ShiftQuantiles:
 _THR = st.one_of(st.floats(-1.0, 2.0), st.just(math.inf))
 
 
+def _cf_interval(fn, x_row, thr):
+    """Scalar reference for ScoreFn.interval, per score kind."""
+    def q(beta):
+        return float(fn.model.quantile(x_row, beta)[0])
+    if fn.kind == "cqr":
+        return q(fn.alpha / 2.0) - thr, q(1.0 - fn.alpha / 2.0) + thr
+    if fn.kind == "cqr_one_sided":
+        return -math.inf, q(1.0 - fn.alpha) + thr
+    return q(0.5) - thr, q(0.5) + thr
+
+
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(ScoreFn.KINDS), null_kind=st.sampled_from(NullSpec.KINDS),
        null_a=st.floats(-2.0, 2.0), t_obs=st.sampled_from((0, 1)),
@@ -194,11 +225,32 @@ def test_scan_matches_scalar_gamma_value_oracle(kind, null_kind, null_a, t_obs, 
     got = scan_gamma_values(fn, x, t_obs, y, thr, grid, null)
 
     for i in range(n):
-        def build(unit, gamma, i=i):
-            lo, hi = fn.interval(x[i:i + 1], thr[grid.values.index(gamma), i])
-            return ite_set_one_missing(t_obs, float(y[i]), Interval(float(lo[0]), float(hi[0])))
+        def build(gamma, i=i):
+            lo, hi = _cf_interval(fn, x[i:i + 1], float(thr[grid.values.index(gamma), i]))
+            yi = float(y[i])
+            return (yi - hi, yi - lo) if t_obs == 1 else (lo - yi, hi - yi)
 
-        assert got[i] == gamma_value(i, grid, null, build).gamma
+        assert got[i] == gamma_value(grid, null, build)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(ScoreFn.KINDS), null_kind=st.sampled_from(NullSpec.KINDS),
+       t_obs=st.sampled_from((0, 1)), data=st.data())
+def test_stacked_scan_equals_separate_scans(kind, null_kind, t_obs, data):
+    grid = GRID
+    n = data.draw(st.integers(1, 6))
+    paths = data.draw(st.integers(1, 3))
+    x = data.draw(hnp.arrays(float, (n, 1), elements=st.floats(-2.0, 2.0)))
+    y = data.draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    raw = data.draw(hnp.arrays(float, (paths, len(grid), n), elements=_THR))
+    thr = np.maximum.accumulate(raw, axis=1)
+    fn = ScoreFn(kind=kind, model=_ShiftQuantiles(), alpha=0.2)
+    null = NullSpec(kind=null_kind, a=0.0)
+    stacked = scan_gamma_values(fn, x, t_obs, y, thr, grid, null)
+    assert stacked.shape == (paths, n)
+    for j in range(paths):
+        np.testing.assert_array_equal(
+            stacked[j], scan_gamma_values(fn, x, t_obs, y, thr[j], grid, null))
 
 
 # ---------------------------------------------------------------------------

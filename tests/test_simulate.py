@@ -26,7 +26,7 @@ from confshift import (
     true_treated_fraction,
 )
 from confshift import simulate
-from confshift.simulate import _propensity_parts, _sigma, _worker_count, threshold_path
+from confshift.simulate import _sigma, _two_regime, _worker_count, threshold_path
 
 CELLS = [(a, pop) for a in (0, 1) for pop in ("ate", "att", "atc")]
 
@@ -47,9 +47,9 @@ def test_two_regime_propensity_averages_to_marginal():
     e = expit(x @ beta_vector(4))
     sig = _sigma(x)
     for gamma in (1.0, 1.5, 2.0, 4.0):
-        low, high = _propensity_parts(e, gamma)
+        low, high, cut = _two_regime(e, gamma, sig)
         assert (low <= e + 1e-15).all() and (e <= high + 1e-15).all()
-        cut = propensity_threshold(x, gamma)
+        np.testing.assert_array_equal(cut, propensity_threshold(x, gamma))
         p_inside = 2.0 * ndtr(cut / sig) - 1.0
         mean_exu = low * (1.0 - p_inside) + high * p_inside
         np.testing.assert_allclose(mean_exu, e, rtol=0, atol=1e-12)
@@ -63,7 +63,7 @@ def test_gen_superpop_deterministic_and_consistent():
     np.testing.assert_array_equal(d1.y_obs, np.where(d1.t == 1, d1.y1, d1.y0))
     np.testing.assert_array_equal(d1.outcome(0), d1.y0)
     # latent propensity takes exactly the two regime values
-    low, high = _propensity_parts(d1.e_x, 1.5)
+    low, high, _ = _two_regime(d1.e_x, 1.5, 1.0)
     on_regime = np.isclose(d1.e_xu, low) | np.isclose(d1.e_xu, high)
     assert on_regime.all()
     np.testing.assert_allclose(d1.y1 - d1.y0, 0.3, rtol=0, atol=1e-15)
@@ -89,6 +89,20 @@ def test_treated_fraction_quadrature():
     se = float(d.e_x.std()) / np.sqrt(d.n)
     assert abs(d.e_x.mean() - true_treated_fraction(4)) < 4 * se
     assert abs(d.t.mean() - true_treated_fraction(4)) < 0.006
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the sensitivity campaign calibrates on controls (arm 0) "
+                          "but builds its envelope for cfg.target(), arm 1")
+def test_sensitivity_campaign_envelope_covers_control_ratios():
+    gamma = 1.6
+    cfg = SimConfig(n_train=50, n_calib=50, gamma_true=gamma)
+    d = gen_superpop(20000, cfg.p, gamma, rng(71))
+    controls = d.take(np.nonzero(d.t == 0)[0])
+    # Controls calibrate Y(0) for the whole population: target arm 0, ate.
+    w = true_likelihood_ratio(controls, TargetSpec(arm=0, population="ate"))
+    lo, hi = simulate._bound_family(cfg, controls)(gamma)(controls.x)
+    assert ((w >= lo - 1e-10) & (w <= hi + 1e-10)).all()
 
 
 @pytest.mark.parametrize("arm,pop", CELLS)
@@ -293,6 +307,10 @@ def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
     envelopes = [b(x_cal) + (b.upper(x_test),) for b in pairs]
     raw = np.array([robust_threshold_many(v, lo, hi, alpha, ht) for lo, hi, ht in envelopes])
     np.testing.assert_array_equal(threshold_path(v, envelopes, alpha, "alg1"), raw)
+    # alg2 takes the largest bound over all strengths as its scale M; on the
+    # built-in families the widest (last) triple already holds it.
+    widest = max(a.max() for a in envelopes[-1])
+    assert max(a.max() for env in envelopes for a in env) == widest
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +331,7 @@ def test_semisynthetic_rebuild():
     np.testing.assert_array_equal(out1.t, out2.t)
     np.testing.assert_array_equal(out1.y0, out2.y0)
     np.testing.assert_allclose(out1.y1 - out1.y0, base.x[:, 0], rtol=0, atol=1e-12)
-    low, high = _propensity_parts(out1.e_x, 1.5)
+    low, high, _ = _two_regime(out1.e_x, 1.5, 1.0)
     assert (np.isclose(out1.e_xu, low) | np.isclose(out1.e_xu, high)).all()
     with pytest.raises(ValidationError):
         gen_semisynthetic(base.x, base.t, base.y_obs, gamma=0.5)
