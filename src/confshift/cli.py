@@ -21,13 +21,12 @@ configuration (including missing files and unknown keys).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -40,7 +39,9 @@ from .core import (
     ValidationError,
     read_dataset,
     read_table,
+    read_units,
     split,
+    write_table,
 )
 from .nuisance import TargetSpec, bound_functions, fit_propensity
 from .pac import METHODS
@@ -135,39 +136,38 @@ _COMMON = {
     "threads": _Opt(_pint, None, "worker cap (default: CONFSHIFT_THREADS or all cores)"),
 }
 
+# Folds, levels and quantile model shared by predict and sensitivity.
+_FOLDS = {
+    "train": _Opt(str, _REQUIRED, "training CSV (x1..xp,t,y)"),
+    "calib": _Opt(str, None, "calibration CSV; default: split off train"),
+    "train_fraction": _Opt(_pfloat, 0.5, "train share when splitting"),
+    "alpha": _Opt(_pfloat, 0.1, "miscoverage level"),
+    "delta": _Opt(_pfloat, 0.05, "PAC failure level (alg2)"),
+    "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
+    "k": _Opt(_pint, None, "neighbor count for the quantile model"),
+}
+
 _SCORE = _pchoice(*ScoreFn.KINDS)
 _POP = _pchoice("ate", "att", "atc")
 
 _TABLES: dict[str, dict[str, _Opt]] = {
     "predict": {
         **_COMMON,
-        "train": _Opt(str, _REQUIRED, "training CSV (x1..xp,t,y)"),
-        "calib": _Opt(str, None, "calibration CSV; default: split off train"),
+        **_FOLDS,
         "test": _Opt(str, _REQUIRED, "test CSV (x1..xp[,t,y])"),
-        "train_fraction": _Opt(_pfloat, 0.5, "train share when splitting"),
-        "alpha": _Opt(_pfloat, 0.1, "miscoverage level"),
-        "delta": _Opt(_pfloat, 0.05, "PAC failure level (alg2)"),
         "gamma": _Opt(_pfloats, (1.0,), "selection strengths, comma separated"),
         "arm": _Opt(_pint, 1, "counterfactual arm (0 or 1)"),
         "population": _Opt(_POP, "ate", "target population"),
         "score": _Opt(_SCORE, "cqr", "nonconformity score kind"),
-        "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
-        "k": _Opt(_pint, None, "neighbor count for the quantile model"),
     },
     "sensitivity": {
         **_COMMON,
-        "train": _Opt(str, _REQUIRED, "training CSV (x1..xp,t,y)"),
-        "calib": _Opt(str, None, "calibration CSV; default: split off train"),
+        **_FOLDS,
         "test": _Opt(str, _REQUIRED, "test CSV with observed t,y"),
-        "train_fraction": _Opt(_pfloat, 0.5, "train share when splitting"),
-        "alpha": _Opt(_pfloat, 0.1, "miscoverage level"),
-        "delta": _Opt(_pfloat, 0.05, "PAC failure level (alg2)"),
         "gamma_grid": _Opt(_pfloats, None, "grid of strengths; default 1..26"),
         "score": _Opt(_SCORE, "cqr_one_sided", "nonconformity score kind"),
-        "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
         "null_kind": _Opt(_pchoice("point", "le", "ge"), "le", "shape of the effect null set C"),
         "null_a": _Opt(_pfloat, 0.0, "boundary of C"),
-        "k": _Opt(_pint, None, "neighbor count for the quantile model"),
     },
     "worstcase": {
         **_COMMON,
@@ -286,28 +286,7 @@ def _n_threads(resolved: dict) -> int:
 
 
 def _stamp(resolved: dict, h: str) -> str:
-    return f"# confshift config_hash={h} seed={resolved['seed']}"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value) or math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
-def _cells(*columns: np.ndarray):
-    """CSV rows of float cells, one per position of the equal-length columns."""
-    return zip(*(map(_cell, np.asarray(col, dtype=float).tolist()) for col in columns))
-
-
-def _write_csv(path: str, stamp: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(stamp + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    return f"confshift config_hash={h} seed={resolved['seed']}"
 
 
 def _write_manifest(resolved: dict, h: str, command: str, outputs: list[str],
@@ -327,27 +306,13 @@ def _write_manifest(resolved: dict, h: str, command: str, outputs: list[str],
         fh.write("\n")
 
 
-def _read_xmatrix(path: str, p_train: int) -> tuple:
-    """Test rows as (x, t, y): contiguous x1..xp columns as in training, then
-    optional t and y columns (None when absent)."""
-    tab = read_table(path)
-    names = tab.header
-    p = sum(1 for h in names if h.startswith("x"))
-    if p == 0 or names[:p] != [f"x{j}" for j in range(1, p + 1)]:
-        raise DataError(f"{path}: covariate columns must be contiguous x1..xp")
+def _read_test(path: str, p_train: int, need_outcome: bool) -> dict[str, np.ndarray]:
+    """Test units file, with as many covariates as the training file."""
+    cols = read_units(path, need_outcome)
+    p = cols["x"].shape[1]
     if p != p_train:
         raise DataError(f"test has {p} covariates, training has {p_train}")
-    extras = names[p:]
-    if any(c not in ("t", "y") for c in extras):
-        raise DataError(f"{path}: unexpected columns {extras}")
-    x = np.column_stack([tab.floats(c) for c in names[:p]])
-    t = tab.floats("t") if "t" in extras else None
-    if t is not None:
-        bad = ~np.isin(t, (0.0, 1.0))
-        if bad.any():
-            raise DataError(f"{path} row {tab.lines[int(np.argmax(bad))]}: t must be 0 or 1")
-        t = t.astype(int)
-    return x, t, (tab.floats("y") if "y" in extras else None)
+    return cols
 
 
 def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
@@ -382,7 +347,7 @@ def cmd_predict(resolved: dict, h: str) -> None:
     arm, alpha = resolved["arm"], resolved["alpha"]
     if arm not in (0, 1):
         raise ConfigError(f"arm must be 0 or 1, got {arm}")
-    x_test, _, _ = _read_xmatrix(resolved["test"], train.p)
+    x_test = _read_test(resolved["test"], train.p, need_outcome=False)["x"]
     target = TargetSpec(arm=arm, population=resolved["population"])
     prop, p1 = _fit_nuisance(train)
     train_arm = train.arm(arm)
@@ -401,22 +366,20 @@ def cmd_predict(resolved: dict, h: str) -> None:
                        kind, envelope, resolved["delta"])
         for b in (bound_functions(target, g, prop, p1) for g in gammas)])
     set_lo, set_hi = fn.interval(x_test, thr)
-    rows = [[i + 1, _cell(float(g)), _cell(float(thr[j, i])),
-             _cell(float(set_lo[j, i])), _cell(float(set_hi[j, i])),
-             int(math.isinf(set_lo[j, i])), int(math.isinf(set_hi[j, i]))]
-            for j, g in enumerate(gammas) for i in range(x_test.shape[0])]
-    out = os.path.join(resolved["out_dir"], "intervals.csv")
-    _write_csv(out, _stamp(resolved, h),
-               ["row", "gamma", "v_hat", "lo", "hi", "unbounded_lo", "unbounded_hi"],
-               rows)
+    n = x_test.shape[0]
+    write_table(os.path.join(resolved["out_dir"], "intervals.csv"), {
+        "row": np.tile(np.arange(1, n + 1), len(gammas)),
+        "gamma": np.repeat(gammas, n), "v_hat": thr.ravel(),
+        "lo": set_lo.ravel(), "hi": set_hi.ravel(),
+        "unbounded_lo": np.isinf(set_lo).ravel(), "unbounded_hi": np.isinf(set_hi).ravel(),
+    }, _stamp(resolved, h))
     _write_manifest(resolved, h, "predict", ["intervals.csv", "manifest.json"])
 
 
 def cmd_sensitivity(resolved: dict, h: str) -> None:
     train, calib = _load_folds(resolved)
-    test_x, test_t, test_y = _read_xmatrix(resolved["test"], train.p)
-    if test_t is None or test_y is None:
-        raise DataError(f"{resolved['test']}: sensitivity test rows need t and y columns")
+    test = _read_test(resolved["test"], train.p, need_outcome=True)
+    test_x, test_t, test_y = test["x"], test["t"], test["y"]
     grid = (GammaGrid(resolved["gamma_grid"]) if resolved["gamma_grid"] is not None
             else GammaGrid.default())
     alpha = resolved["alpha"]
@@ -444,16 +407,14 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
                              alpha, kind, envelope, resolved["delta"])
         gamma_hat[mask] = scan_gamma_values(fn, x_side, t_obs, test_y[mask], thr, grid, null)
 
-    censored = np.isinf(gamma_hat)
-    rows = [[i + 1, int(test_t[i]), _cell(float(test_y[i])),
-             _cell(float(gamma_hat[i])), int(censored[i])] for i in range(n)]
-    out_dir = resolved["out_dir"]
-    _write_csv(os.path.join(out_dir, "gammas.csv"), _stamp(resolved, h),
-               ["row", "t", "y", "gamma_hat", "censored"], rows)
-    surv = [[_cell(float(g)), _cell(float(s))]
-            for g, s in zip(grid.values, survival_curve(gamma_hat, grid))]
-    _write_csv(os.path.join(out_dir, "survival.csv"), _stamp(resolved, h),
-               ["gamma", "survival"], surv)
+    out_dir, stamp = resolved["out_dir"], _stamp(resolved, h)
+    write_table(os.path.join(out_dir, "gammas.csv"), {
+        "row": np.arange(1, n + 1), "t": test_t, "y": test_y,
+        "gamma_hat": gamma_hat, "censored": np.isinf(gamma_hat),
+    }, stamp)
+    write_table(os.path.join(out_dir, "survival.csv"), {
+        "gamma": grid.values, "survival": survival_curve(gamma_hat, grid),
+    }, stamp)
     _write_manifest(resolved, h, "sensitivity",
                     ["gammas.csv", "manifest.json", "survival.csv"])
 
@@ -476,16 +437,14 @@ def cmd_worstcase(resolved: dict, h: str) -> None:
     d = _read_instance(resolved["instance"])
     queries = np.unique(resolved["at"] if resolved["at"] is not None else d.v)
     cdf = worst_cdf_marginal(d, queries)
-    out_dir = resolved["out_dir"]
+    out_dir, stamp = resolved["out_dir"], _stamp(resolved, h)
     outputs = ["cdf.csv", "manifest.json"]
-    _write_csv(os.path.join(out_dir, "cdf.csv"), _stamp(resolved, h),
-               ["t", "worst_cdf"], _cells(queries, cdf))
+    write_table(os.path.join(out_dir, "cdf.csv"), {"t": queries, "worst_cdf": cdf}, stamp)
     results = None
     if resolved["witness"]:
         wit = worst_witness_marginal(d)
-        _write_csv(os.path.join(out_dir, "witness.csv"), _stamp(resolved, h),
-                   ["v", "m", "lo", "hi", "w_star"],
-                   _cells(d.v, d.m, d.lo, d.hi, wit.w_star))
+        write_table(os.path.join(out_dir, "witness.csv"), {
+            "v": d.v, "m": d.m, "lo": d.lo, "hi": d.hi, "w_star": wit.w_star}, stamp)
         outputs.append("witness.csv")
         results = {"gamma_mix": wit.gamma_mix,
                    "t_star": None if math.isinf(wit.t_star) else wit.t_star}
@@ -493,44 +452,26 @@ def cmd_worstcase(resolved: dict, h: str) -> None:
 
 
 def cmd_simulate(resolved: dict, h: str) -> None:
-    cfg = SimConfig(
-        n_train=resolved["n_train"], n_calib=resolved["n_calib"],
-        n_test=resolved["n_test"], p=resolved["p"],
-        gamma_true=resolved["gamma_true"], arm=resolved["arm"],
-        population=resolved["population"], score=resolved["score"],
-        alphas=resolved["alphas"], delta=resolved["delta"],
-        procedure=resolved["procedure"], envelope=resolved["envelope"],
-        bounds=resolved["bounds"], gamma_bounds=resolved["gamma_bounds"],
-        effect_kind=resolved["effect_kind"], effect_a=resolved["effect_a"],
-        n_reps=resolved["n_reps"], seed=resolved["seed"],
-        n_eval_gap=resolved["n_eval_gap"], grid=resolved["grid"],
-    )
+    cfg = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
     threads = _n_threads(resolved)
     out_dir = resolved["out_dir"]
     if resolved["kind"] == "coverage":
         report = run_coverage_experiment(cfg, threads=threads)
-        rows = []
-        extras = [k for k in ("marginal_gap_mean", "pac_gap_mean", "lower_bound_l1_mean")
-                  if k in next(iter(report["per_alpha"].values()))]
-        for key in sorted(report["per_alpha"], key=float):
-            entry = report["per_alpha"][key]
-            rows.append([key, _cell(entry["coverage_mean"]), _cell(entry["coverage_q05"])]
-                        + [_cell(entry[k]) for k in extras])
-        _write_csv(os.path.join(out_dir, "coverage.csv"), _stamp(resolved, h),
-                   ["alpha", "coverage_mean", "coverage_q05"] + extras, rows)
+        per_alpha = report["per_alpha"]
+        alphas = sorted(per_alpha, key=float)
+        names = ["coverage_mean", "coverage_q05"] + [
+            k for k in ("marginal_gap_mean", "pac_gap_mean", "lower_bound_l1_mean")
+            if k in per_alpha[alphas[0]]]
+        columns = {"alpha": alphas, **{k: [per_alpha[a][k] for a in alphas] for k in names}}
         curve = "coverage.csv"
     else:
         report = run_sensitivity_experiment(cfg, threads=threads)
-        rows = [[_cell(g),
-                 _cell(report["alg1"]["survival_mean"][j]),
-                 _cell(report["alg2"]["survival_mean"][j]),
-                 _cell(report["alg1"]["fdp_max"][j]),
-                 _cell(report["alg2"]["fdp_max"][j])]
-                for j, g in enumerate(report["gamma_grid"])]
-        _write_csv(os.path.join(out_dir, "curves.csv"), _stamp(resolved, h),
-                   ["gamma", "survival_alg1", "survival_alg2", "fdp_alg1", "fdp_alg2"],
-                   rows)
+        alg1, alg2 = report["alg1"], report["alg2"]
+        columns = {"gamma": report["gamma_grid"],
+                   "survival_alg1": alg1["survival_mean"], "survival_alg2": alg2["survival_mean"],
+                   "fdp_alg1": alg1["fdp_max"], "fdp_alg2": alg2["fdp_max"]}
         curve = "curves.csv"
+    write_table(os.path.join(out_dir, curve), columns, _stamp(resolved, h))
     report["config_hash"] = h
     report["kind"] = resolved["kind"]
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:

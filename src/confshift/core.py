@@ -202,9 +202,24 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
-# Schema: header row with columns x1..xp (floats), t (0/1), y (float) and the
-# optional counterfactual pair y1, y0. Column order is free; '#'-prefixed
-# lines are skipped (output files carry a provenance comment up top).
+# Units files (train, calib, test) have one rule: a header row naming the
+# covariates x1..xp in any order, the treatment t (0 or 1), the outcome y and
+# the optional counterfactual pair y1, y0; any other column is an error. Train
+# and calib files need t and y, test files may leave them out. Every cell must
+# parse as a finite float. Blank and '#'-prefixed lines are skipped (output
+# files carry a provenance comment up top).
+#
+# Output cells: floats via repr (bit-exact on reading back), an empty cell for
+# a non-finite float, ints and bools as ints, strings as given.
+
+_OUTCOMES = ("t", "y", "y1", "y0")
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -220,15 +235,13 @@ class CsvTable:
         """Column ``col`` as floats; a cell that is not a finite number
         (nan and inf included) raises, naming the file, row and column."""
         j = self.header.index(col)
-        out = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            try:
-                out[i] = float(row[j])
-            except ValueError:
-                out[i] = math.nan
-            if not math.isfinite(out[i]):
-                raise DataError(f"{self.path} row {self.lines[i]}: column {col!r} "
-                                f"is not a finite number: {row[j]!r}")
+        cells = [row[j] for row in self.rows]
+        out = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{self.path} row {self.lines[i]}: column {col!r} "
+                            f"is not a finite number: {cells[i]!r}")
         return out
 
 
@@ -257,48 +270,79 @@ def read_table(path: str) -> CsvTable:
                     [no for no, _ in records[1:]])
 
 
-def read_dataset(path: str) -> Dataset:
-    """Read a dataset CSV, reporting the 1-based file line of any bad row."""
+def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
+    """Columns of a units file, keyed like the :class:`Dataset` arguments.
+
+    ``x`` is (n, p) in covariate order; ``t`` (ints), ``y``, ``y1`` and
+    ``y0`` are present when the file has them. With ``need_outcome`` the
+    file must carry ``t`` and ``y``.
+    """
     tab = read_table(path)
     header = tab.header
-    x_cols = sorted(
-        (c for c in header if c.startswith("x") and c[1:].isdigit()),
-        key=lambda c: int(c[1:]),
-    )
-    p = len(x_cols)
-    if p == 0 or [int(c[1:]) for c in x_cols] != list(range(1, p + 1)):
-        raise DataError(f"{path}: covariate columns must be x1..xp, got {x_cols}")
-    for required in ("t", "y"):
-        if required not in header:
-            raise DataError(f"{path}: missing required column {required!r}")
+    for c in header:
+        if header.count(c) > 1:
+            raise DataError(f"{path}: duplicate column {c!r}")
+    xs = [c for c in header if c[:1] == "x" and c[1:].isdigit()]
+    covariates = [f"x{j}" for j in range(1, len(xs) + 1)]
+    if not xs or set(xs) != set(covariates):
+        raise DataError(f"{path}: covariate columns must be x1..xp, got {xs}")
+    for c in header:
+        if c not in xs and c not in _OUTCOMES:
+            raise DataError(f"{path}: unknown column {c!r}")
+    for c in ("t", "y") if need_outcome else ():
+        if c not in header:
+            raise DataError(f"{path}: missing required column {c!r}")
     if ("y1" in header) != ("y0" in header):
         raise DataError(f"{path}: y1 and y0 must both be present or both absent")
-    j = header.index("t")
-    for record, ln in zip(tab.rows, tab.lines):
-        if record[j].strip() not in ("0", "1"):
-            raise DataError(f"{path} row {ln}: column 't' must be 0 or 1, "
-                            f"got {record[j].strip()!r}")
-    t = np.array([int(record[j]) for record in tab.rows])
-    x = np.column_stack([tab.floats(c) for c in x_cols])
-    cf = [tab.floats("y1"), tab.floats("y0")] if "y1" in header else [None, None]
+    cols = {"x": np.column_stack([tab.floats(c) for c in covariates])}
+    cols.update((c, tab.floats(c)) for c in _OUTCOMES if c in header)
+    if "t" in cols:
+        bad = (cols["t"] != 0) & (cols["t"] != 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{path} row {tab.lines[i]}: column 't' must be 0 or 1, "
+                            f"got {tab.rows[i][header.index('t')].strip()!r}")
+        cols["t"] = cols["t"].astype(int)
+    return cols
+
+
+def read_dataset(path: str) -> Dataset:
+    """Read a train or calib units file, which must carry t and y."""
     try:
-        return Dataset(x, t, tab.floats("y"), *cf)
+        return Dataset(**read_units(path, need_outcome=True))
     except ValidationError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_dataset(path: str, ds: Dataset, comment: str | None = None) -> None:
-    """Write a dataset CSV (floats via repr, so reading back is bit-exact)."""
-    header = [f"x{j + 1}" for j in range(ds.p)] + ["t", "y"]
-    if ds.y1 is not None and ds.y0 is not None:
-        header += ["y1", "y0"]
-    with open(path, "w", newline="") as fh:
+def write_table(path: str, columns: dict[str, np.ndarray], comment: str | None) -> None:
+    """Write equal-length 1-D columns as a CSV, after a '# comment' line.
+
+    Cells follow the output rule above; the csv module writes a Python float
+    with ``str``, which is its shortest round-trip ``repr``.
+    """
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        if col.dtype.kind == "f":
+            out = col.tolist()
+            for i in np.flatnonzero(~np.isfinite(col)).tolist():
+                out[i] = ""
+        elif col.dtype.kind in "biu":
+            out = col.astype(int).tolist()
+        else:
+            out = col.tolist()
+        cells.append(out)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.x[i]] + [str(int(ds.t[i])), repr(float(ds.y[i]))]
-            if ds.y1 is not None and ds.y0 is not None:
-                row += [repr(float(ds.y1[i])), repr(float(ds.y0[i]))]
-            writer.writerow(row)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def write_dataset(path: str, ds: Dataset, comment: str | None = None) -> None:
+    """Write a dataset CSV that :func:`read_dataset` reads back bit-exactly."""
+    columns = {f"x{j + 1}": ds.x[:, j] for j in range(ds.p)}
+    columns.update(t=ds.t, y=ds.y)
+    if ds.y1 is not None and ds.y0 is not None:
+        columns.update(y1=ds.y1, y0=ds.y0)
+    write_table(path, columns, comment)

@@ -127,11 +127,6 @@ class TargetSpec:
                 "covariate_shift must be provided iff population == 'general'"
             )
 
-    @property
-    def train_arm(self) -> int:
-        """Arm whose observed units form the training distribution."""
-        return self.arm
-
 
 @dataclass(frozen=True)
 class BoundPair:

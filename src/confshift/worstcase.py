@@ -226,11 +226,6 @@ class CausalDiscreteJoint:
         if np.any(np.abs(sums - 1.0) > _MASS_TOL):
             raise ValidationError("conditional masses must sum to 1 within each x")
 
-    @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Envelope kernel on the mass-weighted bounds, built on first use."""
-        return _envelope_sums(self.v, self.m * self.lo, self.m * self.hi)
-
     def _require_feasible(self) -> None:
         if np.any(self.l0 > 1.0 + _MASS_TOL) or np.any(self.u0 < 1.0 - _MASS_TOL):
             raise ValidationError(

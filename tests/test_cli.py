@@ -6,6 +6,7 @@ data, 3 bad configuration.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,8 +15,9 @@ import os
 import numpy as np
 import pytest
 
-from confshift.cli import main
+from confshift.cli import _TABLES, main
 from confshift.core import Dataset, write_dataset
+from confshift.simulate import SimConfig
 from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
 
 
@@ -310,6 +312,85 @@ def test_nonfinite_instance_atom_exits_2(tmp_path, capsys):
     assert main(["worstcase", "--instance", str(inst),
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "inst_nan.csv row 3: column 'v' is not a finite number" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# units-file column rule, the same for train and test files
+# ---------------------------------------------------------------------------
+
+
+def _rewrite_units(src, dst, header=None, edit=None) -> None:
+    """Copy a units CSV with its columns in ``header`` order (new ones filled
+    with 0), after ``edit(i, record)`` has changed the records it wants."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    records = [dict(zip(rows[0], r)) for r in rows[1:]]
+    if edit is not None:
+        for i, record in enumerate(records):
+            edit(i, record)
+    header = header or rows[0]
+    with open(dst, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([r.get(c, "0") for c in header] for r in records)
+
+
+def _units_file(corpus, role):
+    return corpus["train"] if role == "train" else corpus["obstest"]
+
+
+def _predict_with(corpus, out, role, path):
+    files = {"train": corpus["train"], "calib": corpus["calib"], "test": corpus["test"],
+             role: str(path)}
+    return main(["predict", "--train", files["train"], "--calib", files["calib"],
+                 "--test", files["test"], "--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("role", ["train", "test"])
+def test_units_covariates_in_any_order_and_float_t(corpus, tmp_path, role):
+    """Permuted columns and t written as 1.0/0.0 give the same intervals."""
+    moved = tmp_path / "moved.csv"
+    _rewrite_units(_units_file(corpus, role), moved, header=["y", "x2", "t", "x1"],
+                   edit=lambda i, r: r.update(t=r["t"] + ".0"))
+    assert _predict_with(corpus, tmp_path / "a", role, _units_file(corpus, role)) == 0
+    assert _predict_with(corpus, tmp_path / "b", role, moved) == 0
+    a, b = ((tmp_path / d / "intervals.csv").read_bytes().split(b"\n", 1)[1] for d in "ab")
+    assert a == b
+
+
+@pytest.mark.parametrize("role", ["train", "test"])
+def test_units_unknown_column_exits_2(corpus, tmp_path, capsys, role):
+    bad = tmp_path / "extra.csv"
+    _rewrite_units(_units_file(corpus, role), bad, header=["x1", "x2", "z", "t", "y"])
+    assert _predict_with(corpus, tmp_path / "o", role, bad) == 2
+    assert "extra.csv: unknown column 'z'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["train", "test"])
+@pytest.mark.parametrize("value", ["2", "nan"])
+def test_units_bad_treatment_exits_2(corpus, tmp_path, capsys, role, value):
+    bad = tmp_path / "bad_t.csv"
+    _rewrite_units(_units_file(corpus, role), bad,
+                   edit=lambda i, r: r.update(t=value) if i == 3 else None)
+    assert _predict_with(corpus, tmp_path / "o", role, bad) == 2
+    assert "bad_t.csv row 5: column 't'" in capsys.readouterr().err
+
+
+def test_written_dataset_with_counterfactuals_is_a_test_file(tmp_path):
+    """A write_dataset file carrying y1,y0 serves as --train and as --test."""
+    ds = _toy_dataset(60, seed=12)
+    full = Dataset(ds.x, ds.t, ds.y, np.where(ds.t == 1, ds.y, ds.y + 1.0),
+                   np.where(ds.t == 0, ds.y, ds.y - 1.0))
+    path = str(tmp_path / "full.csv")
+    write_dataset(path, full)
+    for command in ("predict", "sensitivity"):
+        strengths = "--gamma-grid" if command == "sensitivity" else "--gamma"
+        assert main([command, "--train", path, "--test", path, strengths, "1.0,1.5",
+                     "--k", "5", "--out-dir", str(tmp_path / command)]) == 0
+
+
+def test_every_sim_config_field_has_a_simulate_option():
+    assert {f.name for f in dataclasses.fields(SimConfig)} <= set(_TABLES["simulate"])
 
 
 # ---------------------------------------------------------------------------

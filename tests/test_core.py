@@ -1,9 +1,13 @@
 """Primitives: quantiles, datasets, splits, CSV round trips."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confshift import (
     DataError,
@@ -17,6 +21,7 @@ from confshift import (
     split,
     write_dataset,
 )
+from confshift.core import write_table
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,11 @@ def test_csv_schema_errors(tmp_path):
     with pytest.raises(DataError, match="x1..xp"):
         read_dataset(str(gap))
 
+    twice = tmp_path / "d.csv"
+    twice.write_text("x1,t,y,t\n0.5,1,1.0,0\n")
+    with pytest.raises(DataError, match="duplicate column 't'"):
+        read_dataset(str(twice))
+
     lonely_cf = tmp_path / "c.csv"
     lonely_cf.write_text("x1,t,y,y1\n0.5,1,1.0,1.0\n")
     with pytest.raises(DataError, match="y1 and y0"):
@@ -208,6 +218,63 @@ def test_csv_schema_errors(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         read_dataset(str(tmp_path / "nope.csv"))
+
+
+# Signed zeros, subnormals, the extremes and 17-significant-digit values.
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+    1.7976931348623157e308, 0.30000000000000004, -1.2345678901234567e-5,
+])
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 3), data=st.data())
+def test_written_units_read_back_bit_exact(n, p, data):
+    """write_dataset and a write_table in any column order both read back
+    through read_dataset to the same float64 bits."""
+    x = np.array(data.draw(st.lists(_FLOATS, min_size=n * p, max_size=n * p))).reshape(n, p)
+    t = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y1, y0 = (np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+              for _ in range(2))
+    ds = Dataset(x, t, np.where(t == 1, y1, y0), y1, y0)
+    columns = {f"x{j + 1}": x[:, j] for j in range(p)}
+    columns.update(t=t, y=ds.y, y1=y1, y0=y0)
+    order = data.draw(st.permutations(list(columns)))
+    with tempfile.TemporaryDirectory() as d:
+        a, b = os.path.join(d, "a.csv"), os.path.join(d, "b.csv")
+        write_dataset(a, ds, comment="round trip")
+        write_table(b, {c: columns[c] for c in order}, None)
+        backs = [read_dataset(a), read_dataset(b)]
+    for back in backs:
+        np.testing.assert_array_equal(back.t, ds.t)
+        for got, want in ((back.x, ds.x), (back.y, ds.y), (back.y1, y1), (back.y0, y0)):
+            assert _bits(got) == _bits(want)
+
+
+def test_write_table_cell_format(tmp_path):
+    path = tmp_path / "out.csv"
+    write_table(str(path), {
+        "i": np.array([1, 2, 3]),
+        "b": np.array([True, False, True]),
+        "f": np.array([np.inf, -np.inf, np.nan]),
+        "g": np.array([0.1, -0.0, 5e-324]),
+        "s": ["a", "b,c", "d"],
+    }, "stamp")
+    assert path.read_bytes() == (b"# stamp\ni,b,f,g,s\r\n1,1,,0.1,a\r\n"
+                                 b'2,0,,-0.0,"b,c"\r\n3,1,,5e-324,d\r\n')
+
+
+def test_write_dataset_writes_nonfinite_values_as_empty_cells(tmp_path):
+    path = tmp_path / "ds.csv"
+    write_dataset(str(path), Dataset([[np.inf], [-np.inf]], [1, 0], [np.nan, 2.5]))
+    assert path.read_text().splitlines() == ["x1,t,y", ",1,", ",0,2.5"]
+    with pytest.raises(DataError, match="row 2: column 'x1' is not a finite number: ''"):
+        read_dataset(str(path))
 
 
 def test_csv_skips_comment_lines(tmp_path):

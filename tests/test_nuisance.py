@@ -90,11 +90,6 @@ def test_target_spec_validation():
         TargetSpec(arm=1, population="ate", covariate_shift=lambda x: x)
 
 
-def test_train_arm_is_counterfactual_arm():
-    assert TargetSpec(arm=1, population="ate").train_arm == 1
-    assert TargetSpec(arm=0, population="att").train_arm == 0
-
-
 # ---------------------------------------------------------------------------
 # bound functions
 # ---------------------------------------------------------------------------
