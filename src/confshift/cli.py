@@ -133,7 +133,6 @@ _COMMON = {
     "config": _Opt(str, None, "flat key=value configuration file"),
     "out_dir": _Opt(str, ".", "directory for output files"),
     "seed": _Opt(_pint, 0, "base RNG seed"),
-    "threads": _Opt(_pint, None, "worker cap (default: CONFSHIFT_THREADS or all cores)"),
 }
 
 # Folds, levels and quantile model shared by predict and sensitivity.
@@ -177,6 +176,7 @@ _TABLES: dict[str, dict[str, _Opt]] = {
     },
     "simulate": {
         **_COMMON,
+        "threads": _Opt(_pint, None, "worker cap (default: CONFSHIFT_THREADS or all cores)"),
         "kind": _Opt(_pchoice("coverage", "sensitivity"), "coverage", "experiment family"),
         "n_train": _Opt(_pint, 1000, "target-arm units in the training fold"),
         "n_calib": _Opt(_pint, 500, "target-arm units in the calibration fold"),
@@ -265,8 +265,8 @@ def _config_hash(command: str, resolved: dict) -> str:
 
 def _n_threads(resolved: dict) -> int:
     """Worker cap: --threads, else CONFSHIFT_THREADS, else all cores."""
-    if resolved.get("threads") is not None:
-        threads, source = int(resolved["threads"]), "threads"
+    if resolved["threads"] is not None:
+        threads, source = resolved["threads"], "threads"
     else:
         env = os.environ.get("CONFSHIFT_THREADS")
         if env is None:
@@ -319,8 +319,6 @@ def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
     train = read_dataset(resolved["train"])
     if resolved["calib"] is not None:
         return train, read_dataset(resolved["calib"])
-    if not 0.0 < resolved["train_fraction"] < 1.0:
-        raise ConfigError("train_fraction must be in (0, 1)")
     return split(train, SplitSpec(resolved["train_fraction"], resolved["seed"]))
 
 
@@ -345,8 +343,6 @@ def _fit_nuisance(train: Dataset) -> tuple:
 def cmd_predict(resolved: dict, h: str) -> None:
     train, calib = _load_folds(resolved)
     arm, alpha = resolved["arm"], resolved["alpha"]
-    if arm not in (0, 1):
-        raise ConfigError(f"arm must be 0 or 1, got {arm}")
     x_test = _read_test(resolved["test"], train.p, need_outcome=False)["x"]
     target = TargetSpec(arm=arm, population=resolved["population"])
     prop, p1 = _fit_nuisance(train)
@@ -357,8 +353,6 @@ def cmd_predict(resolved: dict, h: str) -> None:
     v_cal = fn.score(calib_arm.x, calib_arm.y)
 
     gammas = sorted(resolved["gamma"])
-    if gammas[0] < 1.0:
-        raise ConfigError(f"gamma values must be >= 1, got {gammas[0]}")
     kind, envelope = resolved["method"]
     # One single-strength path per gamma: each gamma keeps its own alg2 scale M.
     thr = np.vstack([

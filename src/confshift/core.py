@@ -1,9 +1,9 @@
 """Shared data structures and deterministic primitives.
 
 Everything downstream (scores, calibration, experiments, CLI) builds on the
-pieces here: the array-backed :class:`Dataset`, deterministic splitting, the
-lower-quantile convention, seeded random generators, and CSV ingestion with
-row-level error reporting.
+pieces here: the array-backed :class:`Dataset`, deterministic splitting,
+seeded random generators, the cumulative-sum kernel behind every envelope,
+and CSV ingestion with row-level error reporting.
 
 Conventions
 -----------
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "ConfigError",
@@ -31,8 +30,6 @@ __all__ = [
     "Dataset",
     "SplitSpec",
     "ValidationError",
-    "normal_inv_cdf",
-    "quantile_inf",
     "read_dataset",
     "rng",
     "split",
@@ -58,40 +55,6 @@ class ConfigError(ValueError):
 def rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Seeded PCG64 generator; the only random source used by the package."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def normal_inv_cdf(q):
-    """Standard normal inverse CDF (scipy's ndtri, machine precision)."""
-    return ndtri(q)
-
-
-def quantile_inf(values: np.ndarray, q: float, weights: np.ndarray | None = None) -> float:
-    """Lower quantile inf{z : P(Z <= z) >= q} of a discrete distribution.
-
-    With ``weights`` the distribution puts mass ``weights/weights.sum()`` on
-    ``values``; without, equal mass. Returns ``+inf`` when the target level is
-    never reached (possible only for q > 1 up to slack).
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"quantile level must be in (0, 1], got {q}")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValidationError("quantile of an empty sample")
-    order = np.argsort(values, kind="stable")
-    if weights is None:
-        k = math.ceil(q * values.size - PROB_SLACK)
-        return float(values[order[max(k, 1) - 1]])
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != values.shape or np.any(weights < 0):
-        raise ValidationError("weights must be nonnegative and match values")
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValidationError("weights must have positive total mass")
-    cum = np.cumsum(weights[order]) / total
-    idx = int(np.searchsorted(cum, q - PROB_SLACK, side="left"))
-    if idx >= values.size:
-        return math.inf
-    return float(values[order[idx]])
 
 
 def _envelope_sums(v, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -95,34 +95,21 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def marginal_gap(
-    x_eval,
-    w_eval,
-    bounds: BoundPair,
-    q: float = math.inf,
-    n_calib: int | None = None,
-) -> float:
+def marginal_gap(x_eval, w_eval, bounds: BoundPair, n_calib: int | None = None) -> float:
     """Coverage-gap certificate for a (possibly misspecified) envelope.
 
     Empirical plug-in of
 
-        ||1/l||_q ( ||(l - w)_+||_p + ||(u - w)_-||_p
-                    + (1/n) ||w^{1/p} (u - w)_-||_p )
+        ||1/l||_inf ( ||(l - w)_+||_1 + ||(u - w)_-||_1
+                      + (1/n) ||w (u - w)_-||_1 )
 
-    over evaluation points with known true ratio ``w_eval``, with the dual
-    pairing (q, p) in {(inf, 1), (1, inf)}; the infinity norm is the max over
-    evaluation points, the 1-norm the mean. ``n_calib`` defaults to the
-    number of evaluation points.
+    over evaluation points with known true ratio ``w_eval``; the infinity
+    norm is the max over evaluation points, the 1-norm the mean.
+    ``n_calib`` defaults to the number of evaluation points.
     """
     w = np.asarray(w_eval, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("w_eval must be a nonempty 1-d array")
-    if q == math.inf:
-        p = 1.0
-    elif q == 1:
-        p = math.inf
-    else:
-        raise ValidationError(f"q must be 1 or inf, got {q}")
     n = w.size if n_calib is None else int(n_calib)
     if n < 1:
         raise ValidationError(f"n_calib must be >= 1, got {n_calib}")
@@ -132,10 +119,5 @@ def marginal_gap(
 
     under = np.maximum(l_hat - w, 0.0)   # (l - w)_+, lower bound too high
     over = np.maximum(w - u_hat, 0.0)    # (u - w)_-, upper bound too low
-    if p == 1.0:
-        terms = under.mean() + over.mean() + (w * over).mean() / n
-    else:
-        terms = under.max() + over.max() + over.max() / n  # w^{1/p} = 1 at p=inf
-    inv_l = 1.0 / l_hat
-    lead = inv_l.max() if q == math.inf else inv_l.mean()
-    return float(lead * terms)
+    terms = under.mean() + over.mean() + (w * over).mean() / n
+    return float((1.0 / l_hat).max() * terms)

@@ -47,7 +47,6 @@ from .nuisance import BoundPair
 __all__ = [
     "METHODS",
     "envelope_hoeffding",
-    "envelope_plugin",
     "envelope_wsr",
     "pac_gap",
     "pac_threshold",
@@ -129,10 +128,12 @@ def _wsr_lcb_rows(f: np.ndarray, delta: float, tol: float = _WSR_TOL) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def _summands(calib: CalibrationSet, t: float, m: float) -> tuple[np.ndarray, np.ndarray]:
-    below = calib.v <= t
-    f = np.where(below, calib.lo, 0.0) / m
-    h = 1.0 - np.where(below, 0.0, calib.hi) / m
+def _summands(calib: CalibrationSet, t: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """WSR summand rows at each threshold in ``t``, both (len(t), n):
+    f = 1{V <= t} l / M and h = 1 - 1{V > t} u / M."""
+    below = calib.v[None, :] <= t[:, None]
+    f = np.where(below, calib.lo / m, 0.0)
+    h = 1.0 - np.where(below, 0.0, calib.hi / m)
     return f, h
 
 
@@ -149,12 +150,6 @@ def _sum_envelope(calib: CalibrationSet, penalty: float) -> np.ndarray:
 
 def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
     return m * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def envelope_plugin(calib: CalibrationSet, t: float) -> float:
-    """Plug-in envelope max{mean(1{V<=t} l), 1 - mean(1{V>t} u)}, in [0, 1]."""
-    curve = _sum_envelope(calib, 0.0)
-    return min(float(curve[np.searchsorted(calib.vs, t, side="right")]), 1.0)
 
 
 def envelope_hoeffding(
@@ -181,9 +176,9 @@ def envelope_wsr(
     """
     _check_levels("wsr", delta)
     m = _check_m(calib, M)
-    f, h = _summands(calib, t, m)
-    g_l = _wsr_lcb_rows(f[None, :], delta)[0]
-    g_u = _wsr_lcb_rows(h[None, :], delta)[0]
+    f, h = _summands(calib, np.array([t], dtype=float), m)
+    g_l = _wsr_lcb_rows(f, delta)[0]
+    g_u = _wsr_lcb_rows(h, delta)[0]
     value = max(m * g_l, 1.0 - m + m * g_u)
     return min(max(value, 0.0), 1.0)
 
@@ -208,17 +203,12 @@ def _wsr_first_crossing(
     g0_u = (m - alpha) / m
     if g0_u <= 0.0:  # degenerate M <= alpha: u side trivially certifies
         return start
-    lo_n = calib.lo / m
-    hi_n = calib.hi / m
     for blk in range(start, n, _BLOCK):
-        tvals = vs[blk : blk + _BLOCK]
-        below = calib.v[None, :] <= tvals[:, None]
-        hit = np.zeros(tvals.shape[0], dtype=bool)
+        f, h = _summands(calib, vs[blk : blk + _BLOCK], m)
+        hit = np.zeros(f.shape[0], dtype=bool)
         if g0_l <= 1.0:
-            f = np.where(below, lo_n[None, :], 0.0)
             hit |= _log_wealth_max(f, _running_nu(f, delta), g0_l) >= thresh
         if g0_u <= 1.0:
-            h = 1.0 - np.where(below, 0.0, hi_n[None, :])
             hit |= _log_wealth_max(h, _running_nu(h, delta), g0_u) >= thresh
         if hit.any():
             return blk + int(np.argmax(hit))

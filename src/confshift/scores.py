@@ -9,8 +9,10 @@ Three score families are supported, all monotone transports of the outcome:
 
 The baseline quantile model is a k-nearest-neighbor empirical quantile:
 Euclidean distances, k = max(20, ceil(n/20)), distance ties all included,
-lower-quantile convention throughout. It is deliberately simple; anything
-exposing ``quantile(x, beta)`` that is monotone in beta can be swapped in.
+lower-quantile convention throughout. It is deliberately simple. A score
+asks its model for one thing, ``quantile(x, betas)``: an (n, len(betas))
+array of conditional quantiles per row of x, nondecreasing in beta. Any
+object with that method can stand in for the kNN model.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -26,18 +27,10 @@ from .core import ValidationError
 
 __all__ = [
     "KNNQuantileModel",
-    "QuantileModel",
     "ScoreFn",
     "default_k",
     "fit_quantile_model",
 ]
-
-
-class QuantileModel(Protocol):
-    def quantile(self, x: np.ndarray, beta) -> np.ndarray:
-        """Conditional beta-quantile per row of x; beta may be a scalar
-        (returns shape (n,)) or a sequence of levels (returns (n, len))."""
-        ...
 
 
 def default_k(n: int) -> int:
@@ -58,6 +51,8 @@ class KNNQuantileModel:
     clipped: bool = False
 
     def quantile(self, x: np.ndarray, beta) -> np.ndarray:
+        """Conditional beta-quantile per row of x; beta may be a scalar
+        (returns shape (n,)) or a sequence of levels (returns (n, len))."""
         betas = np.atleast_1d(np.asarray(beta, dtype=float))
         scalar = betas.shape == (1,) and np.ndim(beta) == 0
         if not ((betas > 0.0) & (betas <= 1.0)).all():
@@ -130,7 +125,7 @@ class ScoreFn:
     """A nonconformity score bound to a fitted quantile model and level alpha."""
 
     kind: str
-    model: QuantileModel
+    model: KNNQuantileModel
     alpha: float
 
     KINDS = ("cqr", "cqr_one_sided", "abs_residual")

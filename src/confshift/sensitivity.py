@@ -134,34 +134,30 @@ def survival_curve(gamma_hat, grid: GammaGrid) -> np.ndarray:
     return (gh[None, :] > np.asarray(grid.values)[:, None]).mean(axis=1)
 
 
-def fwer_estimate(gamma_hat, is_true_null, gamma_star: float) -> tuple[float, bool]:
+def fwer_estimate(gamma_hat, is_true_null, gamma_star: float) -> float:
     """Fraction of true-null units falsely rejected at strength gamma_star.
 
     A unit counts when its effect lies in C (caller labels truths) and its
-    sensitivity value exceeds gamma_star. Returns (rate, any_null); with no
-    true nulls the rate is 0 and the flag False.
+    sensitivity value exceeds gamma_star; with no true nulls the rate is 0.
     """
     gh = np.asarray(gamma_hat, dtype=float)
     nulls = np.asarray(is_true_null, dtype=bool)
     if nulls.shape != gh.shape:
         raise ValidationError("labels and values must align")
-    if not nulls.any():
-        return 0.0, False
-    return float(np.mean(nulls & (gh > gamma_star))), True
+    return float(np.mean(nulls & (gh > gamma_star)))
 
 
-def fdp_curve(gamma_hat, ites, grid: GammaGrid, null: NullSpec | None = None) -> np.ndarray:
+def fdp_curve(gamma_hat, ites, grid: GammaGrid) -> np.ndarray:
     """False discovery proportion along the grid, 0/0 read as 0.
 
     At each grid Gamma the discoveries are units with Gamma-hat > Gamma; the
-    false ones have their realized effect inside C (default C = (-inf, 0]).
+    false ones have a realized effect ``ites <= 0``, the null C = (-inf, 0].
     """
-    null = null if null is not None else NullSpec(kind="le", a=0.0)
     gh = np.asarray(gamma_hat, dtype=float)
     ites = np.asarray(ites, dtype=float)
     if ites.shape != gh.shape:
         raise ValidationError("ites and values must align")
-    false = null.contains(ites)
+    false = ites <= 0.0
     rejected = gh[None, :] > np.asarray(grid.values)[:, None]
     k = rejected.sum(axis=1)
     return np.where(k > 0, (rejected & false).sum(axis=1) / np.maximum(k, 1), 0.0)

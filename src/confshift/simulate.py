@@ -29,14 +29,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
-from .core import ValidationError, normal_inv_cdf, rng
+from .core import ValidationError, rng
 from .marginal import CalibrationSet, marginal_gap, robust_threshold_many
 from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity
 # pac_threshold is not called here; it stays bound because the benchmark's
@@ -52,10 +52,8 @@ __all__ = [
     "SuperPopDraw",
     "TruePropensity",
     "beta_vector",
-    "gen_semisynthetic",
     "gen_superpop",
     "oracle_bound_pair",
-    "propensity_threshold",
     "run_coverage_experiment",
     "run_sensitivity_experiment",
     "true_likelihood_ratio",
@@ -85,14 +83,7 @@ def _two_regime(e: np.ndarray, gamma: float, scale) -> tuple[np.ndarray, np.ndar
     high = e / (e + (1.0 - e) / gamma)
     span = high - low
     rho = np.where(span > 0, (e - low) / np.where(span > 0, span, 1.0), 0.5)
-    return low, high, scale * normal_inv_cdf((1.0 + rho) / 2.0)
-
-
-def propensity_threshold(x: np.ndarray, gamma: float, p: int | None = None) -> np.ndarray:
-    """Cutoff t(x) making the two-regime propensity average to e(x)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    e = expit(x @ beta_vector(p if p is not None else x.shape[1]))
-    return _two_regime(e, gamma, _sigma(x))[2]
+    return low, high, scale * ndtri((1.0 + rho) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -193,14 +184,14 @@ def oracle_bound_pair(target: TargetSpec, gamma: float, p: int) -> BoundPair:
     return bound_functions(target, gamma, TruePropensity(p), true_treated_fraction(p))
 
 
-def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec, p1: float | None = None) -> np.ndarray:
+def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
     """Exact target/training density ratio at every unit of ``draw``.
 
     Derived from Bayes' rule on the latent propensity: conditioning the
     outcome law on T = t tilts it by e(x,u)/e(x) (or the complement), so all
     eight (arm, population) combinations reduce to functions of e(x, u).
     """
-    p1 = true_treated_fraction(draw.x.shape[1]) if p1 is None else p1
+    p1 = true_treated_fraction(draw.x.shape[1])
     p0 = 1.0 - p1
     exu = draw.e_xu
     arm, pop = target.arm, target.population
@@ -499,7 +490,7 @@ def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
     for key in ("alg1", "alg2"):
         fwer, fdp_max, surv = [], np.zeros(len(grid)), np.zeros(len(grid))
         for rep in reps:
-            fwer.append(fwer_estimate(rep[key], rep["ite"] <= 0.0, cfg.gamma_true)[0])
+            fwer.append(fwer_estimate(rep[key], rep["ite"] <= 0.0, cfg.gamma_true))
             fdp_max = np.maximum(fdp_max, fdp_curve(rep[key], rep["ite"], grid))
             surv += survival_curve(rep[key], grid)
         report[key] = {
@@ -510,46 +501,3 @@ def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
             "survival_mean": [float(v / cfg.n_reps) for v in surv],
         }
     return report
-
-
-# ---------------------------------------------------------------------------
-# Semi-synthetic generator
-# ---------------------------------------------------------------------------
-
-
-def gen_semisynthetic(
-    x,
-    t,
-    y,
-    gamma: float,
-    effect: Callable[[np.ndarray], np.ndarray] | None = None,
-    noise_sd: float = 0.2,
-    seed: int = 0,
-) -> SuperPopDraw:
-    """Synthetic outcomes on real covariates, confounded like the main DGP.
-
-    Fits a propensity model and a control-arm median model on the given
-    observational sample, then rebuilds a fully known super-population:
-    Y(0) = mu0(x) + U with U ~ N(0, noise_sd^2), Y(1) = Y(0) + effect(x),
-    and treatment drawn from the two-regime rule around the fitted e(x).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=int)
-    y = np.asarray(y, dtype=float)
-    if not 1.0 <= gamma < math.inf:
-        raise ValidationError(f"gamma must be finite and >= 1, got {gamma}")
-    prop = fit_propensity(x, t)
-    control = t == 0
-    if not control.any() or control.all():
-        raise ValidationError("degenerate-treatment: need both arms")
-    mu0 = fit_quantile_model(x[control], y[control]).quantile(x, 0.5)
-    tau = np.zeros(x.shape[0]) if effect is None else np.asarray(effect(x), dtype=float)
-
-    r = rng(seed)
-    u = r.standard_normal(x.shape[0]) * noise_sd
-    e = prop.predict(x)
-    low, high, cut = _two_regime(e, gamma, noise_sd)
-    e_xu = np.where(np.abs(u) > cut, low, high)
-    t_new = (r.uniform(size=x.shape[0]) < e_xu).astype(int)
-    y0 = mu0 + u
-    return SuperPopDraw(x=x, u=u, t=t_new, y0=y0, y1=y0 + tau, e_x=e, e_xu=e_xu)

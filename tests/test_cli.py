@@ -162,6 +162,19 @@ def test_predict_split_calibration_without_calib_file(corpus, tmp_path):
     assert len(rows) == 12
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--arm", "2"], "arm must be 0 or 1, got 2"),
+    (["--gamma", "0.5"], "gamma must be finite and >= 1, got 0.5"),
+    (["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
+])
+def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    assert main(["predict", "--train", corpus["train"], "--test", corpus["test"],
+                 *flags, "--out-dir", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "intervals.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # configuration file handling
 # ---------------------------------------------------------------------------
@@ -594,6 +607,15 @@ def test_simulate_nonpositive_threads_exit_3(tmp_path, monkeypatch, capsys, sour
     err = capsys.readouterr().err
     assert f"must be >= 1, got {value}" in err
     assert ("CONFSHIFT_THREADS" in err) == (source == "env")
+
+
+def test_threads_is_a_simulate_only_option(corpus, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run_predict(corpus, tmp_path / "o", "--threads", "1")
+    assert exc.value.code == 3
+    assert [c for c in _TABLES if "threads" in _TABLES[c]] == ["simulate"]
+    assert _run_predict(corpus, tmp_path / "run") == 0
+    assert "threads" not in _manifest(tmp_path / "run")["config"]
 
 
 # ---------------------------------------------------------------------------

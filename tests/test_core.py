@@ -1,6 +1,5 @@
-"""Primitives: quantiles, datasets, splits, CSV round trips."""
+"""Primitives: seeding, datasets, splits, CSV round trips."""
 
-import math
 import os
 import tempfile
 
@@ -14,84 +13,12 @@ from confshift import (
     Dataset,
     SplitSpec,
     ValidationError,
-    normal_inv_cdf,
-    quantile_inf,
     read_dataset,
     rng,
     split,
     write_dataset,
 )
 from confshift.core import write_table
-
-
-# ---------------------------------------------------------------------------
-# quantile_inf
-# ---------------------------------------------------------------------------
-
-
-def test_quantile_unweighted_hand_values():
-    v = np.array([3.0, 1.0, 4.0, 1.5, 5.0])
-    assert quantile_inf(v, 0.2) == 1.0
-    assert quantile_inf(v, 0.6) == 3.0
-    assert quantile_inf(v, 0.8) == 4.0
-    assert quantile_inf(v, 1.0) == 5.0
-    # tiny level still returns the minimum, not an empty set
-    assert quantile_inf(v, 1e-9) == 1.0
-
-
-def test_quantile_weighted_hand_values():
-    v = np.array([1.0, 2.0, 3.0])
-    w = np.array([1.0, 1.0, 2.0])
-    assert quantile_inf(v, 0.25, w) == 1.0
-    assert quantile_inf(v, 0.5, w) == 2.0
-    assert quantile_inf(v, 0.75, w) == 3.0
-    assert quantile_inf(v, 1.0, w) == 3.0
-
-
-def test_quantile_boundary_levels_insensitive_to_roundoff():
-    # exact mass boundaries must not flip to the next atom through float noise
-    v = np.arange(10.0)
-    assert quantile_inf(v, 0.3) == 2.0
-    w = np.full(10, 0.1)
-    assert quantile_inf(v, 0.3, w) == 2.0
-
-
-def test_quantile_infinite_atom_passes_through():
-    v = np.array([1.0, 2.0, math.inf])
-    w = np.array([0.3, 0.3, 0.4])
-    assert quantile_inf(v, 0.5, w) == 2.0
-    assert quantile_inf(v, 0.7, w) == math.inf
-
-
-def test_quantile_validation():
-    with pytest.raises(ValidationError):
-        quantile_inf(np.array([1.0]), 0.0)
-    with pytest.raises(ValidationError):
-        quantile_inf(np.array([1.0]), 1.5)
-    with pytest.raises(ValidationError):
-        quantile_inf(np.array([]), 0.5)
-    with pytest.raises(ValidationError):
-        quantile_inf(np.array([1.0, 2.0]), 0.5, np.array([1.0, -1.0]))
-    with pytest.raises(ValidationError):
-        quantile_inf(np.array([1.0, 2.0]), 0.5, np.array([0.0, 0.0]))
-
-
-def test_quantile_matches_bruteforce_scan():
-    r = rng(7)
-    for _ in range(50):
-        n = int(r.integers(1, 40))
-        v = np.round(r.normal(size=n), 3)
-        w = r.uniform(0.1, 2.0, size=n)
-        q = float(r.uniform(0.01, 1.0))
-        order = np.argsort(v, kind="stable")
-        cum = np.cumsum(w[order]) / w.sum()
-        want = v[order][np.searchsorted(cum, q - 1e-12)]
-        assert quantile_inf(v, q, w) == want
-
-
-def test_normal_inv_cdf_known_points():
-    assert normal_inv_cdf(0.5) == 0.0
-    np.testing.assert_allclose(normal_inv_cdf(0.975), 1.959963984540054, rtol=1e-12)
 
 
 def test_rng_reproducible():

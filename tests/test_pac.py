@@ -11,7 +11,6 @@ from confshift import (
     CalibrationSet,
     ValidationError,
     envelope_hoeffding,
-    envelope_plugin,
     envelope_wsr,
     pac_gap,
     pac_threshold,
@@ -21,6 +20,14 @@ from confshift import (
 from confshift.nuisance import BoundPair
 
 LEVEL_SLACK = 1e-12
+
+
+def envelope_plugin(calib, t):
+    """Scalar reference: the plug-in envelope
+    max{mean(1{V<=t} l), 1 - mean(1{V>t} u)}, clamped to [0, 1]."""
+    below = calib.v <= t
+    value = max(calib.lo[below].sum(), calib.n - calib.hi[~below].sum()) / calib.n
+    return min(max(value, 0.0), 1.0)
 
 
 def _envelope_curve(method, calib, delta):

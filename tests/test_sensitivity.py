@@ -281,11 +281,9 @@ def test_survival_monotone_nonincreasing():
 def test_fwer_estimate_strict_exceedance():
     values = [_gv(1.5), _gv(2.0), _gv(1.0), _gv(math.inf)]
     nulls = [True, True, False, True]
-    rate, any_null = fwer_estimate(values, nulls, gamma_star=1.5)
     # strict: the 1.5 value does not exceed 1.5; 2.0 and inf do
-    assert any_null and rate == 0.5
-    rate, any_null = fwer_estimate(values, [False] * 4, gamma_star=1.5)
-    assert rate == 0.0 and not any_null
+    assert fwer_estimate(values, nulls, gamma_star=1.5) == 0.5
+    assert fwer_estimate(values, [False] * 4, gamma_star=1.5) == 0.0
     with pytest.raises(ValidationError):
         fwer_estimate(values, [True], 1.5)
 

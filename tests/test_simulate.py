@@ -14,10 +14,8 @@ from confshift import (
     ValidationError,
     beta_vector,
     bound_functions,
-    gen_semisynthetic,
     gen_superpop,
     oracle_bound_pair,
-    propensity_threshold,
     rng,
     robust_threshold_many,
     run_coverage_experiment,
@@ -49,7 +47,6 @@ def test_two_regime_propensity_averages_to_marginal():
     for gamma in (1.0, 1.5, 2.0, 4.0):
         low, high, cut = _two_regime(e, gamma, sig)
         assert (low <= e + 1e-15).all() and (e <= high + 1e-15).all()
-        np.testing.assert_array_equal(cut, propensity_threshold(x, gamma))
         p_inside = 2.0 * ndtr(cut / sig) - 1.0
         mean_exu = low * (1.0 - p_inside) + high * p_inside
         np.testing.assert_allclose(mean_exu, e, rtol=0, atol=1e-12)
@@ -311,29 +308,3 @@ def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
     # built-in families the widest (last) triple already holds it.
     widest = max(a.max() for a in envelopes[-1])
     assert max(a.max() for env in envelopes for a in env) == widest
-
-
-# ---------------------------------------------------------------------------
-# semi-synthetic
-# ---------------------------------------------------------------------------
-
-
-def test_semisynthetic_rebuild():
-    base = gen_superpop(300, 3, 1.0, rng(67))
-    out1 = gen_semisynthetic(
-        base.x, base.t, base.y_obs, gamma=1.5,
-        effect=lambda x: x[:, 0], seed=5,
-    )
-    out2 = gen_semisynthetic(
-        base.x, base.t, base.y_obs, gamma=1.5,
-        effect=lambda x: x[:, 0], seed=5,
-    )
-    np.testing.assert_array_equal(out1.t, out2.t)
-    np.testing.assert_array_equal(out1.y0, out2.y0)
-    np.testing.assert_allclose(out1.y1 - out1.y0, base.x[:, 0], rtol=0, atol=1e-12)
-    low, high, _ = _two_regime(out1.e_x, 1.5, 1.0)
-    assert (np.isclose(out1.e_xu, low) | np.isclose(out1.e_xu, high)).all()
-    with pytest.raises(ValidationError):
-        gen_semisynthetic(base.x, base.t, base.y_obs, gamma=0.5)
-    with pytest.raises(ValidationError):
-        gen_semisynthetic(base.x, np.ones_like(base.t), base.y_obs, gamma=1.5)
