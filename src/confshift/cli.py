@@ -103,6 +103,24 @@ def _pfloats(s: str) -> tuple[float, ...]:
     return vals
 
 
+def _parm(s: str) -> int:
+    arm = int(s)
+    if arm not in (0, 1):
+        raise ValueError(f"arm must be 0 or 1, got {arm}")
+    return arm
+
+
+def _pgammas(s: str) -> tuple[float, ...]:
+    vals = _pfloats(s)
+    if min(vals) < 1.0:
+        raise ValueError(f"gamma must be finite and >= 1, got {min(vals)}")
+    return vals
+
+
+def _pgrid(s: str) -> tuple[float, ...]:
+    return GammaGrid(_pfloats(s)).values
+
+
 def _pchoice(*choices: str) -> Callable[[str], str]:
     def parse(s: str) -> str:
         if s not in choices:
@@ -154,8 +172,8 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         **_COMMON,
         **_FOLDS,
         "test": _Opt(str, _REQUIRED, "test CSV (x1..xp[,t,y])"),
-        "gamma": _Opt(_pfloats, (1.0,), "selection strengths, comma separated"),
-        "arm": _Opt(_pint, 1, "counterfactual arm (0 or 1)"),
+        "gamma": _Opt(_pgammas, (1.0,), "selection strengths, comma separated"),
+        "arm": _Opt(_parm, 1, "counterfactual arm (0 or 1)"),
         "population": _Opt(_POP, "ate", "target population"),
         "score": _Opt(_SCORE, "cqr", "nonconformity score kind"),
     },
@@ -163,7 +181,7 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         **_COMMON,
         **_FOLDS,
         "test": _Opt(str, _REQUIRED, "test CSV with observed t,y"),
-        "gamma_grid": _Opt(_pfloats, None, "grid of strengths; default 1..26"),
+        "gamma_grid": _Opt(_pgrid, None, "grid of strengths; default 1..26"),
         "score": _Opt(_SCORE, "cqr_one_sided", "nonconformity score kind"),
         "null_kind": _Opt(_pchoice("point", "le", "ge"), "le", "shape of the effect null set C"),
         "null_a": _Opt(_pfloat, 0.0, "boundary of C"),
@@ -183,7 +201,7 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         "n_test": _Opt(_pint, 1, "test units per replication"),
         "p": _Opt(_pint, 4, "covariate dimension"),
         "gamma_true": _Opt(_pfloat, 1.0, "latent confounding strength"),
-        "arm": _Opt(_pint, 1, "counterfactual arm"),
+        "arm": _Opt(_parm, 1, "counterfactual arm (0 or 1)"),
         "population": _Opt(_POP, "ate", "target population"),
         "score": _Opt(_SCORE, "cqr", "nonconformity score kind"),
         "alphas": _Opt(_pfloats, (0.2,), "miscoverage levels"),

@@ -40,6 +40,10 @@ __all__ = [
 
 POPULATIONS = ("ate", "att", "atc", "general")
 
+_CLIP = (0.01, 0.99)  # range of the clipped propensity predictions
+_TOL = 1e-8
+_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class PropensityModel:
@@ -47,27 +51,20 @@ class PropensityModel:
 
     coef: np.ndarray
     intercept: float
-    clip: tuple[float, float] = (0.01, 0.99)
     converged: bool = True
     n_iter: int = 0
 
     def predict(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         e = expit(self.intercept + x @ self.coef)
-        return np.clip(e, self.clip[0], self.clip[1])
+        return np.clip(e, *_CLIP)
 
 
-def fit_propensity(
-    x,
-    t,
-    clip: tuple[float, float] = (0.01, 0.99),
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> PropensityModel:
+def fit_propensity(x, t) -> PropensityModel:
     """Logistic regression with intercept via Newton-Raphson.
 
-    Stops when the gradient's Euclidean norm drops below ``tol`` or after
-    ``max_iter`` iterations. Separable data make the coefficients diverge;
+    Stops when the gradient's Euclidean norm drops below ``_TOL`` or after
+    ``_MAX_ITER`` iterations. Separable data make the coefficients diverge;
     iteration then either hits the cap (``converged=False``) or stalls once
     the probabilities saturate, and prediction clipping keeps e(x) usable
     either way. A single-arm sample is an error ("degenerate-treatment").
@@ -78,17 +75,15 @@ def fit_propensity(
         raise ValidationError("x and t lengths differ")
     if t.min() == t.max():
         raise ValidationError("degenerate-treatment: single-arm sample")
-    if not 0.0 < clip[0] < clip[1] < 1.0:
-        raise ValidationError(f"invalid clip range {clip}")
 
     design = np.column_stack([np.ones(x.shape[0]), x])
     beta = np.zeros(design.shape[1])
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         prob = expit(design @ beta)
         grad = design.T @ (t - prob)
-        if float(np.linalg.norm(grad)) < tol:
+        if float(np.linalg.norm(grad)) < _TOL:
             converged = True
             break
         w = prob * (1.0 - prob)
@@ -96,13 +91,8 @@ def fit_propensity(
         # Tiny ridge keeps the solve well-posed when probabilities saturate.
         hess[np.diag_indices_from(hess)] += 1e-10
         beta = beta + np.linalg.solve(hess, grad)
-    return PropensityModel(
-        coef=beta[1:].copy(),
-        intercept=float(beta[0]),
-        clip=clip,
-        converged=converged,
-        n_iter=it,
-    )
+    return PropensityModel(coef=beta[1:].copy(), intercept=float(beta[0]),
+                           converged=converged, n_iter=it)
 
 
 @dataclass(frozen=True)

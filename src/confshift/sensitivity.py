@@ -48,9 +48,6 @@ class Interval:
     def empty(self):
         return self.lo > self.hi
 
-    def contains(self, value):
-        return (self.lo <= value) & (value <= self.hi)
-
 
 @dataclass(frozen=True)
 class GammaGrid:
@@ -73,10 +70,6 @@ class GammaGrid:
         fine = np.round(np.arange(1.0, 5.0 + 1e-9, 0.05), 10)
         coarse = np.arange(6.0, 26.0, 1.0)
         return cls(values=tuple(np.concatenate([fine, coarse])))
-
-    @property
-    def max(self) -> float:
-        return self.values[-1]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -101,15 +94,11 @@ class NullSpec:
         return Interval(-math.inf if self.kind == "le" else self.a,
                         math.inf if self.kind == "ge" else self.a)
 
-    def contains(self, value):
-        """Is the effect in C? Elementwise over an array of effects."""
-        return self.region.contains(value)
-
     def disjoint(self, interval: Interval):
         """Does the closed interval miss C? True for an empty interval;
         elementwise over array endpoints."""
         c = self.region
-        return (interval.lo > interval.hi) | (interval.lo > c.hi) | (interval.hi < c.lo)
+        return interval.empty | (interval.lo > c.hi) | (interval.hi < c.lo)
 
 
 def ite_set_one_missing(t_obs: int, y_obs, cf: Interval) -> Interval:

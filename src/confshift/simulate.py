@@ -102,10 +102,6 @@ class SuperPopDraw:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def y_obs(self) -> np.ndarray:
-        return np.where(self.t == 1, self.y1, self.y0)
-
     def take(self, idx) -> "SuperPopDraw":
         return SuperPopDraw(
             x=self.x[idx], u=self.u[idx], t=self.t[idx], y0=self.y0[idx],
@@ -257,6 +253,8 @@ class SimConfig:
             gamma = getattr(self, name)
             if gamma is not None and not 1.0 <= gamma < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 1, got {gamma}")
+        # An arm outside {0, 1} would leave the arm-unit pool drawing forever.
+        self.target()
 
     def target(self) -> TargetSpec:
         return TargetSpec(arm=self.arm, population=self.population)
@@ -332,22 +330,20 @@ def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
     all units the one PAC threshold of :func:`pac_threshold_path`, with its
     default envelope scale M (the largest bound over all triples).
 
-    Repair policy, the one place it is set: thresholds take a running max
-    along the strengths, so intervals are nested and rejections form an
-    initial segment of the grid; :func:`gamma_values_from_rejections` then
-    stops each unit's scan at its first non-rejection. For the built-in bound
-    families the alg1 repair changes nothing (the bounds widen with the
-    strength), and the alg2 path is already repaired.
+    Nestedness is repaired in one place, the scan:
+    :func:`gamma_values_from_rejections` stops each unit at its first
+    non-rejection. Disjointness from C only weakens as a threshold grows, so
+    a running max of these thresholds along the strengths would give the same
+    sensitivity values. The built-in bound families widen with the strength
+    anyway, and the alg2 path is nondecreasing by construction.
     """
     if procedure == "alg1":
-        thr = np.array([robust_threshold_many(v_cal, lo, hi, alpha, ht)
-                        for lo, hi, ht in envelopes])
-    else:
-        calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
-                  for lo, hi, ht in envelopes]
-        path = pac_threshold_path(calibs, alpha, delta, envelope)
-        thr = np.repeat(path[:, None], len(envelopes[0][2]), axis=1)
-    return np.maximum.accumulate(thr, axis=0)
+        return np.array([robust_threshold_many(v_cal, lo, hi, alpha, ht)
+                         for lo, hi, ht in envelopes])
+    calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
+              for lo, hi, ht in envelopes]
+    path = pac_threshold_path(calibs, alpha, delta, envelope)
+    return np.repeat(path[:, None], len(envelopes[0][2]), axis=1)
 
 
 def scan_gamma_values(fn: ScoreFn, x: np.ndarray, t_obs: int, y: np.ndarray,
@@ -385,23 +381,25 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     bounds = _bound_family(cfg, train)(gamma_b)
     envelopes = [bounds(calib_arm.x) + (bounds.upper(test.x),)]
 
+    # The gap certificates depend on the bounds, not on alpha.
+    gaps: dict = {}
+    if cfg.n_eval_gap > 0:
+        ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)
+        ev = ev.take(np.nonzero(ev.t == arm)[0])
+        w = true_likelihood_ratio(ev, cfg.target())
+        lo_true, _ = oracle_bound_pair(cfg.target(), gamma_b, cfg.p)(ev.x)
+        lo_est, _ = bounds(ev.x)
+        gaps = {"marginal_gap": marginal_gap(ev.x, w, bounds, n_calib=cfg.n_calib),
+                "pac_gap": pac_gap(ev.x, w, bounds),
+                "lower_bound_l1": float(np.abs(lo_est - lo_true).mean())}
+
     out: dict = {}
     for alpha in cfg.alphas:
         fn = ScoreFn(kind=cfg.score, model=model, alpha=alpha)
         v_cal = fn.score(calib_arm.x, calib_arm.outcome(arm))
         v_test = fn.score(test.x, test.outcome(arm))
         thr = threshold_path(v_cal, envelopes, alpha, cfg.procedure, cfg.envelope, cfg.delta)[0]
-        rec = {"coverage": float(np.mean(v_test <= thr))}
-        if cfg.n_eval_gap > 0:
-            ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)
-            ev = ev.take(np.nonzero(ev.t == arm)[0])
-            w = true_likelihood_ratio(ev, cfg.target())
-            rec["marginal_gap"] = marginal_gap(ev.x, w, bounds, n_calib=cfg.n_calib)
-            rec["pac_gap"] = pac_gap(ev.x, w, bounds)
-            lo_true, _ = oracle_bound_pair(cfg.target(), gamma_b, cfg.p)(ev.x)
-            lo_est, _ = bounds(ev.x)
-            rec["lower_bound_l1"] = float(np.abs(lo_est - lo_true).mean())
-        out[_akey(alpha)] = rec
+        out[_akey(alpha)] = {"coverage": float(np.mean(v_test <= thr)), **gaps}
     return out
 
 
@@ -414,7 +412,8 @@ def run_coverage_experiment(cfg: SimConfig, threads: int = 1) -> dict:
 
     Per alpha: per-rep empirical coverage (one indicator when n_test = 1),
     the mean, the 0.05 replication quantile, and when requested the averaged
-    gap certificates.
+    gap certificates, which are the same for every alpha: each replication
+    draws its evaluation units once.
     """
     reps = _run_reps(_coverage_rep, cfg, threads)
     report: dict = {"n_reps": cfg.n_reps, "seed": cfg.seed, "per_alpha": {}}

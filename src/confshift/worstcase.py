@@ -7,9 +7,11 @@ the minimal attainable CDF has the closed form
 
 attained by a witness ratio that switches from l to u at a single pivot
 score (mixing at the pivot atom when needed). The x-conditional (causal)
-variant constrains the ratio envelope per covariate value and tightens F*:
-within each x the least-favorable ratio switches at the conditional
-tau-quantile of the scores, tau(x) = (u0 - 1) / (u0 - l0).
+variant constrains the ratio envelope per covariate value and tightens F*.
+Its witness is the pooled witness applied inside each x cell, to that cell's
+conditional scores under the constant envelope [l0(x), u0(x)], and scaled by
+the covariate ratio f(x); so within each x the least-favorable ratio switches
+at the conditional tau-quantile of the scores, tau(x) = (u0 - 1) / (u0 - l0).
 
 An independent greedy fractional-knapsack LP oracle is kept alongside the
 closed forms; the equivalence on random instances is part of the acceptance
@@ -226,14 +228,6 @@ class CausalDiscreteJoint:
         if np.any(np.abs(sums - 1.0) > _MASS_TOL):
             raise ValidationError("conditional masses must sum to 1 within each x")
 
-    def _require_feasible(self) -> None:
-        if np.any(self.l0 > 1.0 + _MASS_TOL) or np.any(self.u0 < 1.0 - _MASS_TOL):
-            raise ValidationError(
-                "empty-identification-set: need l0 <= 1 <= u0 for every x"
-            )
-        if np.any(self.u0 < self.l0):
-            raise ValidationError("bounds must satisfy l0 <= u0")
-
 
 @dataclass(frozen=True)
 class CausalWitness:
@@ -247,50 +241,26 @@ class CausalWitness:
 def causal_witness(d: CausalDiscreteJoint) -> CausalWitness:
     """Least-favorable conditional ratio for the x-wise envelope.
 
-    Within each x the ratio is f(x) (l0 below the conditional tau-quantile,
-    u0 above, gamma0 at the quantile atom), tau = (u0 - 1)/(u0 - l0); gamma0
-    solves the unit conditional mean and must land in [l0, u0] on feasible
-    inputs (violations indicate a bug, not bad data). Zero-mass quantile
-    atoms cannot occur discretely except for tau = 0, where the quantile is
-    -inf and every atom sits above it.
+    Within each x the ratio is f(x) times the pooled witness of that x's
+    conditional scores under the constant envelope [l0, u0]: l0 below the
+    conditional tau-quantile q, u0 above, gamma0 at the quantile atom, with
+    tau = (u0 - 1)/(u0 - l0). The cell's :class:`DiscreteJoint` and
+    :func:`worst_witness_marginal` check 0 <= l0 <= u0 and l0 <= 1 <= u0. When
+    u0 = 1 every atom sits above the pivot, q = -inf and gamma0 = l0.
     """
-    d._require_feasible()
     k = d.xm.shape[0]
     q = np.empty(k)
     gamma0 = np.empty(k)
     w_star = np.empty_like(d.atom_v)
     for g in range(k):
         sel = d.atom_x == g
-        v = d.atom_v[sel]
-        cm = d.atom_cm[sel]
+        v, n = d.atom_v[sel], int(sel.sum())
         l0, u0 = float(d.l0[g]), float(d.u0[g])
-        if u0 - l0 <= 1e-14:
-            # Degenerate envelope: feasibility forces l0 = u0 = 1.
-            q[g] = -math.inf
-            gamma0[g] = 0.5 * (l0 + u0)
-            w_star[sel] = d.f[g] * u0
-            continue
-        tau = (u0 - 1.0) / (u0 - l0)
-        if tau <= 1e-14:
-            q[g] = -math.inf  # u0 = 1: everything above the pivot
-            gamma0[g] = 0.5 * (l0 + u0)
-            w_star[sel] = d.f[g] * u0
-            continue
-        order = np.argsort(v, kind="stable")
-        cum = np.cumsum(cm[order])
-        idx = int(np.searchsorted(cum, tau - 1e-12, side="left"))
-        qg = float(v[order[min(idx, v.size - 1)]])
-        p_below = float(cm[v < qg].sum())
-        p_above = float(cm[v > qg].sum())
-        p_at = float(cm[v == qg].sum())
-        g0 = (1.0 - l0 * p_below - u0 * p_above) / p_at
-        if not (l0 - 1e-9 <= g0 <= u0 + 1e-9):
-            raise AssertionError(
-                f"internal: gamma0={g0:.6g} escaped [{l0:.6g}, {u0:.6g}]"
-            )
-        q[g] = qg
-        gamma0[g] = g0
-        w_star[sel] = d.f[g] * np.where(v < qg, l0, np.where(v == qg, g0, u0))
+        wit = worst_witness_marginal(
+            DiscreteJoint(v, d.atom_cm[sel], np.full(n, l0), np.full(n, u0)))
+        q[g] = wit.t_star
+        gamma0[g] = l0 + wit.gamma_mix * (u0 - l0)
+        w_star[sel] = d.f[g] * wit.w_star
     return CausalWitness(w_star=w_star, q=q, gamma0=gamma0)
 
 

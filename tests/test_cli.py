@@ -175,6 +175,23 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     assert not (out / "intervals.csv").exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("predict", ["--gamma", "1,0.5"]),
+    ("predict", ["--arm", "2"]),
+    ("sensitivity", ["--gamma-grid", "2,3"]),
+    ("simulate", ["--arm", "2"]),
+])
+def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
+    # A malformed data file would exit 2 if it were read first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,t,y\n0.1,1,oops\n", encoding="utf-8")
+    files = [] if command == "simulate" else ["--train", str(bad), "--test", str(bad)]
+    out = tmp_path / "o"
+    assert main([command, *files, *flags, "--out-dir", str(out)]) == 3
+    assert f"bad value for {flags[0][2:].replace('-', '_')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # configuration file handling
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ def test_gen_superpop_deterministic_and_consistent():
     d2 = gen_superpop(200, 4, 1.5, rng(7), "fixed", 0.3)
     for f in ("x", "u", "t", "y0", "y1", "e_x", "e_xu"):
         np.testing.assert_array_equal(getattr(d1, f), getattr(d2, f))
-    np.testing.assert_array_equal(d1.y_obs, np.where(d1.t == 1, d1.y1, d1.y0))
     np.testing.assert_array_equal(d1.outcome(0), d1.y0)
     # latent propensity takes exactly the two regime values
     low, high, _ = _two_regime(d1.e_x, 1.5, 1.0)
@@ -160,6 +159,8 @@ def test_sim_config_validation():
         SimConfig(n_train=10, n_calib=10, bounds="guessed")
     with pytest.raises(ValidationError):
         SimConfig(n_train=10, n_calib=10, alphas=(0.2, 1.2))
+    with pytest.raises(ValidationError, match="arm"):
+        SimConfig(n_train=10, n_calib=10, arm=2)
     cfg = SimConfig(n_train=10, n_calib=10, arm=0, population="att")
     assert cfg.target() == TargetSpec(arm=0, population="att")
 
@@ -210,6 +211,15 @@ def test_coverage_experiment_oracle_gaps_are_zero():
     assert entry["marginal_gap_max"] <= 1e-12
     assert entry["pac_gap_max"] <= 1e-12
     assert entry["lower_bound_l1_max"] <= 1e-12
+
+
+def test_coverage_gap_entries_do_not_depend_on_alpha():
+    cfg = _tiny_cfg(n_eval_gap=40, n_reps=2, bounds="estimated")
+    per_alpha = run_coverage_experiment(cfg)["per_alpha"]
+    assert per_alpha["0.2"]["lower_bound_l1_max"] > 0.0
+    for extra in ("marginal_gap", "pac_gap", "lower_bound_l1"):
+        for stat in ("_mean", "_max"):
+            assert per_alpha["0.2"][extra + stat] == per_alpha["0.5"][extra + stat]
 
 
 def test_coverage_experiment_alg2_runs():
@@ -304,6 +314,7 @@ def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
     envelopes = [b(x_cal) + (b.upper(x_test),) for b in pairs]
     raw = np.array([robust_threshold_many(v, lo, hi, alpha, ht) for lo, hi, ht in envelopes])
     np.testing.assert_array_equal(threshold_path(v, envelopes, alpha, "alg1"), raw)
+    np.testing.assert_array_equal(np.maximum.accumulate(raw, axis=0), raw)
     # alg2 takes the largest bound over all strengths as its scale M; on the
     # built-in families the widest (last) triple already holds it.
     widest = max(a.max() for a in envelopes[-1])

@@ -313,13 +313,38 @@ def test_causal_cdf_is_a_cdf():
         assert abs(vals[-1] - 1.0) <= 1e-9
 
 
+def test_causal_cdf_matches_per_cell_lp_oracle():
+    # Independent check of the causal path: the x-wise class is a product of
+    # per-cell classes, so its worst CDF is the f-weighted sum of each cell's
+    # greedy LP optimum under the constant envelope [l0, u0].
+    r = rng(47)
+    for _ in range(100):
+        d = _random_causal(r)
+        cells = []
+        for g in range(d.xm.shape[0]):
+            sel = d.atom_x == g
+            ones = np.ones(int(sel.sum()))
+            cells.append((d.xm[g] * d.f[g], DiscreteJoint(
+                d.atom_v[sel], d.atom_cm[sel], d.l0[g] * ones, d.u0[g] * ones)))
+        vs = np.unique(d.atom_v)
+        for t in np.concatenate([vs, vs - 0.05, [vs[-1] + 1.0]]):
+            want = sum(scale * lp_oracle_marginal(cell, float(t)) for scale, cell in cells)
+            assert abs(worst_cdf_causal(d, float(t)) - want) <= TOL
+
+
 def test_causal_validation():
     base = _hand_causal()
     with pytest.raises(ValidationError):
-        CausalDiscreteJoint(
+        causal_witness(CausalDiscreteJoint(
             xm=base.xm, f=base.f, l0=np.array([1.5]), u0=np.array([1.2]),
             atom_x=base.atom_x, atom_v=base.atom_v, atom_cm=base.atom_cm,
-        )._require_feasible()
+        ))
+    with pytest.raises(ValidationError):
+        # l0 > 1 empties the conditional identification set
+        causal_witness(CausalDiscreteJoint(
+            xm=base.xm, f=base.f, l0=np.array([1.2]), u0=np.array([2.0]),
+            atom_x=base.atom_x, atom_v=base.atom_v, atom_cm=base.atom_cm,
+        ))
     with pytest.raises(ValidationError):
         CausalDiscreteJoint(
             xm=base.xm, f=np.array([2.0]), l0=base.l0, u0=base.u0,
