@@ -76,14 +76,27 @@ class _Parser(argparse.ArgumentParser):
 _REQUIRED = object()
 
 
-def _pint(s: str) -> int:
-    return int(s)
+def _pinteger(low: int) -> Callable[[str], int]:
+    def parse(s: str) -> int:
+        value = int(s)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _pfloat(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {s.strip()!r}")
+    return value
+
+
+def _plevel(s: str) -> float:
+    value = _pfloat(s)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"must be in (0, 1), got {value}")
     return value
 
 
@@ -96,11 +109,15 @@ def _pbool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _pfloats(s: str) -> tuple[float, ...]:
-    vals = tuple(_pfloat(part) for part in s.split(",") if part.strip() != "")
+def _pfloats(s: str, item: Callable[[str], float] = _pfloat) -> tuple[float, ...]:
+    vals = tuple(item(part) for part in s.split(",") if part.strip() != "")
     if not vals:
         raise ValueError("empty list")
     return vals
+
+
+def _plevels(s: str) -> tuple[float, ...]:
+    return _pfloats(s, _plevel)
 
 
 def _parm(s: str) -> int:
@@ -150,7 +167,7 @@ class _Opt:
 _COMMON = {
     "config": _Opt(str, None, "flat key=value configuration file"),
     "out_dir": _Opt(str, ".", "directory for output files"),
-    "seed": _Opt(_pint, 0, "base RNG seed"),
+    "seed": _Opt(_pinteger(0), 0, "base RNG seed"),
 }
 
 # Folds, levels and quantile model shared by predict and sensitivity.
@@ -158,10 +175,10 @@ _FOLDS = {
     "train": _Opt(str, _REQUIRED, "training CSV (x1..xp,t,y)"),
     "calib": _Opt(str, None, "calibration CSV; default: split off train"),
     "train_fraction": _Opt(_pfloat, 0.5, "train share when splitting"),
-    "alpha": _Opt(_pfloat, 0.1, "miscoverage level"),
-    "delta": _Opt(_pfloat, 0.05, "PAC failure level (alg2)"),
+    "alpha": _Opt(_plevel, 0.1, "miscoverage level"),
+    "delta": _Opt(_plevel, 0.05, "PAC failure level (alg2)"),
     "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
-    "k": _Opt(_pint, None, "neighbor count for the quantile model"),
+    "k": _Opt(_pinteger(1), None, "neighbor count for the quantile model"),
 }
 
 _SCORE = _pchoice(*ScoreFn.KINDS)
@@ -194,27 +211,27 @@ _TABLES: dict[str, dict[str, _Opt]] = {
     },
     "simulate": {
         **_COMMON,
-        "threads": _Opt(_pint, None, "worker cap (default: CONFSHIFT_THREADS or all cores)"),
+        "threads": _Opt(_pinteger(1), None, "worker process cap; default: every usable CPU"),
         "kind": _Opt(_pchoice("coverage", "sensitivity"), "coverage", "experiment family"),
-        "n_train": _Opt(_pint, 1000, "target-arm units in the training fold"),
-        "n_calib": _Opt(_pint, 500, "target-arm units in the calibration fold"),
-        "n_test": _Opt(_pint, 1, "test units per replication"),
-        "p": _Opt(_pint, 4, "covariate dimension"),
+        "n_train": _Opt(_pinteger(1), 1000, "target-arm units in the training fold"),
+        "n_calib": _Opt(_pinteger(1), 500, "target-arm units in the calibration fold"),
+        "n_test": _Opt(_pinteger(1), 1, "test units per replication"),
+        "p": _Opt(_pinteger(1), 4, "covariate dimension"),
         "gamma_true": _Opt(_pfloat, 1.0, "latent confounding strength"),
         "arm": _Opt(_parm, 1, "counterfactual arm (0 or 1)"),
         "population": _Opt(_POP, "ate", "target population"),
         "score": _Opt(_SCORE, "cqr", "nonconformity score kind"),
-        "alphas": _Opt(_pfloats, (0.2,), "miscoverage levels"),
-        "delta": _Opt(_pfloat, 0.05, "PAC failure level"),
+        "alphas": _Opt(_plevels, (0.2,), "miscoverage levels"),
+        "delta": _Opt(_plevel, 0.05, "PAC failure level"),
         "procedure": _Opt(_pchoice("alg1", "alg2"), "alg1", "threshold procedure"),
         "envelope": _Opt(_pchoice(*METHODS), "wsr", "alg2 envelope"),
         "bounds": _Opt(_pchoice("oracle", "estimated"), "oracle", "bound construction"),
         "gamma_bounds": _Opt(_pfloat, None, "strength used for bounds; default gamma_true"),
         "effect_kind": _Opt(_pchoice("fixed", "random"), "fixed", "treatment effect form"),
         "effect_a": _Opt(_pfloat, 0.0, "effect size a"),
-        "n_reps": _Opt(_pint, 20, "replications"),
-        "n_eval_gap": _Opt(_pint, 0, "evaluation draws for gap certificates"),
-        "grid": _Opt(_pfloats, None, "sensitivity grid; default 1..26"),
+        "n_reps": _Opt(_pinteger(1), 20, "replications"),
+        "n_eval_gap": _Opt(_pinteger(0), 0, "evaluation draws for gap certificates"),
+        "grid": _Opt(_pgrid, None, "sensitivity grid; default 1..26"),
     },
 }
 
@@ -279,23 +296,6 @@ def _config_hash(command: str, resolved: dict) -> str:
     lines = [command]
     lines += [f"{k}={_canon(v)}" for k, v in sorted(resolved.items()) if k not in _HASH_EXCLUDE]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
-
-
-def _n_threads(resolved: dict) -> int:
-    """Worker cap: --threads, else CONFSHIFT_THREADS, else all cores."""
-    if resolved["threads"] is not None:
-        threads, source = resolved["threads"], "threads"
-    else:
-        env = os.environ.get("CONFSHIFT_THREADS")
-        if env is None:
-            return os.cpu_count() or 1
-        try:
-            threads, source = int(env), "CONFSHIFT_THREADS"
-        except ValueError:
-            raise ConfigError(f"CONFSHIFT_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +465,9 @@ def cmd_worstcase(resolved: dict, h: str) -> None:
 
 def cmd_simulate(resolved: dict, h: str) -> None:
     cfg = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
-    threads = _n_threads(resolved)
     out_dir = resolved["out_dir"]
     if resolved["kind"] == "coverage":
-        report = run_coverage_experiment(cfg, threads=threads)
+        report = run_coverage_experiment(cfg, threads=resolved["threads"])
         per_alpha = report["per_alpha"]
         alphas = sorted(per_alpha, key=float)
         names = ["coverage_mean", "coverage_q05"] + [
@@ -477,7 +476,7 @@ def cmd_simulate(resolved: dict, h: str) -> None:
         columns = {"alpha": alphas, **{k: [per_alpha[a][k] for a in alphas] for k in names}}
         curve = "coverage.csv"
     else:
-        report = run_sensitivity_experiment(cfg, threads=threads)
+        report = run_sensitivity_experiment(cfg, threads=resolved["threads"])
         alg1, alg2 = report["alg1"], report["alg2"]
         columns = {"gamma": report["gamma_grid"],
                    "survival_alg1": alg1["survival_mean"], "survival_alg2": alg2["survival_mean"],

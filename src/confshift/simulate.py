@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -217,7 +217,8 @@ def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One experiment campaign; every field participates in the seed tree."""
+    """One experiment campaign. Replications are seeded from ``seed`` and
+    ``n_reps``; a campaign rejects a field it never reads (see ``_UNREAD``)."""
 
     n_train: int
     n_calib: int
@@ -243,6 +244,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if min(self.n_train, self.n_calib, self.n_test, self.n_reps) < 1:
             raise ValidationError("sizes and replication counts must be >= 1")
+        if min(self.seed, self.n_eval_gap) < 0:
+            raise ValidationError("seed and n_eval_gap must be >= 0")
         if self.procedure not in ("alg1", "alg2"):
             raise ValidationError(f"unknown procedure {self.procedure!r}")
         if self.bounds not in ("oracle", "estimated"):
@@ -301,13 +304,29 @@ def _rep_seeds(cfg: SimConfig) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(cfg.seed).spawn(cfg.n_reps)
 
 
-def _worker_count(threads: int, n_reps: int) -> int:
-    """Worker processes for a campaign: at most one per replication and per usable CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(threads, n_reps, cpus or 1))
+def _worker_count(threads: int | None, n_reps: int) -> int:
+    """Worker processes for a campaign: at most one per replication and per
+    usable CPU; ``threads`` None means every usable CPU."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    return max(1, min(cpus if threads is None else threads, n_reps, cpus))
 
 
-def _run_reps(worker: Callable, cfg: SimConfig, threads: int) -> list[dict]:
+# Fields each campaign never reads. Setting one off its default is an error,
+# so one run answers to one config hash; the scan also reads one alpha only.
+_UNREAD = {"coverage": ("grid",),
+           "sensitivity": ("score", "procedure", "gamma_bounds", "n_eval_gap")}
+
+
+def _reject_unread(cfg: SimConfig, campaign: str) -> None:
+    for f in fields(SimConfig):
+        if f.name in _UNREAD[campaign] and getattr(cfg, f.name) != f.default:
+            raise ValidationError(f"the {campaign} campaign does not read {f.name}")
+    if campaign == "sensitivity" and len(cfg.alphas) > 1:
+        raise ValidationError("the sensitivity campaign reads one level of alphas")
+
+
+def _run_reps(worker: Callable, cfg: SimConfig, threads: int | None) -> list[dict]:
     jobs = [(cfg, s) for s in _rep_seeds(cfg)]
     workers = _worker_count(threads, cfg.n_reps)
     if workers > 1:
@@ -407,7 +426,7 @@ def _akey(alpha: float) -> str:
     return repr(float(alpha))
 
 
-def run_coverage_experiment(cfg: SimConfig, threads: int = 1) -> dict:
+def run_coverage_experiment(cfg: SimConfig, threads: int | None = 1) -> dict:
     """Replicated counterfactual-coverage experiment; returns a JSON-able report.
 
     Per alpha: per-rep empirical coverage (one indicator when n_test = 1),
@@ -415,6 +434,7 @@ def run_coverage_experiment(cfg: SimConfig, threads: int = 1) -> dict:
     gap certificates, which are the same for every alpha: each replication
     draws its evaluation units once.
     """
+    _reject_unread(cfg, "coverage")
     reps = _run_reps(_coverage_rep, cfg, threads)
     report: dict = {"n_reps": cfg.n_reps, "seed": cfg.seed, "per_alpha": {}}
     for alpha in cfg.alphas:
@@ -471,7 +491,7 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}
 
 
-def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
+def run_sensitivity_experiment(cfg: SimConfig, threads: int | None = 1) -> dict:
     """Replicated sensitivity campaign; FWER, FDP and survival summaries.
 
     True-null labels come from the realized effects: a unit is null when
@@ -479,6 +499,7 @@ def run_sensitivity_experiment(cfg: SimConfig, threads: int = 1) -> dict:
     sensitivity value exceeds gamma_true; FDP and survival curves are
     evaluated on the same grid used for the scan.
     """
+    _reject_unread(cfg, "sensitivity")
     grid = GammaGrid(cfg.grid) if cfg.grid is not None else GammaGrid.default()
     reps = _run_reps(_sensitivity_rep, cfg, threads)
     report: dict = {

@@ -180,6 +180,19 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     ("predict", ["--arm", "2"]),
     ("sensitivity", ["--gamma-grid", "2,3"]),
     ("simulate", ["--arm", "2"]),
+    ("predict", ["--seed", "-1"]),
+    ("sensitivity", ["--seed", "-1"]),
+    ("simulate", ["--seed", "-1"]),
+    ("predict", ["--alpha", "1.5", "--delta", "0", "--k", "0"]),
+    ("predict", ["--delta", "9"]),
+    ("predict", ["--delta", "9", "--method", "alg2:plugin"]),
+    ("predict", ["--k", "0"]),
+    ("sensitivity", ["--alpha", "0"]),
+    ("simulate", ["--n-eval-gap", "-5"]),
+    ("simulate", ["--n-reps", "0"]),
+    ("simulate", ["--alphas", "0.2,1.5"]),
+    ("simulate", ["--delta", "9"]),
+    ("simulate", ["--grid", "2,3"]),
 ])
 def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
     # A malformed data file would exit 2 if it were read first.
@@ -602,28 +615,54 @@ def test_simulate_sensitivity_smoke(tmp_path):
     assert [float(r[0]) for r in rows] == [1.0, 1.2]
 
 
-def test_simulate_bad_threads_env_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONFSHIFT_THREADS", "lots")
+@pytest.mark.parametrize("source,value", [("flag", "0"), ("flag", "-1"),
+                                          ("config", "0"), ("config", "-2")])
+def test_simulate_nonpositive_threads_exit_3(tmp_path, capsys, source, value):
+    # --threads, as a flag or a config key, is the one route to the worker cap.
+    if source == "flag":
+        extra = ["--threads", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"threads={value}\n", encoding="utf-8")
+        extra = ["--config", str(cfg)]
     rc = main(["simulate", "--kind", "coverage", "--n-train", "60",
-               "--n-calib", "40", "--n-test", "5", "--n-reps", "1",
+               "--n-calib", "40", "--n-test", "5", "--n-reps", "1", *extra,
                "--out-dir", str(tmp_path / "o")])
     assert rc == 3
-    assert "CONFSHIFT_THREADS" in capsys.readouterr().err
+    assert f"bad value for threads: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("source,value", [("flag", "0"), ("flag", "-1"),
-                                          ("env", "0"), ("env", "-2")])
-def test_simulate_nonpositive_threads_exit_3(tmp_path, monkeypatch, capsys, source, value):
-    flag = ["--threads", value] if source == "flag" else []
-    if source == "env":
-        monkeypatch.setenv("CONFSHIFT_THREADS", value)
-    rc = main(["simulate", "--kind", "coverage", "--n-train", "60",
-               "--n-calib", "40", "--n-test", "5", "--n-reps", "1", *flag,
-               "--out-dir", str(tmp_path / "o")])
+@pytest.mark.parametrize("kind,flag,value", [
+    ("sensitivity", "--score", "abs_residual"),
+    ("sensitivity", "--procedure", "alg2"),
+    ("sensitivity", "--gamma-bounds", "1.5"),
+    ("sensitivity", "--n-eval-gap", "10"),
+    ("sensitivity", "--alphas", "0.1,0.2"),
+    ("coverage", "--grid", "1,2"),
+])
+def test_simulate_rejects_a_setting_its_campaign_never_reads(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "o"
+    rc = main(["simulate", "--kind", kind, "--n-train", "60", "--n-calib", "40",
+               "--n-test", "5", "--n-reps", "1", "--threads", "1", flag, value,
+               "--out-dir", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert f"must be >= 1, got {value}" in err
-    assert ("CONFSHIFT_THREADS" in err) == (source == "env")
+    assert f"the {kind} campaign" in err
+    assert flag[2:].replace("-", "_") in err
+    assert not (out / "report.json").exists()
+
+
+def test_simulate_accepts_an_unread_setting_left_at_its_default(tmp_path):
+    # "Set" means off the SimConfig default: spelling the default out is the
+    # same resolved configuration, with the same hash.
+    args = ["simulate", "--kind", "sensitivity", "--n-train", "60", "--n-calib", "40",
+            "--n-test", "5", "--grid", "1.0,1.2", "--n-reps", "1", "--threads", "1"]
+    assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*args, "--procedure", "alg1", "--score", "cqr", "--n-eval-gap", "0",
+                 "--alphas", "0.2", "--out-dir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "report.json").read_bytes() == \
+        (tmp_path / "b" / "report.json").read_bytes()
 
 
 def test_threads_is_a_simulate_only_option(corpus, tmp_path):

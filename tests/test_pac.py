@@ -18,6 +18,7 @@ from confshift import (
     rng,
 )
 from confshift.nuisance import BoundPair
+from confshift.pac import _default_m, _log_wealth_max, _running_nu, _summands
 
 LEVEL_SLACK = 1e-12
 
@@ -253,6 +254,35 @@ def test_path_equals_running_max_on_arbitrary_paths(method, v, data):
     singles = [pac_threshold(c, alpha, delta, method, M=m) for c in path]
     np.testing.assert_array_equal(pac_threshold_path(path, alpha, delta, method),
                                   np.maximum.accumulate(singles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)),
+                  min_size=1, max_size=40),
+       data=st.data())
+def test_wsr_crossing_predicate_is_monotone_in_t(v, data):
+    """The exact WSR crossing test (log-wealth at the fixed bet g0 reaches
+    log(2/delta)) never turns from true to false as t rises through the
+    distinct scores: on the l side, on the u side, and for their OR. Scores
+    may tie, and M may exceed its default."""
+    n = len(v)
+    bound = st.floats(0.05, 3.0)
+    lo = np.array(data.draw(st.lists(bound, min_size=n, max_size=n)))
+    extra = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    calib = CalibrationSet(np.array(v), lo, lo + extra, data.draw(bound))
+    m = _default_m(calib) * data.draw(st.floats(1.0, 4.0))
+    alpha = data.draw(st.floats(0.05, 0.95))
+    delta = data.draw(st.floats(0.01, 0.5))
+    thresh = math.log(2.0 / delta)
+    hits = []
+    for rows, g0 in zip(_summands(calib, np.unique(calib.v), m),
+                        ((1.0 - alpha) / m, (m - alpha) / m)):
+        if 0.0 < g0 <= 1.0:
+            hits.append(_log_wealth_max(rows, _running_nu(rows, delta), g0) >= thresh)
+        else:  # g0 <= 0 certifies every t (u side, M <= alpha); g0 > 1 none
+            hits.append(np.full(rows.shape[0], g0 <= 0.0))
+    for hit in (*hits, hits[0] | hits[1]):
+        assert not (hit[:-1] & ~hit[1:]).any()
 
 
 def test_path_validation():

@@ -1,5 +1,6 @@
 """Confounded data generator identities and the experiment runners."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from confshift import (
     true_treated_fraction,
 )
 from confshift import simulate
+from confshift.cli import _TABLES
 from confshift.simulate import _sigma, _two_regime, _worker_count, threshold_path
 
 CELLS = [(a, pop) for a in (0, 1) for pop in ("ate", "att", "atc")]
@@ -161,6 +163,9 @@ def test_sim_config_validation():
         SimConfig(n_train=10, n_calib=10, alphas=(0.2, 1.2))
     with pytest.raises(ValidationError, match="arm"):
         SimConfig(n_train=10, n_calib=10, arm=2)
+    for field in ("seed", "n_eval_gap"):
+        with pytest.raises(ValidationError, match=field):
+            SimConfig(n_train=10, n_calib=10, **{field: -1})
     cfg = SimConfig(n_train=10, n_calib=10, arm=0, population="att")
     assert cfg.target() == TargetSpec(arm=0, population="att")
 
@@ -286,6 +291,52 @@ def test_worker_count_is_clamped_to_reps_and_cpus():
     assert _worker_count(1, 100) == 1
     assert _worker_count(64, 3) == min(3, cpus)
     assert _worker_count(10**6, 10**6) == cpus
+    assert _worker_count(None, 10**6) == cpus
+    assert _worker_count(None, 1) == 1
+
+
+# A value off its SimConfig default for every field a campaign may reject.
+_OFF_DEFAULT = {"grid": (1.0, 2.0), "score": "abs_residual", "procedure": "alg2",
+                "gamma_bounds": 1.5, "n_eval_gap": 10}
+
+
+@pytest.mark.parametrize("campaign", ["coverage", "sensitivity"])
+def test_each_campaign_reads_every_setting_it_accepts(campaign):
+    names = {f.name for f in dataclasses.fields(SimConfig)}
+    read = set()
+
+    class Logged(SimConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    if campaign == "coverage":
+        kw = dict(procedure="alg2", alphas=(0.2, 0.5), n_eval_gap=30)
+        rep, run = simulate._coverage_rep, run_coverage_experiment
+    else:
+        kw = dict(grid=(1.0, 1.3), alphas=(0.2,))
+        rep, run = simulate._sensitivity_rep, run_sensitivity_experiment
+    kw.update(n_train=40, n_calib=40, n_test=5, gamma_true=1.3, envelope="plugin",
+              bounds="estimated", n_reps=1, seed=5)
+    cfg = Logged(**kw)
+    read.clear()
+    rep((cfg, simulate._rep_seeds(cfg)[0]))  # what a threads=1 run does in-process
+
+    unread = set(simulate._UNREAD[campaign])
+    assert not read & unread
+    # n_reps and seed feed the seed tree outside the replication.
+    assert read | unread | {"n_reps", "seed"} == names
+    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    for name in unread:
+        # The CLI leaves a field unset exactly when it passes the default.
+        assert _TABLES["simulate"][name].default == defaults[name]
+        off = dataclasses.replace(SimConfig(**kw), **{name: _OFF_DEFAULT[name]})
+        with pytest.raises(ValidationError, match=f"{campaign} campaign does not read {name}"):
+            run(off, threads=1)
+    if campaign == "sensitivity":
+        with pytest.raises(ValidationError, match="alphas"):
+            run(dataclasses.replace(SimConfig(**kw), alphas=(0.1, 0.2)), threads=1)
 
 
 class _FirstColumnPropensity:
