@@ -100,6 +100,14 @@ def _plevel(s: str) -> float:
     return value
 
 
+def _pfraction(s: str) -> float:
+    """A train share, checked by the split's own rule."""
+    try:
+        return SplitSpec(_pfloat(s), 0).train_fraction
+    except ValidationError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _pbool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -174,7 +182,7 @@ _COMMON = {
 _FOLDS = {
     "train": _Opt(str, _REQUIRED, "training CSV (x1..xp,t,y)"),
     "calib": _Opt(str, None, "calibration CSV; default: split off train"),
-    "train_fraction": _Opt(_pfloat, 0.5, "train share when splitting"),
+    "train_fraction": _Opt(_pfraction, 0.5, "train share when splitting"),
     "alpha": _Opt(_plevel, 0.1, "miscoverage level"),
     "delta": _Opt(_plevel, 0.05, "PAC failure level (alg2)"),
     "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
@@ -273,11 +281,23 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
             resolved[key] = opt.parse(raw) if isinstance(raw, str) else raw
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
+    if "method" in resolved:  # the _FOLDS block of predict and sensitivity
+        _reject_unread(resolved)
     for key in _PATH_KEYS:
         path = resolved.get(key)
         if path is not None and not os.path.exists(path):
             raise ConfigError(f"{key} file does not exist: {path}")
     return resolved
+
+
+def _reject_unread(resolved: dict) -> None:
+    """Refuse a fold setting the run never reads unless it is left at its
+    default, as ``simulate`` does for its campaigns."""
+    for key, unread, when in (
+            ("delta", resolved["method"][1] in (None, "plugin"), "under alg1 or alg2:plugin"),
+            ("train_fraction", resolved["calib"] is not None, "when --calib is given")):
+        if unread and resolved[key] != _FOLDS[key].default:
+            raise ConfigError(f"{key} is not read {when}; leave it at its default")
 
 
 def _canon(value) -> str:

@@ -27,11 +27,18 @@ moving its first crossing. The plugin and Hoeffding curves need no repair:
 they are maxima of cumulative sums of positive terms (minus a constant), and
 those never decrease, in floating point too. So along a path of calibration
 sets the search may resume at the previous crossing and still returns the
-running max of the per-set thresholds. The WSR curve is not provably
-monotone in t, because its bets adapt to the running mean and variance: a
-later set could cross below the previous crossing and dip again above it.
-There the resumed search is itself the path's repair, so every entry is at
-least the previous one, and a larger threshold only adds coverage.
+running max of the per-set thresholds. The WSR curve is not monotone in t,
+because its bets adapt to the running mean and variance: in one replication
+of the sensitivity campaign (n = 1000, Gamma = 2.1) the u-side log-wealth
+at the fixed bet is 3.742 at sorted index 958 and 3.624 at 959, against
+log(40) = 3.689, so the crossing test turns from true to false as t rises.
+Bisection over t is therefore unsound; the WSR search is an exact branch and
+bound that skips only ranges whose log-wealth upper bound stays below the
+threshold, and returns the linear scan's index (see _wsr_first_crossing).
+Along a path a later set could cross below the previous crossing and dip
+again above it. There the resumed search is itself the path's repair, so
+every entry is at least the previous one, and a larger threshold only adds
+coverage.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ __all__ = [
 METHODS = ("plugin", "hoeffding", "wsr")
 
 _WSR_TOL = 1e-10
-_BLOCK = 256
+_LEAF = 16
+_BOUND_MARGIN = 1e-9
 
 
 def _default_m(calib: CalibrationSet) -> float:
@@ -82,16 +90,28 @@ def _check_m(calib: CalibrationSet, m: float | None) -> float:
     return float(m)
 
 
-def _running_nu(f: np.ndarray, delta: float) -> np.ndarray:
-    """Betting fractions nu_j per row of the (R, n) summand matrix ``f``."""
-    n = f.shape[1]
+def _running_mean(f: np.ndarray) -> np.ndarray:
+    """Running means mu_j of the summands up to and including j, started
+    at 1/2, per row of the (R, n) matrix ``f``."""
+    i = np.arange(1, f.shape[1] + 1)
+    return (0.5 + np.cumsum(f, axis=1)) / (1.0 + i)
+
+
+def _nu_from_squares(sq: np.ndarray, delta: float) -> np.ndarray:
+    """Betting fractions nu_j from the squared deviations (f_j - mu_j)^2:
+    each bet reads the running variance up to j - 1, started at 1/4."""
+    n = sq.shape[1]
     i = np.arange(1, n + 1)
-    mu = (0.5 + np.cumsum(f, axis=1)) / (1.0 + i)
-    sig2 = (0.25 + np.cumsum((f - mu) ** 2, axis=1)) / (1.0 + i)
+    sig2 = (0.25 + np.cumsum(sq, axis=1)) / (1.0 + i)
     sig2_prev = np.concatenate(
-        [np.full((f.shape[0], 1), 0.25), sig2[:, :-1]], axis=1
+        [np.full((sq.shape[0], 1), 0.25), sig2[:, :-1]], axis=1
     )
     return np.minimum(1.0, np.sqrt(2.0 * math.log(2.0 / delta) / (n * sig2_prev)))
+
+
+def _running_nu(f: np.ndarray, delta: float) -> np.ndarray:
+    """Betting fractions nu_j per row of the (R, n) summand matrix ``f``."""
+    return _nu_from_squares((f - _running_mean(f)) ** 2, delta)
 
 
 def _log_wealth_max(f: np.ndarray, nu: np.ndarray, g: np.ndarray | float) -> np.ndarray:
@@ -183,6 +203,29 @@ def envelope_wsr(
     return min(max(value, 0.0), 1.0)
 
 
+def _log_wealth_bound(lo: np.ndarray, hi: np.ndarray, g0: np.ndarray, delta: float) -> np.ndarray:
+    """Upper bound on ``_log_wealth_max(r, _running_nu(r, delta), g0)`` over
+    every summand row r whose entries each equal the entry of ``lo`` or of
+    ``hi`` in the same row, where lo <= hi entrywise; one bound per row.
+
+    Such rows are the summands at every t between two sorted scores, because
+    each summand is a nondecreasing step function of t. The running means lie
+    between the two corner rows' means; each squared deviation lies between
+    ``sq_lo`` (the squared distance from the entry's two values to that mean
+    interval) and ``sq_hi`` (the largest of the four corners); so nu lies
+    between the fractions those squares give, and each factor is at most
+    1 + nu* (hi - g0), with nu* the larger fraction where hi >= g0 and the
+    smaller one elsewhere.
+    """
+    mu_lo, mu_hi = _running_mean(lo), _running_mean(hi)
+    sq_hi = np.maximum.reduce([(x - mu) ** 2 for x in (lo, hi) for mu in (mu_lo, mu_hi)])
+    sq_lo = np.minimum((lo - np.clip(lo, mu_lo, mu_hi)) ** 2,
+                       (hi - np.clip(hi, mu_lo, mu_hi)) ** 2)
+    nu = np.where(hi >= g0[:, None], _nu_from_squares(sq_lo, delta),
+                  _nu_from_squares(sq_hi, delta))
+    return _log_wealth_max(hi, nu, g0)
+
+
 def _wsr_first_crossing(
     calib: CalibrationSet, alpha: float, delta: float, m: float, start: int = 0
 ) -> int:
@@ -193,25 +236,50 @@ def _wsr_first_crossing(
     g0 = (1-alpha)/M still exceeds 2/delta (the bound is the inf over
     feasible g, and wealth is decreasing in g); likewise for the u side at
     g0 = (M-alpha)/M. No bisection, so no tolerance flicker at the boundary.
+
+    The test is not monotone in t (see the module notes), so the search is
+    an exact branch and bound. The candidates from ``start`` on are cut into
+    ranges of doubling length (along a path the next crossing is usually a
+    few candidates on) and visited left to right. A range of at most
+    ``_LEAF`` candidates is tested row by row, and the first row that passes
+    is the answer. A longer range is skipped when ``_log_wealth_bound`` of
+    its two end rows stays below log(2/delta) on every live side, and is
+    otherwise split, left half first. The bound is built from the kernel's
+    own helpers in the same operation order, and IEEE add, multiply, divide,
+    sqrt, a cumsum in fixed order and max are each monotone in every input,
+    so it dominates every row's computed log-wealth, not only its exact
+    value; ``_BOUND_MARGIN`` covers ``np.log``, which need not be correctly
+    rounded. So a skipped range holds no passing row, and the result equals
+    the index of a linear scan.
     """
     vs = calib.vs
     n = calib.n
     if start >= n:
         return n
     thresh = math.log(2.0 / delta)
-    g0_l = (1.0 - alpha) / m
-    g0_u = (m - alpha) / m
-    if g0_u <= 0.0:  # degenerate M <= alpha: u side trivially certifies
+    g0 = np.array([(1.0 - alpha) / m, (m - alpha) / m])
+    if g0[1] <= 0.0:  # degenerate M <= alpha: u side trivially certifies
         return start
-    for blk in range(start, n, _BLOCK):
-        f, h = _summands(calib, vs[blk : blk + _BLOCK], m)
-        hit = np.zeros(f.shape[0], dtype=bool)
-        if g0_l <= 1.0:
-            hit |= _log_wealth_max(f, _running_nu(f, delta), g0_l) >= thresh
-        if g0_u <= 1.0:
-            hit |= _log_wealth_max(h, _running_nu(h, delta), g0_u) >= thresh
+    live = g0 <= 1.0  # a side whose bet exceeds 1 never gains wealth
+    g0 = g0[live]
+    ranges, a = [], start
+    while a < n:
+        ranges.append((a, min(2 * a - start, n - 1)))
+        a = ranges[-1][1] + 1
+    ranges.reverse()
+    while ranges:
+        a, b = ranges.pop()
+        if b - a >= _LEAF:
+            x = np.stack(_summands(calib, vs[[a, b]], m))[live]
+            if (_log_wealth_bound(x[:, 0], x[:, 1], g0, delta) >= thresh - _BOUND_MARGIN).any():
+                mid = (a + b) // 2
+                ranges += [(mid + 1, b), (a, mid)]
+            continue
+        x = np.stack(_summands(calib, vs[a : b + 1], m))[live].reshape(-1, n)
+        g = np.repeat(g0, b - a + 1)
+        hit = (_log_wealth_max(x, _running_nu(x, delta), g) >= thresh).reshape(len(g0), -1)
         if hit.any():
-            return blk + int(np.argmax(hit))
+            return a + int(np.argmax(hit.any(axis=0)))
     return n
 
 

@@ -193,6 +193,7 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     ("simulate", ["--alphas", "0.2,1.5"]),
     ("simulate", ["--delta", "9"]),
     ("simulate", ["--grid", "2,3"]),
+    ("predict", ["--train-fraction", "1.5"]),
 ])
 def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
     # A malformed data file would exit 2 if it were read first.
@@ -203,6 +204,39 @@ def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, com
     assert main([command, *files, *flags, "--out-dir", str(out)]) == 3
     assert f"bad value for {flags[0][2:].replace('-', '_')}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("predict", ["--delta", "0.1"], "delta"),
+    ("predict", ["--delta", "0.1", "--method", "alg2:plugin"], "delta"),
+    ("sensitivity", ["--delta", "0.1", "--method", "alg1"], "delta"),
+    ("predict", ["--calib", "bad", "--train-fraction", "0.3"], "train_fraction"),
+    ("sensitivity", ["--calib", "bad", "--train-fraction", "0.3"], "train_fraction"),
+])
+def test_unread_fold_settings_exit_3_before_any_file_is_read(tmp_path, capsys, command,
+                                                             flags, key):
+    # A malformed data file would exit 2 if it were read first.
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,t,y\n0.1,1,oops\n", encoding="utf-8")
+    flags = [str(bad) if f == "bad" else f for f in flags]
+    out = tmp_path / "o"
+    assert main([command, "--train", str(bad), "--test", str(bad), *flags,
+                 "--out-dir", str(out)]) == 3
+    assert f"{key} is not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--delta", "0.05"],
+    ["--train-fraction", "0.5"],
+])
+def test_unread_fold_settings_at_their_default_are_accepted(corpus, tmp_path, flags):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    folds = ["--train", corpus["train"], "--calib", corpus["calib"], "--test", corpus["test"]]
+    assert main(["predict", *folds, "--out-dir", str(out_a)]) == 0
+    assert main(["predict", *folds, *flags, "--out-dir", str(out_b)]) == 0
+    assert (out_a / "intervals.csv").read_bytes() == (out_b / "intervals.csv").read_bytes()
+    assert _manifest(out_a)["config_hash"] == _manifest(out_b)["config_hash"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """PAC thresholds via plug-in, Hoeffding, and betting-martingale envelopes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from confshift import (
     rng,
 )
 from confshift.nuisance import BoundPair
-from confshift.pac import _default_m, _log_wealth_max, _running_nu, _summands
+from confshift import pac
+from confshift.pac import (_default_m, _log_wealth_bound, _log_wealth_max, _running_nu,
+                           _summands, _wsr_first_crossing)
 
 LEVEL_SLACK = 1e-12
 
@@ -261,10 +264,14 @@ def test_path_equals_running_max_on_arbitrary_paths(method, v, data):
                   min_size=1, max_size=40),
        data=st.data())
 def test_wsr_crossing_predicate_is_monotone_in_t(v, data):
-    """The exact WSR crossing test (log-wealth at the fixed bet g0 reaches
-    log(2/delta)) never turns from true to false as t rises through the
-    distinct scores: on the l side, on the u side, and for their OR. Scores
-    may tie, and M may exceed its default."""
+    """On small instances (n <= 40) the exact WSR crossing test (log-wealth
+    at the fixed bet g0 reaches log(2/delta)) has not been seen to turn from
+    true to false as t rises through the distinct scores: on the l side, on
+    the u side, and for their OR. Scores may tie, and M may exceed its
+    default. This is an observation about small n that no code relies on:
+    the test does flip on a larger instance (see
+    test_wsr_crossing_predicate_flips_on_campaign_instance), and the search
+    is exact without monotonicity."""
     n = len(v)
     bound = st.floats(0.05, 3.0)
     lo = np.array(data.draw(st.lists(bound, min_size=n, max_size=n)))
@@ -283,6 +290,153 @@ def test_wsr_crossing_predicate_is_monotone_in_t(v, data):
             hits.append(np.full(rows.shape[0], g0 <= 0.0))
     for hit in (*hits, hits[0] | hits[1]):
         assert not (hit[:-1] & ~hit[1:]).any()
+
+
+# ---------------------------------------------------------------------------
+# WSR crossing search: branch and bound against the linear scan
+# ---------------------------------------------------------------------------
+
+FLIP = Path(__file__).with_name("wsr_crossing_flip.npz")
+
+
+def _crossing_hits(calib, t, alpha, delta, m):
+    """Exact crossing test at each threshold in ``t``, OR over the sides:
+    log-wealth at the fixed bet g0 reaches log(2/delta)."""
+    thresh = math.log(2.0 / delta)
+    hits = []
+    for rows, g0 in zip(_summands(calib, t, m), ((1.0 - alpha) / m, (m - alpha) / m)):
+        if g0 <= 1.0:
+            hits.append(_log_wealth_max(rows, _running_nu(rows, delta), g0) >= thresh)
+        else:
+            hits.append(np.zeros(len(t), dtype=bool))
+    return hits[0] | hits[1]
+
+
+def _linear_first_crossing(calib, alpha, delta, m, start=0):
+    """Reference search: test every sorted candidate from ``start`` on, in
+    blocks of 256, and return the first that passes (n when none does)."""
+    n = calib.n
+    if start >= n:
+        return n
+    if (m - alpha) / m <= 0.0:
+        return start
+    for blk in range(start, n, 256):
+        hit = _crossing_hits(calib, calib.vs[blk : blk + 256], alpha, delta, m)
+        if hit.any():
+            return blk + int(np.argmax(hit))
+    return n
+
+
+def _linear_path(path, alpha, delta):
+    """Reference path: each linear search resumes at the previous crossing."""
+    m = max(_default_m(c) for c in path)
+    out, cur = [], 0
+    for c in path:
+        cur = _linear_first_crossing(c, alpha, delta, m, cur)
+        out.append(float(c.vs[cur]) if cur < c.n else math.inf)
+    return np.array(out)
+
+
+def _seeded_calib(seed, n, ties, spread):
+    """Calibration set of n units: integer scores when ``ties``, bounds
+    lo = w / (1 + spread) and hi = w * (1 + spread)."""
+    r = rng(seed)
+    v = r.integers(-4, 5, size=n).astype(float) if ties else r.normal(size=n)
+    w = r.uniform(0.2, 1.5, size=n)
+    g = 1.0 + spread
+    return CalibrationSet(v, w / g, w * g, float(r.uniform(0.2, 2.0)) * g)
+
+
+_search_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(17, 300),
+    ties=st.booleans(),
+    spread=st.floats(0.0, 2.0),
+    alpha=st.floats(0.02, 0.6),
+    delta=st.floats(0.01, 0.5),
+)
+
+
+_inflate = st.one_of(st.just(1.0), st.floats(1.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(0.0, 1.0), inflate=_inflate, **_search_cases)
+def test_wsr_search_equals_linear_scan(seed, n, ties, spread, inflate, alpha, delta, start):
+    """The branch-and-bound search returns the linear scan's index, from any
+    start, with tied scores and M above its default. n exceeds the leaf
+    size, so ranges are skipped by the bound."""
+    calib = _seeded_calib(seed, n, ties, spread)
+    m = _default_m(calib) * inflate
+    k = int(start * n)
+    assert (_wsr_first_crossing(calib, alpha, delta, m, k)
+            == _linear_first_crossing(calib, alpha, delta, m, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(5)), widening=st.booleans(), **_search_cases)
+def test_wsr_path_equals_resumed_linear_walk(seed, n, ties, spread, alpha, delta, order,
+                                             widening):
+    """pac_threshold_path equals the resumed linear walk on widening paths
+    and on the same sets in any order."""
+    base = _seeded_calib(seed, n, ties, 0.0)
+    path = [CalibrationSet(base.v, base.lo / g, base.hi * g, base.u_test * g)
+            for g in 1.0 + spread * np.arange(5) / 4.0]
+    if not widening:
+        path = [path[i] for i in order]
+    np.testing.assert_array_equal(pac_threshold_path(path, alpha, delta),
+                                  _linear_path(path, alpha, delta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), inflate=_inflate,
+       **_search_cases)
+def test_wsr_log_wealth_bound_dominates_every_row(seed, n, ties, spread, inflate, alpha,
+                                                  delta, ends):
+    """On each side, the bound from the end rows of a candidate range is at
+    least the computed log-wealth of every row in the range, with no slack."""
+    calib = _seeded_calib(seed, n, ties, spread)
+    m = _default_m(calib) * inflate
+    a, b = sorted(int(e * (n - 1)) for e in ends)
+    for rows, g0 in zip(_summands(calib, calib.vs[a : b + 1], m),
+                        ((1.0 - alpha) / m, (m - alpha) / m)):
+        exact = _log_wealth_max(rows, _running_nu(rows, delta), g0)
+        bound = _log_wealth_bound(rows[:1], rows[-1:], np.array([g0]), delta)[0]
+        assert bound >= exact.max()
+
+
+def test_wsr_crossing_predicate_flips_on_campaign_instance():
+    """The Gamma = 2.1 calibration set of one sensitivity-campaign
+    replication (n = 1000): the crossing test passes at sorted index 958 and
+    fails at 959, so a bisection over t could miss the first crossing. The
+    search still returns the linear scan's index."""
+    d = np.load(FLIP)
+    calib = CalibrationSet(d["v"], d["lo"], d["hi"], float(d["u_test"]))
+    m, alpha, delta = float(d["m"]), float(d["alpha"]), float(d["delta"])
+    assert _crossing_hits(calib, calib.vs[958:960], alpha, delta, m).tolist() == [True, False]
+    assert _linear_first_crossing(calib, alpha, delta, m) == 958
+    assert _wsr_first_crossing(calib, alpha, delta, m) == 958
+
+
+def test_wsr_search_evaluates_few_rows(monkeypatch):
+    """A search from 0 to a crossing above 0.9 n builds summands for fewer
+    than n / 4 candidate rows, bound end rows included."""
+    n = 1000
+    r = rng(0)
+    w = r.uniform(0.3, 1.5, size=n)
+    calib = CalibrationSet(r.normal(size=n), w / 2.0, w * 2.0, 3.0)
+    m = _default_m(calib)
+    rows = []
+
+    def counted(c, t, m):
+        rows.append(len(t))
+        return _summands(c, t, m)
+
+    monkeypatch.setattr(pac, "_summands", counted)
+    k = _wsr_first_crossing(calib, 0.1, 0.05, m)
+    monkeypatch.undo()
+    assert k == _linear_first_crossing(calib, 0.1, 0.05, m) > 0.9 * n
+    assert sum(rows) < n / 4
 
 
 def test_path_validation():
