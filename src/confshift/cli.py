@@ -125,7 +125,10 @@ def _pfloats(s: str, item: Callable[[str], float] = _pfloat) -> tuple[float, ...
 
 
 def _plevels(s: str) -> tuple[float, ...]:
-    return _pfloats(s, _plevel)
+    vals = _pfloats(s, _plevel)
+    if len(set(vals)) < len(vals):
+        raise ValueError(f"levels must not repeat, got {s!r}")
+    return vals
 
 
 def _parm(s: str) -> int:

@@ -13,6 +13,13 @@ lower-quantile convention throughout. It is deliberately simple. A score
 asks its model for one thing, ``quantile(x, betas)``: an (n, len(betas))
 array of conditional quantiles per row of x, nondecreasing in beta. Any
 object with that method can stand in for the kNN model.
+
+A score reads its value in two steps: the query, ``model.quantile(x,
+score.betas)``, and a band rule on the returned columns (``ScoreFn.bands``).
+Several scores on one model may share a query: ask once for the
+concatenation of their ``betas`` and hand each score its own columns
+(``ScoreFn.score_at``). Every column is computed on its own, so the values
+are those of separate queries, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ class KNNQuantileModel:
             raise ValidationError(
                 f"query has {x.shape[1]} covariates, model was fit with {self.x.shape[1]}"
             )
+        if not np.isfinite(x).all():
+            raise ValidationError("query covariates must be finite")
         out = np.empty((x.shape[0], betas.size))
         # Chunk queries to bound the distance-matrix footprint.
         step = max(1, int(2e6) // max(1, self.x.shape[0]))
@@ -77,16 +86,21 @@ class KNNQuantileModel:
             ys = np.broadcast_to(np.sort(self.y), (xq.shape[0], n))
             counts = np.full(xq.shape[0], n)
         else:
-            # Squared Euclidean distances via the inner-product identity;
+            # Squared Euclidean distances via the inner-product identity,
+            # built in place (-2m + |xq|^2 is the same float as |xq|^2 - 2m);
             # sqrt is monotone so neighbor sets are unchanged.
-            d2 = (xq ** 2).sum(axis=1)[:, None] - 2.0 * (xq @ self.x.T)
+            d2 = xq @ self.x.T
+            d2 *= -2.0
+            d2 += (xq ** 2).sum(axis=1)[:, None]
             d2 += (self.x ** 2).sum(axis=1)[None, :]
-            part = np.argpartition(d2, (self.k - 1, self.k), axis=1)
-            rows = np.arange(xq.shape[0])
-            kth = d2[rows, part[:, self.k - 1]]
-            if (d2[rows, part[:, self.k]] > kth).all():
+            # One pivot at k: the first k entries are the k smallest
+            # distances, so their max is the k-th, and entry k the next one.
+            part = np.argpartition(d2, self.k, axis=1)
+            near = part[:, : self.k]
+            kth = np.take_along_axis(d2, near, axis=1).max(axis=1)
+            if (d2[np.arange(xq.shape[0]), part[:, self.k]] > kth).all():
                 # No ties beyond the k-th distance: exactly k outcomes.
-                ys = np.sort(self.y[part[:, : self.k]], axis=1)
+                ys = np.sort(self.y[near], axis=1)
                 counts = np.full(xq.shape[0], self.k)
             else:
                 # All points at the k-th distance count as neighbors (tie
@@ -106,6 +120,8 @@ def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
         raise ValidationError("empty-dataset")
     if y.shape != (x.shape[0],):
         raise ValidationError("x and y lengths differ")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("training covariates and outcomes must be finite")
     if k is None:
         k = default_k(x.shape[0])
     if k < 1:
@@ -122,7 +138,12 @@ def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
 
 @dataclass(frozen=True)
 class ScoreFn:
-    """A nonconformity score bound to a fitted quantile model and level alpha."""
+    """A nonconformity score bound to a fitted quantile model and level alpha.
+
+    ``score`` and ``interval`` query the model for ``betas`` themselves;
+    ``score_at`` reads the same value from quantile columns the caller has
+    already queried, such as one slice of a query shared by several alphas.
+    """
 
     kind: str
     model: KNNQuantileModel
@@ -144,22 +165,27 @@ class ScoreFn:
             return (1.0 - self.alpha,)
         return (0.5,)
 
-    def _bands(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Quantile bands (a, b) with V(x, y) = max(a - y, y - b) per row.
+    def bands(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """Quantile bands (a, b) with V(x, y) = max(a - y, y - b) per row,
+        from this score's quantile columns ``q = model.quantile(x, betas)``.
 
         cqr: q(alpha/2) and q(1 - alpha/2); abs_residual: the median twice
         (fl(m - y) = -fl(y - m), so the max is |y - m|, save that a zero
         score may carry a minus sign); cqr_one_sided: no lower band, a = -inf,
         which stays -inf after subtracting any finite or +inf threshold.
         """
-        q = self.model.quantile(x, self.betas)
         if self.kind == "cqr_one_sided":
             return np.full(q.shape[0], -np.inf), q[:, 0]
         return q[:, 0], q[:, -1]
 
     def score(self, x, y) -> np.ndarray:
         """V(x, y), vectorized over rows of x / entries of y."""
-        a, b = self._bands(x)
+        return self.score_at(self.model.quantile(x, self.betas), y)
+
+    def score_at(self, q, y) -> np.ndarray:
+        """V(x, y) from this score's quantile columns q at the rows of x, as
+        :meth:`bands` takes them; no query of its own."""
+        a, b = self.bands(q)
         y = np.asarray(y, dtype=float)
         return np.maximum(a - y, y - b)
 
@@ -172,6 +198,7 @@ class ScoreFn:
         kind, while a two-sided set may come out empty (lo > hi) for negative
         thresholds.
         """
-        a, b = self._bands(np.atleast_2d(np.asarray(x, dtype=float)))
+        a, b = self.bands(self.model.quantile(np.atleast_2d(np.asarray(x, dtype=float)),
+                                              self.betas))
         thr = np.asarray(threshold, dtype=float)
         return a - thr, b + thr

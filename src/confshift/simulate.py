@@ -252,6 +252,9 @@ class SimConfig:
             raise ValidationError(f"unknown bounds mode {self.bounds!r}")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValidationError("alphas must lie in (0, 1)")
+        if len(set(self.alphas)) < len(self.alphas):
+            # A repeat would run twice under one report key and change the hash.
+            raise ValidationError(f"alphas must not repeat, got {self.alphas}")
         for name in ("gamma_true", "gamma_bounds"):
             gamma = getattr(self, name)
             if gamma is not None and not 1.0 <= gamma < math.inf:
@@ -412,13 +415,20 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
                 "pac_gap": pac_gap(ev.x, w, bounds),
                 "lower_bound_l1": float(np.abs(lo_est - lo_true).mean())}
 
+    # Neighbour sets depend on x alone: one kNN query per query array asks
+    # for every alpha's levels. All alphas share one score kind, so each owns
+    # the same number of columns, (units, alphas, levels) after a reshape.
+    fns = [ScoreFn(kind=cfg.score, model=model, alpha=alpha) for alpha in cfg.alphas]
+    betas = [b for fn in fns for b in fn.betas]
+    q_cal, q_test = (model.quantile(units.x, betas).reshape(units.n, len(fns), -1)
+                     for units in (calib_arm, test))
     out: dict = {}
-    for alpha in cfg.alphas:
-        fn = ScoreFn(kind=cfg.score, model=model, alpha=alpha)
-        v_cal = fn.score(calib_arm.x, calib_arm.outcome(arm))
-        v_test = fn.score(test.x, test.outcome(arm))
-        thr = threshold_path(v_cal, envelopes, alpha, cfg.procedure, cfg.envelope, cfg.delta)[0]
-        out[_akey(alpha)] = {"coverage": float(np.mean(v_test <= thr)), **gaps}
+    for i, fn in enumerate(fns):
+        v_cal = fn.score_at(q_cal[:, i], calib_arm.outcome(arm))
+        v_test = fn.score_at(q_test[:, i], test.outcome(arm))
+        thr = threshold_path(v_cal, envelopes, fn.alpha, cfg.procedure, cfg.envelope,
+                             cfg.delta)[0]
+        out[_akey(fn.alpha)] = {"coverage": float(np.mean(v_test <= thr)), **gaps}
     return out
 
 

@@ -194,6 +194,7 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     ("simulate", ["--delta", "9"]),
     ("simulate", ["--grid", "2,3"]),
     ("predict", ["--train-fraction", "1.5"]),
+    ("simulate", ["--alphas", "0.2,0.2"]),
 ])
 def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
     # A malformed data file would exit 2 if it were read first.
@@ -718,6 +719,9 @@ _SIM_ARGS = ["--kind", "sensitivity", "--n-train", "80", "--n-calib", "150",
              "--grid", "1.0,1.1,1.2,1.5,2.0", "--alphas", "0.7", "--n-reps", "2",
              "--bounds", "estimated", "--effect-kind", "random", "--effect-a", "1.0",
              "--seed", "11", "--threads", "1"]
+_COV_ARGS = ["--kind", "coverage", "--n-train", "120", "--n-test", "60", "--p", "2",
+             "--gamma-true", "1.3", "--n-reps", "2", "--bounds", "estimated",
+             "--seed", "11", "--threads", "1"]
 
 
 def _recorded_cases():
@@ -734,6 +738,11 @@ def _recorded_cases():
                                 "--score", "cqr", "--alpha", "0.5", "--null-kind", null,
                                 "--null-a", "0.5", "--gamma-grid", _SENS_GRID])
     cases["simulate-sensitivity-estimated"] = ("simulate", _SIM_ARGS)
+    cases["simulate-coverage-alg1-estimated"] = (
+        "simulate", [*_COV_ARGS, "--n-calib", "150", "--alphas", "0.2", "--procedure", "alg1"])
+    cases["simulate-coverage-alg2:wsr-gap"] = (
+        "simulate", [*_COV_ARGS, "--n-calib", "400", "--alphas", "0.5,0.2",
+                     "--procedure", "alg2", "--envelope", "wsr", "--n-eval-gap", "200"])
     return cases
 
 
@@ -808,6 +817,20 @@ _DIGESTS = {
             "3340b272e013d9115b79c44888bfdf838e146b4999d1b1c322df6959e70e0a7c",
         "report.json":
             "97b472d94087783136b2193480d217a0153d632c9537410cba83e3de5ef1126e",
+    },
+    # The coverage campaign, recorded before its replications made one kNN
+    # query per query array for all alphas together.
+    "simulate-coverage-alg1-estimated": {
+        "coverage.csv":
+            "1d8506b9ea3fc0b52c60579d3cef4ffdea5f77607c8349d4081c17f09d14a084",
+        "report.json":
+            "306ba4a10086371e1aea6c27254869ec04b14944d51e2b3e7da1553c7d56f6c1",
+    },
+    "simulate-coverage-alg2:wsr-gap": {
+        "coverage.csv":
+            "9326df72c1700b0c2ebd202219dee959de36a86b166dbba9e687a2b7814914cf",
+        "report.json":
+            "d8e771089d68d76f1fb70f49a5a1f8c11d88705b679d7822e7d139181b171572",
     },
 }
 

@@ -37,6 +37,20 @@ def test_fit_validation_and_clipping():
     assert model.k == 5 and model.clipped
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_fit_rejects_nonfinite_training_data(bad, where):
+    # A NaN training row used to be kept and never became a neighbour.
+    x = np.arange(10.0).reshape(5, 2)
+    y = np.arange(5.0)
+    if where == "x":
+        x[2, 0] = bad
+    else:
+        y[2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        fit_quantile_model(x, y, k=2)
+
+
 def test_knn_quantile_exact_small_case():
     # Query sits next to three known outcomes; lower-quantile convention.
     x = np.array([[0.0], [1.0], [2.0], [10.0]])
@@ -92,6 +106,12 @@ def test_knn_query_validation():
         model.quantile(np.zeros((2, 5)), 0.5)
     with pytest.raises(ValidationError):
         model.quantile(np.zeros((2, 2)), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        # A NaN query row used to come back as a +inf quantile.
+        xq = np.zeros((3, 2))
+        xq[1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            model.quantile(xq, 0.5)
 
 
 def test_knn_chunking_consistent():
@@ -153,6 +173,30 @@ def test_knn_quantile_matches_brute_force(case, betas, data):
     np.testing.assert_array_equal(model.quantile(xq, betas), want)
     for j, b in enumerate(betas):
         np.testing.assert_array_equal(model.quantile(xq, b), want[:, j])
+
+
+def test_knn_quantile_matches_brute_force_across_tied_and_untied_chunks():
+    """A query spanning three chunks of the model's 2e6-entry distance budget:
+    the first chunk has no tie at the k-th distance, the second ties on every
+    row, the third mixes both, so each takes its own neighbour branch."""
+    n, k = 2000, 7
+    x = np.arange(10.0, 10.0 + n)[:, None]
+    y = rng(5).integers(-50, 50, size=n).astype(float)
+    step = int(2e6) // n  # query rows per chunk
+    # Left of every training point: distinct distances. Half-way between two
+    # training points: pairs at equal distance, and k odd splits a pair.
+    untied = np.arange(step) % 10.0
+    tied = 20.5 + np.arange(step) % (n - 30)
+    mixed = np.where(np.arange(step // 2) % 2 == 0, untied[: step // 2], tied[: step // 2])
+    xq = np.concatenate([untied, tied, mixed])[:, None]
+    d = np.sort((xq - x.T) ** 2, axis=1)
+    ties = d[:, k] == d[:, k - 1]
+    assert not ties[:step].any() and ties[step: 2 * step].all()
+    assert ties[2 * step:].any() and not ties[2 * step:].all()
+    betas = [0.05, 0.5, 0.9, 1.0]
+    model = fit_quantile_model(x, y, k=k)
+    np.testing.assert_array_equal(model.quantile(xq, betas),
+                                  _knn_quantile_oracle(x, y, k, xq, betas))
 
 
 # ---------------------------------------------------------------------------

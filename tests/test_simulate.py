@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
 from confshift import (
+    KNNQuantileModel,
     SimConfig,
     TargetSpec,
     ValidationError,
@@ -163,6 +164,8 @@ def test_sim_config_validation():
         SimConfig(n_train=10, n_calib=10, alphas=(0.2, 1.2))
     with pytest.raises(ValidationError, match="arm"):
         SimConfig(n_train=10, n_calib=10, arm=2)
+    with pytest.raises(ValidationError, match="repeat"):
+        SimConfig(n_train=10, n_calib=10, alphas=(0.2, 0.5, 0.2))
     for field in ("seed", "n_eval_gap"):
         with pytest.raises(ValidationError, match=field):
             SimConfig(n_train=10, n_calib=10, **{field: -1})
@@ -284,6 +287,28 @@ def test_scan_replication_fits_the_propensity_once(monkeypatch):
                     alphas=(0.2,), envelope="plugin")
     run_sensitivity_experiment(cfg)
     assert len(fits) == cfg.n_reps
+
+
+@pytest.mark.parametrize("alphas", [(0.2,), (0.1, 0.2, 0.5)])
+def test_coverage_replication_queries_the_knn_model_twice(monkeypatch, alphas):
+    # One query for the calibration units and one for the test units, each
+    # asking for every alpha's levels at once.
+    levels = []
+
+    def counting_quantile(self, x, beta):
+        levels.append(len(beta))
+        return real_quantile(self, x, beta)
+
+    real_quantile = KNNQuantileModel.quantile
+    monkeypatch.setattr(KNNQuantileModel, "quantile", counting_quantile)
+    cfg = _tiny_cfg(alphas=alphas, n_reps=2)
+    report = run_coverage_experiment(cfg)
+    assert levels == [2 * len(alphas)] * (2 * cfg.n_reps)
+    for alpha in alphas:
+        # Each alpha reads exactly what a campaign at that alpha alone reads.
+        alone = run_coverage_experiment(dataclasses.replace(cfg, alphas=(alpha,)))
+        key = repr(alpha)
+        assert report["per_alpha"][key] == alone["per_alpha"][key]
 
 
 def test_worker_count_is_clamped_to_reps_and_cpus():
