@@ -43,7 +43,7 @@ from .core import (
     split,
     write_table,
 )
-from .nuisance import TargetSpec, bound_functions, fit_propensity
+from .nuisance import TargetSpec, fit_propensity, ratio_bounds
 from .pac import METHODS
 from .scores import ScoreFn, fit_quantile_model
 from .sensitivity import GammaGrid, NullSpec, survival_curve
@@ -51,9 +51,11 @@ from .simulate import (SimConfig, run_coverage_experiment, run_sensitivity_exper
                        scan_gamma_values, threshold_path)
 from .worstcase import DiscreteJoint, worst_cdf_marginal, worst_witness_marginal
 
-# Called through .simulate; still bound here because the benchmark's tracer
-# (perfbench/tracing.py) patches the threshold callables by this module's names.
+# Called through .simulate or not at all; still bound here because the
+# benchmark's tracer (perfbench/tracing.py) patches these callables by this
+# module's names.
 from .marginal import robust_threshold_many  # noqa: F401
+from .nuisance import bound_functions  # noqa: F401
 from .pac import pac_threshold, pac_threshold_path  # noqa: F401
 from .sensitivity import gamma_values_from_rejections  # noqa: F401
 
@@ -121,14 +123,15 @@ def _pfloats(s: str, item: Callable[[str], float] = _pfloat) -> tuple[float, ...
     vals = tuple(item(part) for part in s.split(",") if part.strip() != "")
     if not vals:
         raise ValueError("empty list")
+    if len(set(vals)) < len(vals):
+        # A repeat would change the config hash and not the result, or
+        # (predict) write its rows twice.
+        raise ValueError(f"values must not repeat, got {s!r}")
     return vals
 
 
 def _plevels(s: str) -> tuple[float, ...]:
-    vals = _pfloats(s, _plevel)
-    if len(set(vals)) < len(vals):
-        raise ValueError(f"levels must not repeat, got {s!r}")
-    return vals
+    return _pfloats(s, _plevel)
 
 
 def _parm(s: str) -> int:
@@ -188,7 +191,8 @@ _FOLDS = {
     "train_fraction": _Opt(_pfraction, 0.5, "train share when splitting"),
     "alpha": _Opt(_plevel, 0.1, "miscoverage level"),
     "delta": _Opt(_plevel, 0.05, "PAC failure level (alg2)"),
-    "method": _Opt(_pmethod, ("alg1", None), "alg1 or alg2:plugin|hoeffding|wsr"),
+    "method": _Opt(_pmethod, ("alg1", None),
+                   "alg1 or alg2:plugin|hoeffding|wsr; plugin carries no guarantee"),
     "k": _Opt(_pinteger(1), None, "neighbor count for the quantile model"),
 }
 
@@ -395,11 +399,13 @@ def cmd_predict(resolved: dict, h: str) -> None:
 
     gammas = sorted(resolved["gamma"])
     kind, envelope = resolved["method"]
+    lo, hi = ratio_bounds(target, gammas, prop, p1, calib_arm.x)
+    hi_test = ratio_bounds(target, gammas, prop, p1, x_test)[1]
     # One single-strength path per gamma: each gamma keeps its own alg2 scale M.
     thr = np.vstack([
-        threshold_path(v_cal, [b(calib_arm.x) + (b.upper(x_test),)], alpha,
+        threshold_path(v_cal, lo[i:i + 1], hi[i:i + 1], hi_test[i:i + 1], alpha,
                        kind, envelope, resolved["delta"])
-        for b in (bound_functions(target, g, prop, p1) for g in gammas)])
+        for i in range(len(gammas))])
     set_lo, set_hi = fn.interval(x_test, thr)
     n = x_test.shape[0]
     write_table(os.path.join(resolved["out_dir"], "intervals.csv"), {
@@ -437,9 +443,10 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
         v_cal = fn.score(calib_arm.x, calib_arm.y)
         target = TargetSpec(arm=cf_arm, population=population)
         x_side = test_x[mask]
-        pairs = (bound_functions(target, g, prop, p1) for g in grid.values)
-        thr = threshold_path(v_cal, [b(calib_arm.x) + (b.upper(x_side),) for b in pairs],
-                             alpha, kind, envelope, resolved["delta"])
+        lo, hi = ratio_bounds(target, grid.values, prop, p1, calib_arm.x)
+        hi_test = ratio_bounds(target, grid.values, prop, p1, x_side)[1]
+        thr = threshold_path(v_cal, lo, hi, hi_test, alpha, kind, envelope,
+                             resolved["delta"])
         gamma_hat[mask] = scan_gamma_values(fn, x_side, t_obs, test_y[mask], thr, grid, null)
 
     out_dir, stamp = resolved["out_dir"], _stamp(resolved, h)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PROB_SLACK, ValidationError, _envelope_sums
-from .nuisance import BoundPair
 
 __all__ = [
     "CalibrationSet",
@@ -95,7 +94,7 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def marginal_gap(x_eval, w_eval, bounds: BoundPair, n_calib: int | None = None) -> float:
+def marginal_gap(w_eval, lo, hi, n_calib: int | None = None) -> float:
     """Coverage-gap certificate for a (possibly misspecified) envelope.
 
     Empirical plug-in of
@@ -103,9 +102,10 @@ def marginal_gap(x_eval, w_eval, bounds: BoundPair, n_calib: int | None = None) 
         ||1/l||_inf ( ||(l - w)_+||_1 + ||(u - w)_-||_1
                       + (1/n) ||w (u - w)_-||_1 )
 
-    over evaluation points with known true ratio ``w_eval``; the infinity
-    norm is the max over evaluation points, the 1-norm the mean.
-    ``n_calib`` defaults to the number of evaluation points.
+    over evaluation points with known true ratio ``w_eval`` and envelope
+    ``lo``/``hi`` there; the infinity norm is the max over evaluation points,
+    the 1-norm the mean. ``n_calib`` defaults to the number of evaluation
+    points.
     """
     w = np.asarray(w_eval, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -113,7 +113,7 @@ def marginal_gap(x_eval, w_eval, bounds: BoundPair, n_calib: int | None = None) 
     n = w.size if n_calib is None else int(n_calib)
     if n < 1:
         raise ValidationError(f"n_calib must be >= 1, got {n_calib}")
-    l_hat, u_hat = bounds(x_eval)
+    l_hat, u_hat = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if l_hat.shape != w.shape or u_hat.shape != w.shape:
         raise ValidationError("bounds and w_eval shapes disagree")
 

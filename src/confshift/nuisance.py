@@ -9,18 +9,18 @@ functions of the odds r(x) = e(x) / (1 - e(x)):
     arm 1, ate:     l = p1 (1 + 1/(Gamma r)),        u = p1 (1 + Gamma/r)
     arm 1, att:     l = u = 1
     arm 1, atc:     l = (p1/p0) / (Gamma r),         u = (p1/p0) Gamma/r
-    arm 1, general: ate bounds scaled by the covariate shift dQ/dP(x)
     arm 0, ate:     l = p0 (1 + r/Gamma),            u = p0 (1 + Gamma r)
     arm 0, att:     l = (p0/p1) r/Gamma,             u = (p0/p1) Gamma r
     arm 0, atc:     l = u = 1
-    arm 0, general: ate bounds scaled by dQ/dP(x)
 
-At Gamma = 1 the envelope collapses to the classical covariate-shift weight.
+:func:`ratio_bounds` evaluates the odds once per covariate array and returns
+the cell along a whole strength grid; :func:`bound_functions` is the same
+envelope at one strength, as a pair of functions of x. At Gamma = 1 the
+envelope collapses to the classical covariate-shift weight.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,9 +36,10 @@ __all__ = [
     "TargetSpec",
     "bound_functions",
     "fit_propensity",
+    "ratio_bounds",
 ]
 
-POPULATIONS = ("ate", "att", "atc", "general")
+POPULATIONS = ("ate", "att", "atc")
 
 _CLIP = (0.01, 0.99)  # range of the clipped propensity predictions
 _TOL = 1e-8
@@ -97,25 +98,16 @@ def fit_propensity(x, t) -> PropensityModel:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Which counterfactual arm is inferred, and for which population.
-
-    ``covariate_shift`` (dQ/dP as a function of x, positive everywhere) is
-    required exactly when population == "general".
-    """
+    """Which counterfactual arm is inferred, and for which population."""
 
     arm: int
     population: str
-    covariate_shift: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.arm not in (0, 1):
             raise ValidationError(f"arm must be 0 or 1, got {self.arm}")
         if self.population not in POPULATIONS:
             raise ValidationError(f"unknown population {self.population!r}")
-        if (self.population == "general") != (self.covariate_shift is not None):
-            raise ValidationError(
-                "covariate_shift must be provided iff population == 'general'"
-            )
 
 
 @dataclass(frozen=True)
@@ -133,60 +125,48 @@ class BoundPair:
         )
 
 
-def bound_functions(
-    target: TargetSpec,
-    gamma: float,
-    propensity,
-    p1: float,
-) -> BoundPair:
-    """Closed-form bound pair for ``target`` at selection strength ``gamma``.
-
-    ``propensity`` is anything with ``predict(x) -> e`` taking values in
-    (0, 1); with a clipped logistic model the bounds have a finite sup.
-    """
-    if not 1.0 <= gamma < math.inf:
-        raise ValidationError(f"gamma must be finite and >= 1, got {gamma}")
+def _strengths(gammas, p1: float) -> np.ndarray:
+    """The strengths as a float column, after checking them and ``p1``."""
+    g = np.asarray(gammas, dtype=float).reshape(-1, 1)
+    bad = g[~(np.isfinite(g) & (g >= 1.0))]
+    if bad.size:
+        raise ValidationError(f"gamma must be finite and >= 1, got {float(bad[0])}")
     if not 0.0 < p1 < 1.0:
         raise ValidationError(f"p1 must be in (0, 1), got {p1}")
+    return g
+
+
+def ratio_bounds(target: TargetSpec, gammas, propensity, p1: float,
+                 x) -> tuple[np.ndarray, np.ndarray]:
+    """Envelope ``(lo, hi)`` for ``target`` at every strength, shape (strengths, rows).
+
+    ``propensity`` is anything with ``predict(x) -> e`` taking values in
+    (0, 1); it is called once, and each cell of the table above is applied
+    to the odds with the strengths as a column. With a clipped logistic
+    model the bounds have a finite sup.
+    """
+    g = _strengths(gammas, p1)
     p0 = 1.0 - p1
-    arm, pop, shift = target.arm, target.population, target.covariate_shift
-
-    def odds(x) -> np.ndarray:
-        e = np.asarray(propensity.predict(x), dtype=float)
-        return e / (1.0 - e)
-
+    arm, pop = target.arm, target.population
+    if (arm, pop) in ((1, "att"), (0, "atc")):
+        shape = (g.shape[0], np.atleast_2d(x).shape[0])
+        return np.ones(shape), np.ones(shape)
+    e = np.asarray(propensity.predict(x), dtype=float)
+    r = e / (1.0 - e)
     if arm == 1:
-        if pop == "att":
-            lower = upper = lambda x: np.ones(np.atleast_2d(x).shape[0])
-        elif pop == "atc":
-            lower = lambda x: (p1 / p0) / (gamma * odds(x))
-            upper = lambda x: (p1 / p0) * gamma / odds(x)
-        else:  # ate / general
-            lower = lambda x: p1 * (1.0 + 1.0 / (gamma * odds(x)))
-            upper = lambda x: p1 * (1.0 + gamma / odds(x))
-    else:
         if pop == "atc":
-            lower = upper = lambda x: np.ones(np.atleast_2d(x).shape[0])
-        elif pop == "att":
-            lower = lambda x: (p0 / p1) * odds(x) / gamma
-            upper = lambda x: (p0 / p1) * gamma * odds(x)
-        else:  # ate / general
-            lower = lambda x: p0 * (1.0 + odds(x) / gamma)
-            upper = lambda x: p0 * (1.0 + gamma * odds(x))
+            return (p1 / p0) / (g * r), (p1 / p0) * g / r
+        return p1 * (1.0 + 1.0 / (g * r)), p1 * (1.0 + g / r)
+    if pop == "att":
+        return (p0 / p1) * r / g, (p0 / p1) * g * r
+    return p0 * (1.0 + r / g), p0 * (1.0 + g * r)
 
-    if pop == "general":
-        base_lower, base_upper = lower, upper
 
-        def lower(x, _f=base_lower):
-            s = np.asarray(shift(x), dtype=float)
-            if np.any(s <= 0):
-                raise ValidationError("covariate_shift must be positive everywhere")
-            return s * _f(x)
+def bound_functions(target: TargetSpec, gamma: float, propensity, p1: float) -> BoundPair:
+    """:func:`ratio_bounds` at the one strength ``gamma``, as a bound pair."""
+    _strengths((gamma,), p1)
 
-        def upper(x, _f=base_upper):
-            s = np.asarray(shift(x), dtype=float)
-            if np.any(s <= 0):
-                raise ValidationError("covariate_shift must be positive everywhere")
-            return s * _f(x)
+    def side(i: int) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: ratio_bounds(target, (gamma,), propensity, p1, x)[i][0]
 
-    return BoundPair(gamma=float(gamma), lower=lower, upper=upper)
+    return BoundPair(gamma=float(gamma), lower=side(0), upper=side(1))

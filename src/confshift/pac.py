@@ -49,7 +49,6 @@ import numpy as np
 
 from .core import PROB_SLACK, ValidationError
 from .marginal import CalibrationSet
-from .nuisance import BoundPair
 
 __all__ = [
     "METHODS",
@@ -350,12 +349,12 @@ def pac_threshold_path(
     return out
 
 
-def pac_gap(x_eval, w_eval, bounds: BoundPair) -> float:
-    """Envelope-misspecification penalty max{E(l-w)_+, E(u-w)_-}, plug-in."""
+def pac_gap(w_eval, lo, hi) -> float:
+    """Envelope-misspecification penalty max{E(l-w)_+, E(u-w)_-}, plug-in,
+    over evaluation points with true ratio ``w_eval`` and envelope ``lo``/``hi``."""
     w = np.asarray(w_eval, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("w_eval must be a nonempty 1-d array")
-    l_hat, u_hat = bounds(x_eval)
-    under = np.maximum(l_hat - w, 0.0)
-    over = np.maximum(w - u_hat, 0.0)
+    under = np.maximum(np.asarray(lo, dtype=float) - w, 0.0)
+    over = np.maximum(w - np.asarray(hi, dtype=float), 0.0)
     return float(max(under.mean(), over.mean()))

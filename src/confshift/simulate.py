@@ -38,7 +38,7 @@ from scipy.special import expit, ndtri
 
 from .core import ValidationError, rng
 from .marginal import CalibrationSet, marginal_gap, robust_threshold_many
-from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity
+from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity, ratio_bounds
 # pac_threshold is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) patches threshold callables at this module.
 from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
@@ -185,7 +185,7 @@ def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
 
     Derived from Bayes' rule on the latent propensity: conditioning the
     outcome law on T = t tilts it by e(x,u)/e(x) (or the complement), so all
-    eight (arm, population) combinations reduce to functions of e(x, u).
+    six (arm, population) combinations reduce to functions of e(x, u).
     """
     p1 = true_treated_fraction(draw.x.shape[1])
     p0 = 1.0 - p1
@@ -205,8 +205,6 @@ def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
             w = (p0 / p1) * exu / (1.0 - exu)
         else:
             w = p0 / (1.0 - exu)
-    if pop == "general":
-        w = w * np.asarray(target.covariate_shift(draw.x), dtype=float)
     return w
 
 
@@ -286,21 +284,19 @@ def _pool_until(cfg: SimConfig, r: np.random.Generator, arm: int, count: int) ->
 
 def _draw_target_units(cfg: SimConfig, r: np.random.Generator, n: int) -> SuperPopDraw:
     """Fresh units from the target population (arm-conditioned for att/atc)."""
-    if cfg.population in ("ate", "general"):
+    if cfg.population == "ate":
         return gen_superpop(n, cfg.p, cfg.gamma_true, r, cfg.effect_kind, cfg.effect_a)
     want = 1 if cfg.population == "att" else 0
     pool = _pool_until(cfg, r, want, n)
     return pool.take(np.nonzero(pool.t == want)[0])
 
 
-def _bound_family(cfg: SimConfig, train: SuperPopDraw) -> Callable[[float], BoundPair]:
-    """Bound pair by strength, oracle or from one propensity fit on the training fold."""
+def _propensity(cfg: SimConfig, train: SuperPopDraw) -> tuple:
+    """Propensity model and treated fraction behind the bounds: the oracle
+    pair, or one propensity fit on the training fold."""
     if cfg.bounds == "oracle":
-        prop, p1 = TruePropensity(cfg.p), true_treated_fraction(cfg.p)
-    else:
-        prop, p1 = fit_propensity(train.x, train.t), float(np.mean(train.t == 1))
-    target = cfg.target()
-    return lambda gamma: bound_functions(target, gamma, prop, p1)
+        return TruePropensity(cfg.p), true_treated_fraction(cfg.p)
+    return fit_propensity(train.x, train.t), float(np.mean(train.t == 1))
 
 
 def _rep_seeds(cfg: SimConfig) -> list[np.random.SeedSequence]:
@@ -317,13 +313,19 @@ def _worker_count(threads: int | None, n_reps: int) -> int:
 
 # Fields each campaign never reads. Setting one off its default is an error,
 # so one run answers to one config hash; the scan also reads one alpha only.
+# alg1 coverage reads no alg2 envelope, and the plugin envelope no delta.
 _UNREAD = {"coverage": ("grid",),
            "sensitivity": ("score", "procedure", "gamma_bounds", "n_eval_gap")}
 
 
 def _reject_unread(cfg: SimConfig, campaign: str) -> None:
+    unread = list(_UNREAD[campaign])
+    if campaign == "coverage" and cfg.procedure == "alg1":
+        unread += ["envelope", "delta"]
+    if cfg.envelope == "plugin":
+        unread.append("delta")
     for f in fields(SimConfig):
-        if f.name in _UNREAD[campaign] and getattr(cfg, f.name) != f.default:
+        if f.name in unread and getattr(cfg, f.name) != f.default:
             raise ValidationError(f"the {campaign} campaign does not read {f.name}")
     if campaign == "sensitivity" and len(cfg.alphas) > 1:
         raise ValidationError("the sensitivity campaign reads one level of alphas")
@@ -343,14 +345,16 @@ def _run_reps(worker: Callable, cfg: SimConfig, threads: int | None) -> list[dic
 # ---------------------------------------------------------------------------
 
 
-def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
-                   envelope: str = "wsr", delta: float = 0.05) -> np.ndarray:
+def threshold_path(v_cal: np.ndarray, lo: np.ndarray, hi: np.ndarray, hi_test: np.ndarray,
+                   alpha: float, procedure: str, envelope: str = "wsr",
+                   delta: float = 0.05) -> np.ndarray:
     """Score thresholds along ascending strengths, shape (strengths, test units).
 
-    ``envelopes`` holds one ``(lo_cal, hi_cal, hi_test)`` triple per strength.
+    ``lo`` and ``hi`` (strengths x calibration units) and ``hi_test``
+    (strengths x test units) are the envelopes of :func:`ratio_bounds`.
     alg1 gives every test unit its own robust marginal threshold; alg2 gives
     all units the one PAC threshold of :func:`pac_threshold_path`, with its
-    default envelope scale M (the largest bound over all triples).
+    default envelope scale M (the largest bound over all strengths).
 
     Nestedness is repaired in one place, the scan:
     :func:`gamma_values_from_rejections` stops each unit at its first
@@ -359,13 +363,14 @@ def threshold_path(v_cal: np.ndarray, envelopes, alpha: float, procedure: str,
     sensitivity values. The built-in bound families widen with the strength
     anyway, and the alg2 path is nondecreasing by construction.
     """
+    strengths = list(zip(lo, hi, hi_test))
     if procedure == "alg1":
-        return np.array([robust_threshold_many(v_cal, lo, hi, alpha, ht)
-                         for lo, hi, ht in envelopes])
-    calibs = [CalibrationSet(v_cal, lo, hi, u_test=float(ht.max()))
-              for lo, hi, ht in envelopes]
+        return np.array([robust_threshold_many(v_cal, lo_g, hi_g, alpha, ht)
+                         for lo_g, hi_g, ht in strengths])
+    calibs = [CalibrationSet(v_cal, lo_g, hi_g, u_test=float(ht.max()))
+              for lo_g, hi_g, ht in strengths]
     path = pac_threshold_path(calibs, alpha, delta, envelope)
-    return np.repeat(path[:, None], len(envelopes[0][2]), axis=1)
+    return np.repeat(path[:, None], hi_test.shape[1], axis=1)
 
 
 def scan_gamma_values(fn: ScoreFn, x: np.ndarray, t_obs: int, y: np.ndarray,
@@ -399,20 +404,22 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     train_arm = train.take(np.nonzero(train.t == arm)[0])
     calib_arm = calib.take(np.nonzero(calib.t == arm)[0])
     model = fit_quantile_model(train_arm.x, train_arm.outcome(arm))
-    gamma_b = cfg.gamma_true if cfg.gamma_bounds is None else cfg.gamma_bounds
-    bounds = _bound_family(cfg, train)(gamma_b)
-    envelopes = [bounds(calib_arm.x) + (bounds.upper(test.x),)]
+    target = cfg.target()
+    gammas = (cfg.gamma_true if cfg.gamma_bounds is None else cfg.gamma_bounds,)
+    prop, p1 = _propensity(cfg, train)
+    lo_cal, hi_cal = ratio_bounds(target, gammas, prop, p1, calib_arm.x)
+    hi_test = ratio_bounds(target, gammas, prop, p1, test.x)[1]
 
     # The gap certificates depend on the bounds, not on alpha.
     gaps: dict = {}
     if cfg.n_eval_gap > 0:
         ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)
         ev = ev.take(np.nonzero(ev.t == arm)[0])
-        w = true_likelihood_ratio(ev, cfg.target())
-        lo_true, _ = oracle_bound_pair(cfg.target(), gamma_b, cfg.p)(ev.x)
-        lo_est, _ = bounds(ev.x)
-        gaps = {"marginal_gap": marginal_gap(ev.x, w, bounds, n_calib=cfg.n_calib),
-                "pac_gap": pac_gap(ev.x, w, bounds),
+        w = true_likelihood_ratio(ev, target)
+        lo_true = oracle_bound_pair(target, gammas[0], cfg.p).lower(ev.x)
+        (lo_est,), (hi_est,) = ratio_bounds(target, gammas, prop, p1, ev.x)
+        gaps = {"marginal_gap": marginal_gap(w, lo_est, hi_est, n_calib=cfg.n_calib),
+                "pac_gap": pac_gap(w, lo_est, hi_est),
                 "lower_bound_l1": float(np.abs(lo_est - lo_true).mean())}
 
     # Neighbour sets depend on x alone: one kNN query per query array asks
@@ -426,8 +433,8 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     for i, fn in enumerate(fns):
         v_cal = fn.score_at(q_cal[:, i], calib_arm.outcome(arm))
         v_test = fn.score_at(q_test[:, i], test.outcome(arm))
-        thr = threshold_path(v_cal, envelopes, fn.alpha, cfg.procedure, cfg.envelope,
-                             cfg.delta)[0]
+        thr = threshold_path(v_cal, lo_cal, hi_cal, hi_test, fn.alpha, cfg.procedure,
+                             cfg.envelope, cfg.delta)[0]
         out[_akey(fn.alpha)] = {"coverage": float(np.mean(v_test <= thr)), **gaps}
     return out
 
@@ -474,7 +481,7 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
 
     Test units are scanned as treated, with counterfactual arm 0, one-sided
     upper intervals and the null C = (-inf, 0]. Both procedures share one
-    propensity fit (estimated bounds) and the bound pairs along the grid;
+    propensity fit (estimated bounds) and the envelopes along the grid;
     each gets its thresholds from :func:`threshold_path`, and one
     :func:`scan_gamma_values` call on the stacked paths gives both sets of
     sensitivity values.
@@ -493,10 +500,11 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     fn = ScoreFn(kind="cqr_one_sided", model=model, alpha=alpha)
     v_cal = fn.score(calib_c.x, calib_c.y0)
 
-    bounds = _bound_family(cfg, train)
-    envelopes = [b(calib_c.x) + (b.upper(test.x),) for b in map(bounds, grid.values)]
-    thr = np.stack([threshold_path(v_cal, envelopes, alpha, key, cfg.envelope, cfg.delta)
-                    for key in ("alg1", "alg2")])
+    target, (prop, p1) = cfg.target(), _propensity(cfg, train)
+    lo, hi = ratio_bounds(target, grid.values, prop, p1, calib_c.x)
+    hi_test = ratio_bounds(target, grid.values, prop, p1, test.x)[1]
+    thr = np.stack([threshold_path(v_cal, lo, hi, hi_test, alpha, key, cfg.envelope,
+                                   cfg.delta) for key in ("alg1", "alg2")])
     alg1, alg2 = scan_gamma_values(fn, test.x, 1, test.y1, thr, grid, NullSpec("le", 0.0))
     return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}
 

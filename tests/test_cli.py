@@ -195,6 +195,7 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     ("simulate", ["--grid", "2,3"]),
     ("predict", ["--train-fraction", "1.5"]),
     ("simulate", ["--alphas", "0.2,0.2"]),
+    ("predict", ["--gamma", "1.5,1.5"]),
 ])
 def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
     # A malformed data file would exit 2 if it were read first.
@@ -552,6 +553,15 @@ def test_worstcase_cdf_and_witness(corpus, tmp_path):
     np.testing.assert_allclose(results["gamma_mix"], 2.0 / 3.0, atol=1e-12)
 
 
+def test_worstcase_repeated_query_point_exits_3(corpus, tmp_path, capsys):
+    # Every list option refuses a repeat: here it would only change the hash.
+    out = tmp_path / "o"
+    assert main(["worstcase", "--instance", corpus["instance"], "--at", "1.0,2.0,1.0",
+                 "--out-dir", str(out)]) == 3
+    assert "bad value for at: values must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_worstcase_default_grid_matches_library(corpus, tmp_path):
     out = tmp_path / "run"
     assert main(["worstcase", "--instance", corpus["instance"],
@@ -677,15 +687,33 @@ def test_simulate_nonpositive_threads_exit_3(tmp_path, capsys, source, value):
     ("coverage", "--grid", "1,2"),
 ])
 def test_simulate_rejects_a_setting_its_campaign_never_reads(tmp_path, capsys, kind, flag, value):
-    out = tmp_path / "o"
-    rc = main(["simulate", "--kind", kind, "--n-train", "60", "--n-calib", "40",
-               "--n-test", "5", "--n-reps", "1", "--threads", "1", flag, value,
-               "--out-dir", str(out)])
-    assert rc == 3
-    err = capsys.readouterr().err
+    err = _simulate_exits_3(tmp_path, capsys, kind, [flag, value])
     assert f"the {kind} campaign" in err
     assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("kind,flags,key", [
+    ("coverage", ["--delta", "0.3"], "delta"),
+    ("coverage", ["--envelope", "plugin"], "envelope"),
+    ("coverage", ["--procedure", "alg2", "--envelope", "plugin", "--delta", "0.3"], "delta"),
+    ("sensitivity", ["--envelope", "plugin", "--delta", "0.3"], "delta"),
+])
+def test_simulate_rejects_a_setting_its_procedure_never_reads(tmp_path, capsys, kind, flags,
+                                                               key):
+    # alg1 coverage reads no alg2 envelope, and the plugin envelope no delta.
+    err = _simulate_exits_3(tmp_path, capsys, kind, flags)
+    assert f"the {kind} campaign does not read {key}" in err
+
+
+def _simulate_exits_3(tmp_path, capsys, kind, flags) -> str:
+    """Standard error of a small ``simulate`` run that must exit 3 unwritten."""
+    out = tmp_path / "o"
+    rc = main(["simulate", "--kind", kind, "--n-train", "60", "--n-calib", "40",
+               "--n-test", "5", "--n-reps", "1", "--threads", "1", *flags,
+               "--out-dir", str(out)])
+    assert rc == 3
     assert not (out / "report.json").exists()
+    return capsys.readouterr().err
 
 
 def test_simulate_accepts_an_unread_setting_left_at_its_default(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from confshift import (
-    BoundPair,
     CalibrationSet,
     ValidationError,
     marginal_gap,
@@ -225,33 +224,23 @@ def test_exact_envelope_matches_weighted_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _fixed_bounds(lo_vals, hi_vals):
-    return BoundPair(
-        gamma=1.0,
-        lower=lambda x: np.asarray(lo_vals, dtype=float),
-        upper=lambda x: np.asarray(hi_vals, dtype=float),
-    )
-
-
 def test_marginal_gap_zero_for_exact_envelope():
     w = np.array([0.5, 1.0, 2.0])
-    bounds = _fixed_bounds(w, w)
-    assert marginal_gap(np.zeros((3, 1)), w, bounds) == 0.0
+    assert marginal_gap(w, w, w) == 0.0
 
 
 def test_marginal_gap_hand_values():
     w = np.array([1.0, 1.0])
-    bounds = _fixed_bounds([1.2, 0.8], [0.9, 1.5])
-    x = np.zeros((2, 1))
     # under = (0.2, 0), over = (0.1, 0), n = 2
     want_inf = (1 / 0.8) * (0.1 + 0.05 + 0.025)
-    np.testing.assert_allclose(marginal_gap(x, w, bounds), want_inf, rtol=1e-12)
+    np.testing.assert_allclose(marginal_gap(w, [1.2, 0.8], [0.9, 1.5]), want_inf, rtol=1e-12)
 
 
 def test_marginal_gap_validation():
     w = np.array([1.0])
-    bounds = _fixed_bounds([1.0], [1.0])
     with pytest.raises(ValidationError):
-        marginal_gap(np.zeros((1, 1)), np.array([]), bounds)
+        marginal_gap(np.array([]), [1.0], [1.0])
     with pytest.raises(ValidationError):
-        marginal_gap(np.zeros((1, 1)), w, bounds, n_calib=0)
+        marginal_gap(w, w, w, n_calib=0)
+    with pytest.raises(ValidationError):
+        marginal_gap(w, [1.0, 1.0], [1.0, 1.0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from confshift import nuisance
@@ -12,6 +14,7 @@ from confshift import (
     ValidationError,
     bound_functions,
     fit_propensity,
+    ratio_bounds,
     rng,
 )
 
@@ -80,15 +83,11 @@ def test_predict_clipping_bounds():
 
 def test_target_spec_validation():
     TargetSpec(arm=1, population="ate")
-    TargetSpec(arm=0, population="general", covariate_shift=lambda x: np.ones(len(x)))
     with pytest.raises(ValidationError):
         TargetSpec(arm=2, population="ate")
-    with pytest.raises(ValidationError):
-        TargetSpec(arm=1, population="treated")
-    with pytest.raises(ValidationError):
-        TargetSpec(arm=1, population="general")  # shift missing
-    with pytest.raises(ValidationError):
-        TargetSpec(arm=1, population="ate", covariate_shift=lambda x: x)
+    for population in ("treated", "general"):
+        with pytest.raises(ValidationError):
+            TargetSpec(arm=1, population=population)
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +155,74 @@ def test_bounds_ordered_and_widening_in_gamma(arm, pop):
         prev_lo, prev_hi = lo, hi
 
 
-def test_general_population_scales_ate_bounds():
-    prop = _FixedPropensity(0.35)
-    shift = lambda x: 2.0 * np.ones(np.atleast_2d(x).shape[0])
-    base = bound_functions(TargetSpec(arm=1, population="ate"), 1.6, prop, 0.42)
-    gen = bound_functions(
-        TargetSpec(arm=1, population="general", covariate_shift=shift),
-        1.6,
-        prop,
-        0.42,
-    )
-    x = np.zeros((3, 1))
-    np.testing.assert_allclose(gen(x)[0], 2.0 * base(x)[0], rtol=1e-12)
-    np.testing.assert_allclose(gen(x)[1], 2.0 * base(x)[1], rtol=1e-12)
-    bad = bound_functions(
-        TargetSpec(
-            arm=1,
-            population="general",
-            covariate_shift=lambda x: -np.ones(np.atleast_2d(x).shape[0]),
-        ),
-        1.6,
-        prop,
-        0.42,
-    )
-    with pytest.raises(ValidationError):
-        bad(x)
+class _FirstColumnPropensity:
+    """e(x) read off the first covariate, so a test picks propensities directly."""
+
+    def predict(self, x):
+        return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+
+
+def _closure_bounds(arm, pop, gamma, propensity, p1):
+    """The per-strength bound closures ``ratio_bounds`` replaced, kept as its oracle."""
+    p0 = 1.0 - p1
+
+    def odds(x):
+        e = np.asarray(propensity.predict(x), dtype=float)
+        return e / (1.0 - e)
+
+    if arm == 1:
+        if pop == "att":
+            lower = upper = lambda x: np.ones(np.atleast_2d(x).shape[0])
+        elif pop == "atc":
+            lower = lambda x: (p1 / p0) / (gamma * odds(x))
+            upper = lambda x: (p1 / p0) * gamma / odds(x)
+        else:
+            lower = lambda x: p1 * (1.0 + 1.0 / (gamma * odds(x)))
+            upper = lambda x: p1 * (1.0 + gamma / odds(x))
+    else:
+        if pop == "atc":
+            lower = upper = lambda x: np.ones(np.atleast_2d(x).shape[0])
+        elif pop == "att":
+            lower = lambda x: (p0 / p1) * odds(x) / gamma
+            upper = lambda x: (p0 / p1) * gamma * odds(x)
+        else:
+            lower = lambda x: p0 * (1.0 + odds(x) / gamma)
+            upper = lambda x: p0 * (1.0 + gamma * odds(x))
+    return lower, upper
+
+
+_PROPENSITY = st.one_of(st.sampled_from((0.01, 0.99)), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.sampled_from(ALL_CELLS),
+       gammas=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), min_size=1, max_size=6),
+       p1=st.floats(0.01, 0.99), e=st.lists(_PROPENSITY, min_size=1, max_size=20))
+def test_ratio_bounds_match_the_per_strength_closures_bit_for_bit(cell, gammas, p1, e):
+    target, prop = TargetSpec(*cell), _FirstColumnPropensity()
+    x = np.column_stack([e, np.zeros(len(e))])
+    lo, hi = ratio_bounds(target, gammas, prop, p1, x)
+    assert lo.shape == hi.shape == (len(gammas), len(e))
+    for i, gamma in enumerate(gammas):
+        lower, upper = _closure_bounds(*cell, gamma, prop, p1)
+        np.testing.assert_array_equal(lo[i], lower(x))
+        np.testing.assert_array_equal(hi[i], upper(x))
+        pair_lo, pair_hi = bound_functions(target, gamma, prop, p1)(x)
+        np.testing.assert_array_equal(pair_lo, lo[i])
+        np.testing.assert_array_equal(pair_hi, hi[i])
+
+
+def test_ratio_bounds_call_the_propensity_once_per_array():
+    calls = []
+
+    class Counting(_FirstColumnPropensity):
+        def predict(self, x):
+            calls.append(1)
+            return super().predict(x)
+
+    ratio_bounds(TargetSpec(1, "ate"), np.linspace(1.0, 26.0, 101), Counting(), 0.4,
+                 np.full((5, 1), 0.3))
+    assert len(calls) == 1
 
 
 def test_bound_functions_validation():
@@ -192,6 +234,11 @@ def test_bound_functions_validation():
             bound_functions(spec, gamma, _FixedPropensity(0.3), 0.4)
     with pytest.raises(ValidationError):
         bound_functions(spec, 1.5, _FixedPropensity(0.3), 0.0)
+    for gammas in ((1.0, 0.9), (1.0, float("nan")), (float("inf"),)):
+        with pytest.raises(ValidationError, match="gamma"):
+            ratio_bounds(spec, gammas, _FixedPropensity(0.3), 0.4, np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match="p1"):
+        ratio_bounds(spec, (1.5,), _FixedPropensity(0.3), 1.0, np.zeros((2, 1)))
 
 
 def test_bound_pair_call_coerces_to_float_arrays():

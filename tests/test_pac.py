@@ -18,7 +18,6 @@ from confshift import (
     pac_threshold_path,
     rng,
 )
-from confshift.nuisance import BoundPair
 from confshift import pac
 from confshift.pac import (_default_m, _log_wealth_bound, _log_wealth_max, _running_nu,
                            _summands, _wsr_first_crossing)
@@ -469,13 +468,7 @@ def test_estimate_curve_monotone_and_bounded():
 
 def test_pac_gap_hand_values():
     w = np.array([1.0, 1.0])
-    bounds = BoundPair(
-        gamma=1.0,
-        lower=lambda x: np.array([1.2, 0.8]),
-        upper=lambda x: np.array([0.9, 1.5]),
-    )
-    np.testing.assert_allclose(pac_gap(np.zeros((2, 1)), w, bounds), 0.1, rtol=1e-12)
-    exact = BoundPair(gamma=1.0, lower=lambda x: w, upper=lambda x: w)
-    assert pac_gap(np.zeros((2, 1)), w, exact) == 0.0
+    np.testing.assert_allclose(pac_gap(w, [1.2, 0.8], [0.9, 1.5]), 0.1, rtol=1e-12)
+    assert pac_gap(w, w, w) == 0.0
     with pytest.raises(ValidationError):
-        pac_gap(np.zeros((1, 1)), np.array([]), exact)
+        pac_gap(np.array([]), w, w)

@@ -15,9 +15,9 @@ from confshift import (
     TargetSpec,
     ValidationError,
     beta_vector,
-    bound_functions,
     gen_superpop,
     oracle_bound_pair,
+    ratio_bounds,
     rng,
     robust_threshold_many,
     run_coverage_experiment,
@@ -100,7 +100,8 @@ def test_sensitivity_campaign_envelope_covers_control_ratios():
     controls = d.take(np.nonzero(d.t == 0)[0])
     # Controls calibrate Y(0) for the whole population: target arm 0, ate.
     w = true_likelihood_ratio(controls, TargetSpec(arm=0, population="ate"))
-    lo, hi = simulate._bound_family(cfg, controls)(gamma)(controls.x)
+    prop, p1 = simulate._propensity(cfg, controls)
+    (lo,), (hi,) = ratio_bounds(cfg.target(), (gamma,), prop, p1, controls.x)
     assert ((w >= lo - 1e-10) & (w <= hi + 1e-10)).all()
 
 
@@ -364,6 +365,32 @@ def test_each_campaign_reads_every_setting_it_accepts(campaign):
             run(dataclasses.replace(SimConfig(**kw), alphas=(0.1, 0.2)), threads=1)
 
 
+@pytest.mark.parametrize("campaign,kw,name", [
+    ("coverage", dict(envelope="plugin"), "envelope"),
+    ("coverage", dict(delta=0.3), "delta"),
+    ("coverage", dict(procedure="alg2", envelope="plugin", delta=0.3), "delta"),
+    ("sensitivity", dict(envelope="plugin", delta=0.3), "delta"),
+])
+def test_a_campaign_rejects_a_setting_its_procedure_never_reads(campaign, kw, name):
+    # alg1 coverage reads no alg2 envelope, and the plugin envelope no delta.
+    run = run_coverage_experiment if campaign == "coverage" else run_sensitivity_experiment
+    cfg = SimConfig(n_train=40, n_calib=40, n_test=5, n_reps=1, **kw)
+    with pytest.raises(ValidationError, match=f"{campaign} campaign does not read {name}"):
+        run(cfg, threads=1)
+
+
+@pytest.mark.parametrize("campaign", ["coverage", "sensitivity"])
+def test_worker_processes_never_change_a_report(campaign):
+    # threads=2 runs a two-process pool on any host with two usable CPUs.
+    if campaign == "coverage":
+        cfg = _tiny_cfg(procedure="alg2", bounds="estimated", n_eval_gap=30, n_reps=4)
+        run = run_coverage_experiment
+    else:
+        cfg = _tiny_cfg(grid=(1.0, 1.2, 1.5), alphas=(0.2,), bounds="estimated", n_reps=4)
+        run = run_sensitivity_experiment
+    assert run(cfg, threads=2) == run(cfg, threads=1)
+
+
 class _FirstColumnPropensity:
     """e(x) read off the first covariate, so a test picks propensities directly."""
 
@@ -385,13 +412,14 @@ def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
         arm, pop, calib, e_test, gammas, alpha, p1):
     e_cal, v = (np.array(c) for c in zip(*calib))
     x_cal, x_test = e_cal[:, None], np.array(e_test)[:, None]
-    pairs = [bound_functions(TargetSpec(arm=arm, population=pop), g,
-                             _FirstColumnPropensity(), p1) for g in sorted(gammas)]
-    envelopes = [b(x_cal) + (b.upper(x_test),) for b in pairs]
-    raw = np.array([robust_threshold_many(v, lo, hi, alpha, ht) for lo, hi, ht in envelopes])
-    np.testing.assert_array_equal(threshold_path(v, envelopes, alpha, "alg1"), raw)
+    target, grid = TargetSpec(arm=arm, population=pop), sorted(gammas)
+    lo, hi = ratio_bounds(target, grid, _FirstColumnPropensity(), p1, x_cal)
+    hi_test = ratio_bounds(target, grid, _FirstColumnPropensity(), p1, x_test)[1]
+    raw = np.array([robust_threshold_many(v, *row, alpha, ht)
+                    for *row, ht in zip(lo, hi, hi_test)])
+    np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg1"), raw)
     np.testing.assert_array_equal(np.maximum.accumulate(raw, axis=0), raw)
     # alg2 takes the largest bound over all strengths as its scale M; on the
-    # built-in families the widest (last) triple already holds it.
-    widest = max(a.max() for a in envelopes[-1])
-    assert max(a.max() for env in envelopes for a in env) == widest
+    # built-in families the widest (last) strength already holds it.
+    widest = max(a[-1].max() for a in (lo, hi, hi_test))
+    assert max(a.max() for a in (lo, hi, hi_test)) == widest
