@@ -97,7 +97,14 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
 def marginal_gap(w_eval, lo, hi, n_calib: int | None = None) -> float:
     """Coverage-gap certificate for a (possibly misspecified) envelope.
 
-    Empirical plug-in of
+    The guarantee it certifies: when the true ratio w may leave the envelope
+    [l, u], the alg1 set built from n calibration units still covers with
+
+        P(Y in C(X)) >= 1 - alpha - gap,
+
+    where gap is the population value of the expression below (weighted
+    conformal with estimated weights; Lei & Candes, arXiv 2006.06138). This
+    function returns the empirical plug-in of
 
         ||1/l||_inf ( ||(l - w)_+||_1 + ||(u - w)_-||_1
                       + (1/n) ||w (u - w)_-||_1 )

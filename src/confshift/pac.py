@@ -351,7 +351,16 @@ def pac_threshold_path(
 
 def pac_gap(w_eval, lo, hi) -> float:
     """Envelope-misspecification penalty max{E(l-w)_+, E(u-w)_-}, plug-in,
-    over evaluation points with true ratio ``w_eval`` and envelope ``lo``/``hi``."""
+    over evaluation points with true ratio ``w_eval`` and envelope ``lo``/``hi``.
+
+    The guarantee it certifies: when the true ratio w may leave the envelope
+    [l, u], the alg2 threshold's coverage given the calibration data satisfies
+
+        P(coverage >= 1 - alpha - gap) >= 1 - delta,
+
+    where gap is the population value of the penalty: the mass by which w
+    leaves the envelope on either side bounds how far the envelope's lower
+    CDF bound can overstate the target CDF."""
     w = np.asarray(w_eval, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("w_eval must be a nonempty 1-d array")

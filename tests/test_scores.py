@@ -1,6 +1,7 @@
 """Score functions and the kNN conditional-quantile baseline."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from confshift import (
     default_k,
     fit_quantile_model,
     rng,
+    scores,
 )
 
 
@@ -176,13 +178,13 @@ def test_knn_quantile_matches_brute_force(case, betas, data):
 
 
 def test_knn_quantile_matches_brute_force_across_tied_and_untied_chunks():
-    """A query spanning three chunks of the model's 2e6-entry distance budget:
-    the first chunk has no tie at the k-th distance, the second ties on every
-    row, the third mixes both, so each takes its own neighbour branch."""
+    """A query spanning three blocks of the model's distance-entry budget:
+    the first block has no tie at the k-th distance, the second ties on every
+    row, the third mixes both."""
     n, k = 2000, 7
     x = np.arange(10.0, 10.0 + n)[:, None]
     y = rng(5).integers(-50, 50, size=n).astype(float)
-    step = int(2e6) // n  # query rows per chunk
+    step = scores._BLOCK_ENTRIES // n  # query rows per block
     # Left of every training point: distinct distances. Half-way between two
     # training points: pairs at equal distance, and k odd splits a pair.
     untied = np.arange(step) % 10.0
@@ -197,6 +199,51 @@ def test_knn_quantile_matches_brute_force_across_tied_and_untied_chunks():
     model = fit_quantile_model(x, y, k=k)
     np.testing.assert_array_equal(model.quantile(xq, betas),
                                   _knn_quantile_oracle(x, y, k, xq, betas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 4), data=st.data())
+def test_knn_blocks_answer_each_row_on_its_own(rows, data):
+    """Blocks of a few rows: one integer-covariate query spans tied, untied
+    and mixed blocks, and each row gets the brute-force answer and the answer
+    it gets when queried alone."""
+    n = data.draw(st.integers(3, 25))
+    p = data.draw(st.integers(1, 2))
+    cells = st.integers(0, data.draw(st.integers(1, 8))).map(float)
+    x = data.draw(hnp.arrays(float, (n, p), elements=cells))
+    y = data.draw(hnp.arrays(float, n, elements=st.integers(-20, 20).map(float)))
+    xq = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), p), elements=cells))
+    k = data.draw(st.integers(1, n - 1))
+    betas = data.draw(_BETAS)
+    model = KNNQuantileModel(x=x, y=y, k=k)
+    with mock.patch.object(scores, "_BLOCK_ENTRIES", rows * n):
+        got = model.quantile(xq, betas)
+    np.testing.assert_array_equal(got, _knn_quantile_oracle(x, y, k, xq, betas))
+    alone = np.concatenate([model.quantile(row[None, :], betas) for row in xq])
+    np.testing.assert_array_equal(got, alone)
+
+
+def test_knn_tie_path_takes_only_the_tied_rows(monkeypatch):
+    """A block with exactly one row tied at the k-th distance sends that row,
+    and no other, down the padded tie path."""
+    x = np.arange(10.0, 40.0)[:, None]
+    y = rng(6).integers(-9, 9, size=x.shape[0]).astype(float)
+    # Left of every training point: distinct distances. 20.5 sits half-way
+    # between two training points, and k = 3 splits the second pair.
+    xq = np.array([[0.0], [1.0], [20.5], [2.0], [3.0]])
+    sent = []
+    real = scores._tied_neighbours
+
+    def counting(d2, kth, y):
+        sent.append(d2.shape[0])
+        return real(d2, kth, y)
+
+    monkeypatch.setattr(scores, "_tied_neighbours", counting)
+    model = fit_quantile_model(x, y, k=3)
+    betas = [0.25, 0.5, 1.0]
+    got = model.quantile(xq, betas)
+    assert sent == [1]
+    np.testing.assert_array_equal(got, _knn_quantile_oracle(x, y, 3, xq, betas))
 
 
 # ---------------------------------------------------------------------------
