@@ -61,15 +61,22 @@ def _envelope_sums(v, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted scores and the two cumulative sums behind every envelope.
 
     Returns ``(vs, cum_lo, tail_hi)``: the scores in stable sorted order,
-    ``cum_lo[j]`` the sum of ``lo`` over the first j sorted scores and
-    ``tail_hi[j]`` the sum of ``hi`` over the rest (both of length n + 1).
-    With ``j = searchsorted(vs, t, "right")`` they give sum(lo 1{V <= t}) and
-    sum(hi 1{V > t}) at any t, ties included.
+    ``cum_lo[..., j]`` the sum of ``lo`` over the first j sorted scores and
+    ``tail_hi[..., j]`` the sum of ``hi`` over the rest (both n + 1 long on
+    the last axis). With ``j = searchsorted(vs, t, "right")`` they give
+    sum(lo 1{V <= t}) and sum(hi 1{V > t}) at any t, ties included.
+
+    ``lo`` and ``hi`` may be (strengths x n): one sort of ``v`` serves every
+    row, and each row's sums equal those of the 1-d call, because a
+    cumulative sum along an axis adds in sequence.
     """
     v = np.asarray(v, dtype=float)
     order = np.argsort(v, kind="stable")
-    cum_lo = np.concatenate([[0.0], np.cumsum(np.asarray(lo, dtype=float)[order])])
-    tail_hi = np.concatenate([np.cumsum(np.asarray(hi, dtype=float)[order][::-1])[::-1], [0.0]])
+    lo = np.asarray(lo, dtype=float)[..., order]
+    hi = np.asarray(hi, dtype=float)[..., order]
+    zero = np.zeros(lo.shape[:-1] + (1,))
+    cum_lo = np.concatenate([zero, np.cumsum(lo, axis=-1)], axis=-1)
+    tail_hi = np.concatenate([np.cumsum(hi[..., ::-1], axis=-1)[..., ::-1], zero], axis=-1)
     return v[order], cum_lo, tail_hi
 
 

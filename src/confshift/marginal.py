@@ -49,6 +49,10 @@ class CalibrationSet:
     tail_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._check()
+        self.vs, self.cum_lo, self.tail_hi = _envelope_sums(self.v, self.lo, self.hi)
+
+    def _check(self) -> None:
         self.v = np.asarray(self.v, dtype=float)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
@@ -64,7 +68,21 @@ class CalibrationSet:
         if not (np.isfinite(self.u_test) and self.u_test > 0):
             raise ValidationError(f"u_test must be positive and finite, got {self.u_test}")
         self.u_test = float(self.u_test)
-        self.vs, self.cum_lo, self.tail_hi = _envelope_sums(self.v, self.lo, self.hi)
+
+    @classmethod
+    def _along(cls, v, lo, hi, u_tests) -> list[CalibrationSet]:
+        """The sets ``CalibrationSet(v, lo[i], hi[i], u_tests[i])`` along a
+        strength grid (``lo``, ``hi``: strengths x n), from one stable sort
+        of the shared scores instead of one per set."""
+        vs, cum_lo, tail_hi = _envelope_sums(v, lo, hi)
+        path = []
+        for row in zip(lo, hi, u_tests, cum_lo, tail_hi):
+            c = cls.__new__(cls)
+            c.v, c.lo, c.hi, c.u_test = v, *row[:3]
+            c._check()
+            c.vs, c.cum_lo, c.tail_hi = vs, *row[3:]
+            path.append(c)
+        return path
 
     @property
     def n(self) -> int:
@@ -77,6 +95,11 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     Vectorized over ``u_tests``: every test unit carries its own upper
     bound. Returns +inf (the trivial set) where the calibration mass cannot
     certify the level, e.g. for very small n or aggressive envelopes.
+
+    A strength axis is optional: with ``lo``/``hi`` of shape
+    (strengths x n) and ``u_tests`` of shape (strengths x m), row i of the
+    result equals the 1-d call on row i of each, bit for bit, and one sort
+    of ``v`` serves the whole grid.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
@@ -88,8 +111,16 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     # left side is nondecreasing in k in exact arithmetic; accumulate-max
     # irons out float dust so searchsorted stays valid.
     c = (1.0 - alpha) - PROB_SLACK
-    key = np.maximum.accumulate((1.0 - c) * cum_lo[1:] - c * tail_hi[1:])
-    idx = np.searchsorted(key, c * np.asarray(u_tests, dtype=float), side="left")
+    key = np.maximum.accumulate((1.0 - c) * cum_lo[..., 1:] - c * tail_hi[..., 1:], axis=-1)
+    target = c * np.asarray(u_tests, dtype=float)
+    if key.ndim == 1:
+        idx = np.searchsorted(key, target, side="left")
+    else:
+        if target.ndim != 2 or target.shape[0] != key.shape[0]:
+            raise ValidationError("u_tests must have one row per strength")
+        idx = np.empty(target.shape, dtype=np.intp)
+        for i, (row, t) in enumerate(zip(key, target)):
+            idx[i] = np.searchsorted(row, t, side="left")
     out = np.where(idx < n, vs[np.minimum(idx, n - 1)], math.inf)
     return np.asarray(out, dtype=float)
 

@@ -363,12 +363,9 @@ def threshold_path(v_cal: np.ndarray, lo: np.ndarray, hi: np.ndarray, hi_test: n
     sensitivity values. The built-in bound families widen with the strength
     anyway, and the alg2 path is nondecreasing by construction.
     """
-    strengths = list(zip(lo, hi, hi_test))
     if procedure == "alg1":
-        return np.array([robust_threshold_many(v_cal, lo_g, hi_g, alpha, ht)
-                         for lo_g, hi_g, ht in strengths])
-    calibs = [CalibrationSet(v_cal, lo_g, hi_g, u_test=float(ht.max()))
-              for lo_g, hi_g, ht in strengths]
+        return robust_threshold_many(v_cal, lo, hi, alpha, hi_test)
+    calibs = CalibrationSet._along(v_cal, lo, hi, hi_test.max(axis=1))
     path = pac_threshold_path(calibs, alpha, delta, envelope)
     return np.repeat(path[:, None], hi_test.shape[1], axis=1)
 

@@ -1,6 +1,7 @@
 """Monte Carlo checks of coverage guarantees that the docstrings state and the
 acceptance gate does not test: the gap certificates under a misspecified
-envelope, and PAC coverage of the Hoeffding envelope.
+envelope, PAC coverage of the Hoeffding envelope, and validity with the
+over-coverage (sharpness) reported at several strengths.
 
 Sizes, seeds and tolerances are fixed in advance; the observed numbers are
 printed (``pytest -s``) so a failure shows by how much it missed.
@@ -55,3 +56,22 @@ def test_hoeffding_pac_coverage():
         tol = 3.0 * math.sqrt(a * (1.0 - a) / n_test)
         print(f"hoeffding a={a}: q05 {q05:.3f} >= {1.0 - a - tol:.3f}")
         assert q05 >= 1.0 - a - tol
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+def test_validity_and_over_coverage_with_oracle_bounds(gamma):
+    """With oracle bounds at the true strength, alg1 and alg2:wsr cover:
+    mean coverage over replications is at least 1 - alpha less 3 standard
+    errors of that mean. How far above 1 - alpha they land (the sharpness
+    the paper reports) is printed, not asserted."""
+    alpha, n_reps = 0.2, 50
+    common = dict(n_train=500, n_calib=500, n_test=500, p=4, gamma_true=gamma,
+                  alphas=(alpha,), bounds="oracle", n_reps=n_reps, seed=5050)
+    for name, extra in (("alg1", dict(procedure="alg1")),
+                        ("alg2:wsr", dict(procedure="alg2", envelope="wsr"))):
+        report = run_coverage_experiment(SimConfig(**common, **extra))
+        cov = np.array(report["per_alpha"]["0.2"]["coverage_per_rep"])
+        se = cov.std(ddof=1) / math.sqrt(n_reps)
+        print(f"gamma={gamma} {name}: mean coverage {cov.mean():.3f}, "
+              f"over-coverage {cov.mean() - (1.0 - alpha):+.3f} (SE {se:.3f})")
+        assert cov.mean() >= 1.0 - alpha - 3.0 * se

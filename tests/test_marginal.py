@@ -146,6 +146,14 @@ def test_threshold_many_matches_scalar():
             assert many[j] == one
 
 
+def test_threshold_many_needs_one_test_row_per_strength():
+    v, lo = np.arange(4.0), np.ones((2, 4))
+    with pytest.raises(ValidationError):
+        robust_threshold_many(v, lo, lo, 0.1, np.ones(3))
+    with pytest.raises(ValidationError):
+        robust_threshold_many(v, lo, lo, 0.1, np.ones((3, 2)))
+
+
 def test_threshold_split_conformal_reduction():
     # l = u = u_test = 1 must reproduce the textbook split-conformal rank.
     r = rng(2)

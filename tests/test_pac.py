@@ -19,10 +19,103 @@ from confshift import (
     rng,
 )
 from confshift import pac
-from confshift.pac import (_default_m, _log_wealth_bound, _log_wealth_max, _running_nu,
-                           _summands, _wsr_first_crossing)
+from confshift.pac import _default_m, _Kernel, _wsr_first_crossing, _wsr_lcb_rows
 
 LEVEL_SLACK = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: the WSR kernel as textbook expressions, one temporary per
+# step. The package's in-place kernel must return the same floats, and the
+# linear-scan references below are built on these copies.
+# ---------------------------------------------------------------------------
+
+
+def _running_mean(f: np.ndarray) -> np.ndarray:
+    """Running means mu_j of the summands up to and including j, started
+    at 1/2, per row of the (R, n) matrix ``f``."""
+    i = np.arange(1, f.shape[1] + 1)
+    return (0.5 + np.cumsum(f, axis=1)) / (1.0 + i)
+
+
+def _nu_from_squares(sq: np.ndarray, delta: float) -> np.ndarray:
+    """Betting fractions nu_j from the squared deviations (f_j - mu_j)^2:
+    each bet reads the running variance up to j - 1, started at 1/4."""
+    n = sq.shape[1]
+    i = np.arange(1, n + 1)
+    sig2 = (0.25 + np.cumsum(sq, axis=1)) / (1.0 + i)
+    sig2_prev = np.concatenate(
+        [np.full((sq.shape[0], 1), 0.25), sig2[:, :-1]], axis=1
+    )
+    return np.minimum(1.0, np.sqrt(2.0 * math.log(2.0 / delta) / (n * sig2_prev)))
+
+
+def _running_nu(f: np.ndarray, delta: float) -> np.ndarray:
+    """Betting fractions nu_j per row of the (R, n) summand matrix ``f``."""
+    return _nu_from_squares((f - _running_mean(f)) ** 2, delta)
+
+
+def _log_wealth_max(f: np.ndarray, nu: np.ndarray, g: np.ndarray | float) -> np.ndarray:
+    """max_i log prod_{j<=i} (1 + nu_j (f_j - g)) per row, g in [0, 1].
+
+    Factors are in [0, 2] for g in [0, 1]; a zero factor kills the wealth,
+    which the running max already accounts for through earlier prefixes.
+    """
+    if isinstance(g, np.ndarray):
+        g = g[:, None]
+    factors = np.maximum(1.0 + nu * (f - g), 0.0)
+    with np.errstate(divide="ignore"):
+        logs = np.log(factors)
+    return np.max(np.cumsum(logs, axis=1), axis=1)
+
+
+def _log_wealth_bound(lo: np.ndarray, hi: np.ndarray, g0: np.ndarray, delta: float) -> np.ndarray:
+    """Upper bound on ``_log_wealth_max(r, _running_nu(r, delta), g0)`` over
+    every summand row r whose entries each equal the entry of ``lo`` or of
+    ``hi`` in the same row, where lo <= hi entrywise; one bound per row.
+
+    Such rows are the summands at every t between two sorted scores, because
+    each summand is a nondecreasing step function of t. The running means lie
+    between the two corner rows' means; each squared deviation lies between
+    ``sq_lo`` (the squared distance from the entry's two values to that mean
+    interval) and ``sq_hi`` (the largest of the four corners); so nu lies
+    between the fractions those squares give, and each factor is at most
+    1 + nu* (hi - g0), with nu* the larger fraction where hi >= g0 and the
+    smaller one elsewhere.
+    """
+    mu_lo, mu_hi = _running_mean(lo), _running_mean(hi)
+    sq_hi = np.maximum.reduce([(x - mu) ** 2 for x in (lo, hi) for mu in (mu_lo, mu_hi)])
+    sq_lo = np.minimum((lo - np.clip(lo, mu_lo, mu_hi)) ** 2,
+                       (hi - np.clip(hi, mu_lo, mu_hi)) ** 2)
+    nu = np.where(hi >= g0[:, None], _nu_from_squares(sq_lo, delta),
+                  _nu_from_squares(sq_hi, delta))
+    return _log_wealth_max(hi, nu, g0)
+
+
+def _wsr_lcb(f: np.ndarray, delta: float, tol: float = 1e-10) -> float:
+    """Lower confidence bound of one summand row by bisection on [0, 1]."""
+    f = f[None, :]
+    nu = _running_nu(f, delta)
+    thresh = math.log(2.0 / delta)
+    lo, hi = 0.0, 1.0
+    if _log_wealth_max(f, nu, lo)[0] <= thresh:
+        hi = 0.0
+    for _ in range(int(math.ceil(math.log2(1.0 / tol)))):
+        mid = 0.5 * (lo + hi)
+        if _log_wealth_max(f, nu, mid)[0] <= thresh:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _summands(calib: CalibrationSet, t: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """WSR summand rows at each threshold in ``t``, both (len(t), n):
+    f = 1{V <= t} l / M and h = 1 - 1{V > t} u / M."""
+    below = calib.v[None, :] <= t[:, None]
+    f = np.where(below, calib.lo / m, 0.0)
+    h = 1.0 - np.where(below, 0.0, calib.hi / m)
+    return f, h
 
 
 def envelope_plugin(calib, t):
@@ -119,6 +212,11 @@ def test_envelope_validation():
         envelope_wsr(c, 0.0, delta=1.0)
     with pytest.raises(ValidationError):
         envelope_wsr(c, 0.0, delta=0.1, M=0.01)  # below max bound
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            envelope_wsr(c, 0.0, delta=0.1, M=bad)
+        with pytest.raises(ValidationError):
+            envelope_hoeffding(c, 0.0, delta=0.1, M=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +300,11 @@ def test_threshold_validation():
         pac_threshold(c, 0.3, 0.0, "wsr")
     with pytest.raises(ValidationError):
         pac_threshold(c, 0.3, 0.05, "wsr", M=1e-6)
+    big = _random_calib(rng(2), n=200)
+    for method in ("plugin", "hoeffding", "wsr"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                pac_threshold(big, 0.3, 0.05, method, M=bad)
     # plugin ignores delta entirely
     assert pac_threshold(c, 0.3, 0.0, "plugin") == pac_threshold(c, 0.3, 0.9, "plugin")
 
@@ -397,11 +500,55 @@ def test_wsr_log_wealth_bound_dominates_every_row(seed, n, ties, spread, inflate
     calib = _seeded_calib(seed, n, ties, spread)
     m = _default_m(calib) * inflate
     a, b = sorted(int(e * (n - 1)) for e in ends)
+    kernel = _Kernel(n, delta)
     for rows, g0 in zip(_summands(calib, calib.vs[a : b + 1], m),
                         ((1.0 - alpha) / m, (m - alpha) / m)):
-        exact = _log_wealth_max(rows, _running_nu(rows, delta), g0)
-        bound = _log_wealth_bound(rows[:1], rows[-1:], np.array([g0]), delta)[0]
+        exact = kernel.log_wealth_max(rows, kernel.running_nu(rows), g0)
+        bound = kernel.log_wealth_bound(rows[:1], rows[-1:], np.array([g0]))[0]
         assert bound >= exact.max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), n=st.integers(1, 40),
+       share=st.sampled_from((0.0, 0.5, 1.0)), delta=st.floats(0.01, 0.5),
+       g_end=st.sampled_from((0.0, 1.0)))
+def test_kernel_floats_equal_the_oracle(seed, rows, n, share, delta, g_end):
+    """The in-place kernel returns the oracle's floats bit for bit: betting
+    fractions, max log-wealth at a common bet and at one bet per row, the
+    range bound, and the bisection of several stacked rows. A ``share`` of
+    the entries (and of the bets) comes from {0, 1/4, 1/2, 1}, so rows hold
+    zeros, ones and exact ties; n may be 1; the common bet is 0 or 1."""
+    r = rng(seed)
+
+    def draw(shape):
+        return np.where(r.random(shape) < share,
+                        r.choice([0.0, 0.25, 0.5, 1.0], size=shape), r.random(shape))
+
+    f, other, g = draw((rows, n)), draw((rows, n)), draw(rows)
+    lo, hi = np.minimum(f, other), np.maximum(f, other)
+    kernel = _Kernel(n, delta)
+    nu = kernel.running_nu(f)
+    np.testing.assert_array_equal(nu, _running_nu(f, delta))
+    np.testing.assert_array_equal(kernel.log_wealth_max(f, nu, g_end),
+                                  _log_wealth_max(f, nu, g_end))
+    np.testing.assert_array_equal(kernel.log_wealth_max(f, nu, g), _log_wealth_max(f, nu, g))
+    np.testing.assert_array_equal(kernel.log_wealth_bound(lo, hi, g),
+                                  _log_wealth_bound(lo, hi, g, delta))
+    np.testing.assert_array_equal(_wsr_lcb_rows(kernel, f), [_wsr_lcb(x, delta) for x in f])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), ties=st.booleans(),
+       t=st.floats(-5.0, 5.0), delta=st.floats(0.01, 0.5), inflate=_inflate)
+def test_envelope_wsr_equals_two_one_sided_bisections(seed, n, ties, t, delta, inflate):
+    """envelope_wsr bisects the l-side and u-side rows in one stacked call;
+    each row's bisection runs on its own, so the value equals two one-row
+    oracle bisections."""
+    calib = _seeded_calib(seed, n, ties, 0.5)
+    m = _default_m(calib) * inflate
+    f, h = _summands(calib, np.array([t]), m)
+    value = max(m * _wsr_lcb(f[0], delta), 1.0 - m + m * _wsr_lcb(h[0], delta))
+    assert envelope_wsr(calib, t, delta, M=m) == min(max(value, 0.0), 1.0)
 
 
 def test_wsr_crossing_predicate_flips_on_campaign_instance():
@@ -417,6 +564,20 @@ def test_wsr_crossing_predicate_flips_on_campaign_instance():
     assert _wsr_first_crossing(calib, alpha, delta, m) == 958
 
 
+def _count_rows(monkeypatch):
+    """Record (summand rows, sides) of every ``pac._summands`` call."""
+    rows = []
+    build = pac._summands
+
+    def counted(v, lo_m, hi_m, t, sides):
+        out = build(v, lo_m, hi_m, t, sides)
+        rows.append((out.shape[0] * out.shape[1], list(sides)))
+        return out
+
+    monkeypatch.setattr(pac, "_summands", counted)
+    return rows
+
+
 def test_wsr_search_evaluates_few_rows(monkeypatch):
     """A search from 0 to a crossing above 0.9 n builds summands for fewer
     than n / 4 candidate rows, bound end rows included."""
@@ -425,17 +586,102 @@ def test_wsr_search_evaluates_few_rows(monkeypatch):
     w = r.uniform(0.3, 1.5, size=n)
     calib = CalibrationSet(r.normal(size=n), w / 2.0, w * 2.0, 3.0)
     m = _default_m(calib)
-    rows = []
-
-    def counted(c, t, m):
-        rows.append(len(t))
-        return _summands(c, t, m)
-
-    monkeypatch.setattr(pac, "_summands", counted)
+    rows = _count_rows(monkeypatch)
     k = _wsr_first_crossing(calib, 0.1, 0.05, m)
     monkeypatch.undo()
     assert k == _linear_first_crossing(calib, 0.1, 0.05, m) > 0.9 * n
-    assert sum(rows) < n / 4
+    assert sum(r for r, _ in rows) < n / 4
+
+
+def test_wsr_resumed_searches_build_one_side(monkeypatch):
+    """On the campaign set, max(l) / M is below the l-side bet, so the l side
+    is dead at every t. Searches resumed at every start from 900 to the
+    crossing at 958 build u-side rows only, fewer in total than the 1770
+    candidates they walk."""
+    d = np.load(FLIP)
+    calib = CalibrationSet(d["v"], d["lo"], d["hi"], float(d["u_test"]))
+    m, alpha, delta = float(d["m"]), float(d["alpha"]), float(d["delta"])
+    assert calib.lo.max() / m <= (1.0 - alpha) / m
+    rows = _count_rows(monkeypatch)
+    starts = range(900, 959)
+    assert [_wsr_first_crossing(calib, alpha, delta, m, s) for s in starts] == [958] * len(starts)
+    monkeypatch.undo()
+    assert {tuple(sides) for _, sides in rows} == {(1,)}
+    assert sum(r for r, _ in rows) < sum(959 - s for s in starts)
+
+
+def _one_side_calib(seed, n, alpha, l_live):
+    """Calibration set with max(l) = 1 - alpha when not ``l_live``, so the
+    largest l-side summand equals the bet g0 = (1 - alpha) / M and the side
+    is dead at every t, and with max(l) above 1 - alpha otherwise."""
+    r = rng(seed)
+    top = (1.0 - alpha) * (1.6 if l_live else 1.0)
+    lo = r.uniform(0.2, 1.0, size=n) * top
+    lo[r.integers(n)] = top
+    hi = lo * r.uniform(1.0, 1.5, size=n)
+    return CalibrationSet(r.normal(size=n), lo, hi, float(hi.max()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 300), alpha=st.floats(0.05, 0.5),
+       delta=st.floats(0.01, 0.5), start=st.floats(0.0, 1.0), l_live=st.booleans())
+def test_wsr_search_with_a_dead_side_equals_linear_scan(seed, n, alpha, delta, start, l_live):
+    """With the l side dead at every t (max(l) <= 1 - alpha) or live at
+    some t, the per-side search returns the linear scan's index."""
+    calib = _one_side_calib(seed, n, alpha, l_live)
+    m = _default_m(calib)
+    k = int(start * n)
+    assert (_wsr_first_crossing(calib, alpha, delta, m, k)
+            == _linear_first_crossing(calib, alpha, delta, m, k))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wsr_search_revives_a_side_in_a_later_range(monkeypatch, seed):
+    """A side is dead on one range and live on a later one: each doubling
+    range starts from the search's own live sides, so after the bound drops
+    the l side on an early range a later range tests both sides again, and
+    the search still returns the linear scan's index."""
+    calib = _seeded_calib(seed, 300, False, 0.3)
+    m = _default_m(calib)
+    rows = _count_rows(monkeypatch)
+    k = _wsr_first_crossing(calib, 0.2, 0.05, m)
+    monkeypatch.undo()
+    assert k == _linear_first_crossing(calib, 0.2, 0.05, m)
+    sides = [tuple(s) for _, s in rows]
+    first_drop = sides.index((1,))
+    assert (0, 1) in sides[first_drop:]
+
+
+def test_wsr_search_finds_an_l_side_just_above_its_bet():
+    """Every l is 1.05 (1 - alpha), so each l-side summand below t clears
+    the bet g0 = (1 - alpha) / M by 5 %: the l side alone passes first, and
+    the search returns the linear scan's index, where a rule that drops a
+    side too early would miss it."""
+    n, alpha, delta = 1000, 0.1, 0.05
+    calib = CalibrationSet(rng(3).normal(size=n), np.full(n, 1.05 * (1.0 - alpha)),
+                           np.full(n, 4.0), 1.0)
+    m = _default_m(calib)
+    k = _linear_first_crossing(calib, alpha, delta, m)
+    f, h = _summands(calib, calib.vs[k : k + 1], m)
+    thresh = math.log(2.0 / delta)
+    assert _log_wealth_max(f, _running_nu(f, delta), (1.0 - alpha) / m)[0] >= thresh
+    assert _log_wealth_max(h, _running_nu(h, delta), (m - alpha) / m)[0] < thresh
+    assert _wsr_first_crossing(calib, alpha, delta, m) == k < n
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+def test_wsr_search_with_a_bet_above_one_equals_linear_scan(alpha):
+    """An M below 1 - alpha (all bounds small, M above its default) puts the
+    l-side bet g0 = (1 - alpha) / M above 1, where no summand reaches it."""
+    r = rng(7)
+    n = 300
+    lo = r.uniform(0.05, 0.3, size=n)
+    calib = CalibrationSet(r.normal(size=n), lo, lo * 1.5, 0.4)
+    m = 0.6
+    assert (1.0 - alpha) / m > 1.0 and m >= _default_m(calib)
+    for k in (0, 100, 250):
+        assert (_wsr_first_crossing(calib, alpha, 0.05, m, k)
+                == _linear_first_crossing(calib, alpha, 0.05, m, k))
 
 
 def test_path_validation():
@@ -448,6 +694,9 @@ def test_path_validation():
         pac_threshold_path(path + [other], 0.3, 0.1)
     with pytest.raises(ValidationError):
         pac_threshold_path(path, 0.3, 0.1, M=1e-9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            pac_threshold_path(path, 0.3, 0.1, "hoeffding", M=bad)
 
 
 # ---------------------------------------------------------------------------

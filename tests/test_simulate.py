@@ -5,11 +5,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, ndtr
 
 from confshift import (
+    CalibrationSet,
     KNNQuantileModel,
     SimConfig,
     TargetSpec,
@@ -17,6 +18,7 @@ from confshift import (
     beta_vector,
     gen_superpop,
     oracle_bound_pair,
+    pac_threshold_path,
     ratio_bounds,
     rng,
     robust_threshold_many,
@@ -423,3 +425,35 @@ def test_threshold_path_alg1_repair_is_a_noop_on_builtin_bounds(
     # built-in families the widest (last) strength already holds it.
     widest = max(a[-1].max() for a in (lo, hi, hi_test))
     assert max(a.max() for a in (lo, hi, hi_test)) == widest
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), strengths=st.integers(1, 5),
+       m=st.integers(1, 6), ties=st.booleans(), u_scale=st.floats(0.1, 50.0),
+       alpha=st.floats(0.01, 0.99), envelope=st.sampled_from(("plugin", "hoeffding", "wsr")))
+@example(seed=0, n=1, strengths=1, m=1, ties=True, u_scale=50.0, alpha=0.1, envelope="wsr")
+def test_threshold_path_shares_one_sort_bit_for_bit(seed, n, strengths, m, ties, u_scale,
+                                                    alpha, envelope):
+    """Along a grid, alg1 equals one 1-d robust_threshold_many call per
+    strength and alg2 equals pac_threshold_path over sets built one by one,
+    bit for bit, although both sort the scores once per grid. Scores may
+    tie, n and the grid may be 1, and a large test bound gives +inf."""
+    r = rng(seed)
+    v = r.integers(-2, 3, size=n).astype(float) if ties else r.normal(size=n)
+    lo = r.uniform(0.2, 1.5, size=(strengths, n))
+    hi = lo * r.uniform(1.0, 3.0, size=(strengths, n))
+    hi_test = r.uniform(0.2, 1.0, size=(strengths, m)) * u_scale
+    per_strength = np.array([robust_threshold_many(v, *row, alpha, ht)
+                             for *row, ht in zip(lo, hi, hi_test)])
+    np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg1"),
+                                  per_strength)
+    one_by_one = [CalibrationSet(v, *row, float(ht.max())) for *row, ht in zip(lo, hi, hi_test)]
+    shared = CalibrationSet._along(v, lo, hi, hi_test.max(axis=1))
+    for a, b in zip(shared, one_by_one):
+        for name in ("v", "lo", "hi", "u_test", "vs", "cum_lo", "tail_hi"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    path = pac_threshold_path(one_by_one, alpha, 0.1, envelope)
+    np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg2", envelope, 0.1),
+                                  np.repeat(path[:, None], m, axis=1))
+    if (u_scale, n) == (50.0, 1):
+        assert np.isinf(per_strength).all()
