@@ -21,6 +21,7 @@ configuration (including missing files and unknown keys).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -255,16 +256,20 @@ _PATH_KEYS = ("train", "calib", "test", "instance")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -467,7 +472,7 @@ def _read_instance(path: str) -> DiscreteJoint:
     for c in ("v", "lo", "hi"):
         if c not in tab.header:
             raise DataError(f"{path}: missing column {c!r}")
-    n = len(tab.rows)
+    n = len(tab)
     m = tab.floats("m") if "m" in tab.header else np.full(n, 1.0 / n)
     try:
         return DiscreteJoint(tab.floats("v"), m, tab.floats("lo"), tab.floats("hi"))
@@ -541,9 +546,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and a build costs about as much as reading a units file."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         resolved = _resolve(ns.command, ns)
         h = _config_hash(ns.command, resolved)

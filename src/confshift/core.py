@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -176,13 +177,39 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 # covariates x1..xp in any order, the treatment t (0 or 1), the outcome y and
 # the optional counterfactual pair y1, y0; any other column is an error. Train
 # and calib files need t and y, test files may leave them out. Every cell must
-# parse as a finite float. Blank and '#'-prefixed lines are skipped (output
-# files carry a provenance comment up top).
+# parse as a finite float. No column may repeat, in any CSV input.
+#
+# Reading: the file must be UTF-8 text. Lines end at \n, \r\n or a lone \r,
+# as in the csv module. An empty line, and a line whose first field,
+# left-stripped, starts with '#', are skipped (output files carry a
+# provenance comment up top); the first remaining line is the header, whose
+# names are stripped.
+# * Fast path: the data lines go whole to numpy's C reader, np.loadtxt. It
+#   converts each cell with PyOS_string_to_double, the routine behind
+#   float(), so the values are bit-identical. Its float matrix is kept only
+#   when every data line parses into exactly header-width finite floats.
+#   comments=None, because comments="#" would strip a trailing '# note'
+#   that the line rule leaves in a data line.
+# * Cell reader, for any other file: csv.reader records and float() per cell,
+#   the one place that words a DataError with row, column and cell text. It
+#   takes, among others, a cell numpy refuses, a ragged row, a whitespace-only
+#   line (numpy would skip it), a non-finite cell, a spelling float() takes
+#   and numpy does not ("1_0", non-ASCII digits), a file with a \x1c-\x1f
+#   separator (numpy strips them as spaces, float() refuses them) and a
+#   quoted field that runs past its line (numpy would join the lines).
+#   A line whose first field is quoted and starts with '#' is a comment to
+#   the csv module; the fast path keeps it as data, numpy refuses it, and so
+#   the cell reader skips it.
+#   The fast path also reads a numeric field longer than the csv module's
+#   field limit, which the cell reader refuses.
 #
 # Output cells: floats via repr (bit-exact on reading back), an empty cell for
 # a non-finite float, ints and bools as ints, strings as given.
 
 _OUTCOMES = ("t", "y", "y1", "y0")
+
+# Separators that numpy's converter strips as whitespace and float() refuses.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _float_or_nan(cell: str) -> float:
@@ -194,17 +221,27 @@ def _float_or_nan(cell: str) -> float:
 
 @dataclass(frozen=True)
 class CsvTable:
-    """Header and data rows of a CSV file, each row as long as the header."""
+    """Header and data rows of a CSV file, each row as long as the header.
+
+    The fast path fills ``values`` (columns x rows, all finite); the cell
+    reader fills ``rows`` and ``lines`` instead.
+    """
 
     path: str
     header: list[str]
+    values: np.ndarray | None
     rows: list[list[str]]
     lines: list[int]  # 1-based file line of each data row
+
+    def __len__(self) -> int:
+        return len(self.rows) if self.values is None else self.values.shape[1]
 
     def floats(self, col: str) -> np.ndarray:
         """Column ``col`` as floats; a cell that is not a finite number
         (nan and inf included) raises, naming the file, row and column."""
         j = self.header.index(col)
+        if self.values is not None:
+            return self.values[j]
         cells = [row[j] for row in self.rows]
         out = np.fromiter(map(_float_or_nan, cells), float, len(cells))
         bad = ~np.isfinite(out)
@@ -214,20 +251,31 @@ class CsvTable:
                             f"is not a finite number: {cells[i]!r}")
         return out
 
+    def cell(self, i: int, col: str) -> tuple[int, str]:
+        """File line and text of data row ``i`` in column ``col``, from the
+        cell reader (re-reading the file after the fast path)."""
+        tab = self if self.values is None else _cell_table(self.path, _read_text(self.path))
+        return tab.lines[i], tab.rows[i][tab.header.index(col)]
 
-def read_table(path: str) -> CsvTable:
-    """Read a CSV file with a header row and at least one data row.
 
-    Blank and '#'-prefixed lines are skipped; header names are stripped. The
-    callers apply their own column rules.
-    """
+def _read_text(path: str) -> str:
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        records = [(no, rec) for no, rec in enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _cell_table(path: str, text: str) -> CsvTable:
+    """The cell reader: csv records under the line rule, width-checked."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = [(no, rec) for no, rec in enumerate(reader, start=1)
                    if rec and not rec[0].lstrip().startswith("#")]
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not records:
         raise DataError(f"{path}: no header row")
     header = [c.strip() for c in records[0][1]]
@@ -236,8 +284,57 @@ def read_table(path: str) -> CsvTable:
             raise DataError(f"{path} row {no}: expected {len(header)} fields, got {len(rec)}")
     if len(records) == 1:
         raise DataError(f"{path}: no data rows")
-    return CsvTable(path, header, [rec for _, rec in records[1:]],
+    return CsvTable(path, header, None, [rec for _, rec in records[1:]],
                     [no for no, _ in records[1:]])
+
+
+def _quote_runs_on(line: str) -> bool:
+    """Whether a quoted field opened on ``line`` runs past its end, so that
+    the csv module takes the next lines into it (or the field is too long
+    for the csv module)."""
+    try:
+        return any("\n" in f for f in next(csv.reader([line + "\n"])))
+    except csv.Error:
+        return True
+
+
+def _fast_table(path: str, text: str) -> CsvTable | None:
+    """The fast path's table, or None when the cell reader must decide."""
+    if any(c in text for c in _NOT_FLOAT_SPACE):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = list(filter(None, text.split("\n")))
+    if '"' in text and any(_quote_runs_on(s) for s in lines if '"' in s):
+        return None
+    if "#" in text:
+        lines = [s for s in lines if not s.lstrip().startswith("#")]
+    if len(lines) < 2:
+        return None
+    try:
+        header = [c.strip() for c in next(csv.reader(lines[:1]))]
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, csv.Error):
+        return None
+    if values.shape != (len(lines) - 1, len(header)) or not np.isfinite(values).all():
+        return None
+    return CsvTable(path, header, values.T.copy(), [], [])
+
+
+def read_table(path: str) -> CsvTable:
+    """Read a CSV file with a header row and at least one data row.
+
+    Lines follow the reading rule above; no header name may repeat. The
+    callers apply their own column rules.
+    """
+    text = _read_text(path)
+    tab = _fast_table(path, text)
+    if tab is None:
+        tab = _cell_table(path, text)
+    for c in tab.header:
+        if tab.header.count(c) > 1:
+            raise DataError(f"{path}: duplicate column {c!r}")
+    return tab
 
 
 def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
@@ -249,9 +346,6 @@ def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
     """
     tab = read_table(path)
     header = tab.header
-    for c in header:
-        if header.count(c) > 1:
-            raise DataError(f"{path}: duplicate column {c!r}")
     xs = [c for c in header if c[:1] == "x" and c[1:].isdigit()]
     covariates = [f"x{j}" for j in range(1, len(xs) + 1)]
     if not xs or set(xs) != set(covariates):
@@ -269,9 +363,9 @@ def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
     if "t" in cols:
         bad = (cols["t"] != 0) & (cols["t"] != 1)
         if bad.any():
-            i = int(np.argmax(bad))
-            raise DataError(f"{path} row {tab.lines[i]}: column 't' must be 0 or 1, "
-                            f"got {tab.rows[i][header.index('t')].strip()!r}")
+            line, cell = tab.cell(int(np.argmax(bad)), "t")
+            raise DataError(f"{path} row {line}: column 't' must be 0 or 1, "
+                            f"got {cell.strip()!r}")
         cols["t"] = cols["t"].astype(int)
     return cols
 

@@ -11,10 +11,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from confshift import cli
 from confshift.cli import _TABLES, main
 from confshift.core import Dataset, write_dataset
 from confshift.simulate import SimConfig
@@ -612,6 +615,104 @@ def test_worstcase_bad_instance_exits_2(tmp_path, capsys):
     assert main(["worstcase", "--instance", str(bad),
                  "--out-dir", str(tmp_path / "o")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_instance_repeated_column_exits_2(tmp_path, capsys):
+    twice = tmp_path / "inst.csv"
+    twice.write_text("v,lo,hi,v\n1.0,0.5,2.0,1.0\n2.0,0.5,2.0,2.0\n", encoding="utf-8")
+    assert main(["worstcase", "--instance", str(twice), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "inst.csv: duplicate column 'v'" in capsys.readouterr().err
+
+
+def test_witness_file_reads_back_as_an_instance(corpus, tmp_path):
+    """An extra column (here w_star) is no error in an instance file."""
+    assert main(["worstcase", "--instance", corpus["instance"], "--witness", "true",
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["worstcase", "--instance", str(tmp_path / "a" / "witness.csv"),
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    cdf = [(tmp_path / d / "cdf.csv").read_bytes().split(b"\n", 1)[1] for d in "ab"]
+    assert cdf[0] == cdf[1]
+
+
+# ---------------------------------------------------------------------------
+# input that is not text, or too long for the csv module
+# ---------------------------------------------------------------------------
+
+
+def test_undecodable_units_file_exits_2(corpus, tmp_path, capsys):
+    bad = tmp_path / "train_ff.csv"
+    bad.write_bytes(open(corpus["train"], "rb").read().replace(b"\n", b"\n\xff2,", 1))
+    assert _predict_with(corpus, tmp_path / "o", "train", bad) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "train_ff.csv: not UTF-8 text" in err
+
+
+def test_undecodable_instance_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "inst_ff.csv"
+    bad.write_bytes(b"v,lo,hi\n1.0,0.5,2.0\n\xff2,0.5,2.0\n")
+    assert main(["worstcase", "--instance", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "inst_ff.csv: not UTF-8 text: invalid start byte at byte 20" \
+        in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_3(corpus, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"alpha=0.2\n# caf\xe9\n")
+    assert _run_predict(corpus, tmp_path / "o", "--config", str(cfg)) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.cfg: not UTF-8 text" in err
+
+
+def test_field_over_the_csv_limit_exits_2(corpus, tmp_path, capsys):
+    """A non-numeric field past the csv module's 131,072 characters: numpy's
+    reader refuses the cell, and the cell reader's csv.Error names the file."""
+    long = tmp_path / "long.csv"
+    long.write_text("x1,x2\n0.1,0.2\n0.3," + "a" * 200000 + "\n", encoding="utf-8")
+    assert _predict_with(corpus, tmp_path / "o", "test", long) == 2
+    err = capsys.readouterr().err
+    assert "data error: " + str(long) + " line 3: field larger than field limit" in err
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_reused(corpus, tmp_path, monkeypatch):
+    """A usage error, a predict and a sensitivity run through one parser
+    write what fresh processes write, and the parser is built once."""
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    runs = {
+        "predict": ["predict", "--train", corpus["train"], "--calib", corpus["calib"],
+                    "--test", corpus["test"], "--gamma", "1.0,2.0", "--score", "abs_residual",
+                    "--arm", "0"],
+        "sensitivity": ["sensitivity", "--train", corpus["train"], "--test", corpus["obstest"],
+                        "--gamma-grid", _SENS_GRID, "--null-kind", "ge", "--seed", "4"],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--no-such-flag", "1"])
+    assert exc.value.code == 3
+    for name, argv in runs.items():
+        assert main([*argv, "--out-dir", str(tmp_path / "in" / name)]) == 0
+    assert len(builds) == 1
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for name, argv in runs.items():
+        subprocess.run([sys.executable, "-m", "confshift.cli", *argv,
+                        "--out-dir", str(tmp_path / "fresh" / name)], env=env, check=True)
+        a, b = tmp_path / "in" / name, tmp_path / "fresh" / name
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for f in os.listdir(a):
+            if f == "manifest.json":  # it records the output directory
+                got, want = _manifest(a), _manifest(b)
+                got["config"].pop("out_dir")
+                want["config"].pop("out_dir")
+                assert got == want
+            else:
+                assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
 # ---------------------------------------------------------------------------

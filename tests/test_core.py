@@ -1,7 +1,10 @@
 """Primitives: seeding, datasets, splits, CSV round trips."""
 
+import csv
+import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from confshift import (
     split,
     write_dataset,
 )
-from confshift.core import write_table
+from confshift.cli import _read_instance
+from confshift.core import _fast_table, read_table, read_units, write_table
+from confshift.worstcase import DiscreteJoint
 
 
 def test_rng_reproducible():
@@ -209,3 +214,216 @@ def test_csv_skips_comment_lines(tmp_path):
     path.write_text("# provenance stamp\nx1,t,y\n# mid comment\n0.5,1,1.0\n")
     ds = read_dataset(str(path))
     assert ds.n == 1 and ds.y[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The fast reader against the cell-by-cell reader it replaced
+# ---------------------------------------------------------------------------
+# The oracle is the csv.reader + float() reader as it stood before numpy's
+# reader took over, kept verbatim; _oracle_units and _oracle_instance are the
+# column rules of read_units and cli._read_instance on top of it.
+
+
+def _oracle_float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+@dataclass(frozen=True)
+class _OracleTable:
+    """Header and data rows of a CSV file, each row as long as the header."""
+
+    path: str
+    header: list[str]
+    rows: list[list[str]]
+    lines: list[int]  # 1-based file line of each data row
+
+    def floats(self, col: str) -> np.ndarray:
+        """Column ``col`` as floats; a cell that is not a finite number
+        (nan and inf included) raises, naming the file, row and column."""
+        j = self.header.index(col)
+        cells = [row[j] for row in self.rows]
+        out = np.fromiter(map(_oracle_float_or_nan, cells), float, len(cells))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{self.path} row {self.lines[i]}: column {col!r} "
+                            f"is not a finite number: {cells[i]!r}")
+        return out
+
+
+def _oracle_read_table(path: str) -> _OracleTable:
+    """Read a CSV file with a header row and at least one data row.
+
+    Blank and '#'-prefixed lines are skipped; header names are stripped. The
+    callers apply their own column rules.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        records = [(no, rec) for no, rec in enumerate(csv.reader(fh), start=1)
+                   if rec and not rec[0].lstrip().startswith("#")]
+    if not records:
+        raise DataError(f"{path}: no header row")
+    header = [c.strip() for c in records[0][1]]
+    for no, rec in records[1:]:
+        if len(rec) != len(header):
+            raise DataError(f"{path} row {no}: expected {len(header)} fields, got {len(rec)}")
+    if len(records) == 1:
+        raise DataError(f"{path}: no data rows")
+    return _OracleTable(path, header, [rec for _, rec in records[1:]],
+                        [no for no, _ in records[1:]])
+
+
+def _oracle_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
+    tab = _oracle_read_table(path)
+    header = tab.header
+    for c in header:
+        if header.count(c) > 1:
+            raise DataError(f"{path}: duplicate column {c!r}")
+    xs = [c for c in header if c[:1] == "x" and c[1:].isdigit()]
+    covariates = [f"x{j}" for j in range(1, len(xs) + 1)]
+    if not xs or set(xs) != set(covariates):
+        raise DataError(f"{path}: covariate columns must be x1..xp, got {xs}")
+    for c in header:
+        if c not in xs and c not in ("t", "y", "y1", "y0"):
+            raise DataError(f"{path}: unknown column {c!r}")
+    for c in ("t", "y") if need_outcome else ():
+        if c not in header:
+            raise DataError(f"{path}: missing required column {c!r}")
+    if ("y1" in header) != ("y0" in header):
+        raise DataError(f"{path}: y1 and y0 must both be present or both absent")
+    cols = {"x": np.column_stack([tab.floats(c) for c in covariates])}
+    cols.update((c, tab.floats(c)) for c in ("t", "y", "y1", "y0") if c in header)
+    if "t" in cols:
+        bad = (cols["t"] != 0) & (cols["t"] != 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{path} row {tab.lines[i]}: column 't' must be 0 or 1, "
+                            f"got {tab.rows[i][header.index('t')].strip()!r}")
+        cols["t"] = cols["t"].astype(int)
+    return cols
+
+
+def _oracle_instance(path: str) -> DiscreteJoint:
+    tab = _oracle_read_table(path)
+    for c in ("v", "lo", "hi"):
+        if c not in tab.header:
+            raise DataError(f"{path}: missing column {c!r}")
+    n = len(tab.rows)
+    m = tab.floats("m") if "m" in tab.header else np.full(n, 1.0 / n)
+    try:
+        return DiscreteJoint(tab.floats("v"), m, tab.floats("lo"), tab.floats("hi"))
+    except ValidationError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+# Cells: mostly numbers the way a writer spells them (each column in its own
+# valid range), padded or quoted now and then, mixed with strings over an
+# alphabet that reaches every way the two readers could part: spellings,
+# whitespace, quotes, '#', separators.
+_NUMBERS = st.one_of(st.sampled_from(["0.5", "2", "-0.0", "1e5", "5e-324", "1"]),
+                     st.floats(-1e6, 1e6).map(repr))
+_COLUMN_NUMBERS = {
+    "t": st.sampled_from(["0", "1", "1.0", "0.0"]),
+    "lo": st.sampled_from(["0", "0.5", "1"]) | st.floats(0.0, 1.0).map(repr),
+    "hi": st.sampled_from(["1", "2.0", "1e3"]) | st.floats(1.0, 10.0).map(repr),
+    "m": st.sampled_from(["1", "1.0", "0.5"]),
+}
+_PADS = st.sampled_from(["", "", " ", "\t", "  "])
+_ODD_CELLS = st.one_of(
+    st.lists(st.sampled_from(list('0123456789.e_-+ \t,"#\x1c١') + ["nan", "inf"]),
+             max_size=5).map("".join),
+    st.sampled_from(["", " ", "nan", "-inf", "1_0", "١", '"1"', '"1', '1"', '""', '" 1"',
+                     "1 # note", "2#", "#3", '"#4"', "1\x1c", "0x1", "1,5"]))
+
+
+@st.composite
+def _cell(draw, name):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_ODD_CELLS)
+    cell = draw(_PADS) + draw(_COLUMN_NUMBERS.get(name, _NUMBERS)) + draw(_PADS)
+    return f'"{cell}"' if draw(st.integers(0, 29)) == 0 else cell
+
+
+@st.composite
+def _csv_text(draw, names):
+    names = draw(st.permutations(names))
+    header = [draw(_PADS) + c + draw(_PADS) for c in names]
+    if draw(st.integers(0, 7)) == 0:
+        header = [f'"{c}"' for c in header]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "# note", " # note", '"# q",1',
+                                               "#,a", ',"#"', '# a,"b', '#"', '"#x', '# "'])))
+        elif kind == 1:
+            width = len(names) + draw(st.sampled_from([-1, 1]))
+            lines.append(",".join(draw(_cell("")) for _ in range(width)))
+        else:
+            lines.append(",".join(draw(_cell(c)) for c in names))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["# confshift stamp", "", "  #x", " "])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for key in want:
+        a, b = got[key], want[key]
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), key
+
+
+_UNITS_NAMES = st.sampled_from([["x1", "t", "y"], ["x1", "x2", "t", "y"], ["x2", "x1"],
+                                ["x1", "t", "y", "y1", "y0"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_cell_reader(data):
+    """read_units and the instance reader give the oracle's arrays bit for
+    bit, or the oracle's DataError message word for word."""
+    units = data.draw(_csv_text(data.draw(_UNITS_NAMES)))
+    instance = data.draw(_csv_text(data.draw(st.sampled_from([["v", "lo", "hi"],
+                                                              ["v", "lo", "hi", "m"]]))))
+    with tempfile.TemporaryDirectory() as d:
+        a, b = os.path.join(d, "units.csv"), os.path.join(d, "inst.csv")
+        with open(a, "w", encoding="utf-8", newline="") as fh:
+            fh.write(units)
+        with open(b, "w", encoding="utf-8", newline="") as fh:
+            fh.write(instance)
+        for need_outcome in (False, True):
+            _assert_same(_outcome(lambda p: read_units(p, need_outcome), a),
+                         _outcome(lambda p: _oracle_units(p, need_outcome), a))
+        joint = (lambda p: vars(_read_instance(p))), (lambda p: vars(_oracle_instance(p)))
+        _assert_same(*(_outcome(read, b) for read in joint))
+
+
+def test_fast_path_reads_written_files(tmp_path):
+    """What write_dataset and write_table write goes through numpy's reader."""
+    path = str(tmp_path / "ds.csv")
+    write_dataset(path, _toy_dataset(n=50, p=3, seed=1), comment="stamp")
+    tab = read_table(path)
+    assert tab.values is not None and tab.values.shape == (5, 50) and not tab.rows
+    assert _fast_table(path, "x1,y\n1,2\n 3 ,\"4\"\n") is not None
+    for text in ("x1,y\n1,2\n  \n3,4\n", "x1,y\n1,2 # note\n", "x1,y\n1_0,2\n",
+                 "x1,y\n1,2\x1c\n", 'x1,y\n1,"2\n3",4\n', 'x1,y\n# a,"b\n1,2\n',
+                 "x1,y\n1,nan\n", "x1,y\n1,2,3\n"):
+        assert _fast_table(path, text) is None, text
