@@ -46,7 +46,7 @@ from .core import (
 )
 from .nuisance import TargetSpec, fit_propensity, ratio_bounds
 from .pac import METHODS
-from .scores import ScoreFn, fit_quantile_model
+from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, fit_quantile_model
 from .sensitivity import GammaGrid, NullSpec, survival_curve
 from .simulate import (SimConfig, run_coverage_experiment, run_sensitivity_experiment,
                        scan_gamma_values, threshold_path)
@@ -362,14 +362,28 @@ def _read_test(path: str, p_train: int, need_outcome: bool) -> dict[str, np.ndar
     p = cols["x"].shape[1]
     if p != p_train:
         raise DataError(f"test has {p} covariates, training has {p_train}")
+    _check_covariates(path, cols["x"])
     return cols
 
 
 def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
     train = read_dataset(resolved["train"])
+    _check_covariates(resolved["train"], train.x)
     if resolved["calib"] is not None:
-        return train, read_dataset(resolved["calib"])
+        calib = read_dataset(resolved["calib"])
+        _check_covariates(resolved["calib"], calib.x)
+        return train, calib
     return split(train, SplitSpec(resolved["train_fraction"], resolved["seed"]))
+
+
+def _check_covariates(path: str, x: np.ndarray) -> None:
+    """A data error naming the first row of ``path`` whose covariates are so
+    large that the kNN distances would overflow (``scores.MAX_SQ_NORM``)."""
+    sq, i = _sq_norms(x)
+    if i >= 0:
+        line, _ = read_table(path).cell(i, "x1")
+        raise DataError(f"{path} row {line}: covariates have squared norm {float(sq[i])!r}, "
+                        f"over {MAX_SQ_NORM!r}: their distances would overflow")
 
 
 def _need_arm(ds: Dataset, arm: int, role: str) -> Dataset:

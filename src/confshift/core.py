@@ -271,9 +271,14 @@ def _read_text(path: str) -> str:
 def _cell_table(path: str, text: str) -> CsvTable:
     """The cell reader: csv records under the line rule, width-checked."""
     reader = csv.reader(io.StringIO(text, newline=""))
+    # Number each record by the file line it starts on: a quoted field can
+    # run over several lines, so records and lines part.
+    records, start = [], 1
     try:
-        records = [(no, rec) for no, rec in enumerate(reader, start=1)
-                   if rec and not rec[0].lstrip().startswith("#")]
+        for rec in reader:
+            if rec and not rec[0].lstrip().startswith("#"):
+                records.append((start, rec))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not records:

@@ -22,9 +22,17 @@ concatenation of their ``betas`` and hand each score its own columns
 are those of separate queries, bit for bit.
 
 A query runs in blocks of query rows, about ``_BLOCK_ENTRIES`` distances
-each, built in one buffer that every block reuses; only the rows with a tie
-at the k-th distance take the padded tie path. No output depends on the
-block rule: every row is computed on its own.
+each, built in one buffer that every block reuses. Each distance is packed
+with its column into an int64 key (the distance's bits above the low b, the
+column in them), and one in-place partition of the keys at k selects every
+row's neighbours. A row whose k-th key sits in a lower b-truncated class
+than the next key is certified: its k keys are the k nearest points, with no
+tie at the k-th distance. The other rows (ties, and the rare rows whose k-th
+and next distance differ only in the low bits or lie below 0) take the exact
+float64 tie path. Each row's selection is its own, but its distances come
+from its block's matrix product, which the BLAS may round differently for
+blocks of other sizes; where the distances are exact (integer covariates,
+say) no output depends on the block rule.
 """
 
 from __future__ import annotations
@@ -46,9 +54,16 @@ __all__ = [
 
 
 # Query rows per block: about this many distance entries, so one block's
-# distances and argpartition indices (1 MiB each) fit a 2 MiB L2 cache;
-# 2^17 ran faster than 2^18 on the benchmark's coverage and cli workloads.
+# distances and packed int64 keys (1 MiB each) fit a 2 MiB L2 cache; 2^17
+# ran faster than 2^18 on the benchmark's coverage and cli workloads.
 _BLOCK_ENTRIES = 2 ** 17
+
+# Largest squared norm of a covariate row. With |a|^2 and |b|^2 at most this,
+# Cauchy-Schwarz gives |<a, b>| <= |a| |b| <= max / 8 (every partial sum of
+# the inner product too), so the three terms of the distance identity
+# |a|^2 - 2 <a, b> + |b|^2 sum to at most max / 2 in size: no rounding error
+# of a few ulps can overflow it.
+MAX_SQ_NORM = float(np.finfo(float).max) / 8
 
 
 def default_k(n: int) -> int:
@@ -61,6 +76,10 @@ class KNNQuantileModel:
 
     ``clipped`` records that the requested k exceeded the training size and
     was clamped to n (a warning is emitted at fit time).
+
+    :func:`fit_quantile_model` stores the outcomes as ``y + 0.0``, which
+    turns each -0.0 into +0.0: with both zeros among a row's neighbours, the
+    sign of a zero quantile would depend on the selection's internal order.
     """
 
     x: np.ndarray
@@ -82,44 +101,59 @@ class KNNQuantileModel:
             )
         if not np.isfinite(x).all():
             raise ValidationError("query covariates must be finite")
+        xq_sq = _checked_sq_norms(x, "query")
         n = self.x.shape[0]
         out = np.empty((x.shape[0], betas.size))
         if self.k >= n:
             # Every training point is a neighbour of every row.
             out[:] = _lower_quantiles(np.sort(self.y)[None, :], np.array([n]), betas)
         else:
-            # One distance buffer for every block: a fresh (rows x n) array
-            # per block would be handed back to the kernel and faulted in again.
+            # One distance buffer and one key buffer for every block: fresh
+            # (rows x n) arrays per block would be handed back to the kernel
+            # and faulted in again.
             step = max(1, _BLOCK_ENTRIES // n)
-            buf = np.empty((min(step, x.shape[0]), n))
-            x_sq = (self.x ** 2).sum(axis=1)
+            rows = min(step, x.shape[0])
+            buf = np.empty((rows, n))
+            keys = np.empty((rows, n), dtype=np.int64)
+            x_sq = _checked_sq_norms(self.x, "training")
             for lo in range(0, x.shape[0], step):
-                out[lo : lo + step] = self._quantile_block(x[lo : lo + step], betas, buf, x_sq)
+                out[lo : lo + step] = self._quantile_block(
+                    x[lo : lo + step], xq_sq[lo : lo + step], betas, buf, keys, x_sq)
         return out[:, 0] if scalar else out
 
-    def _quantile_block(self, xq: np.ndarray, betas: np.ndarray, buf: np.ndarray,
-                        x_sq: np.ndarray) -> np.ndarray:
+    def _quantile_block(self, xq: np.ndarray, xq_sq: np.ndarray, betas: np.ndarray,
+                        buf: np.ndarray, keys: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
         """Lower quantiles of the neighbour outcomes of each row of xq, with
-        distances built in ``buf``; ``x_sq`` holds the training |x|^2."""
-        rows = xq.shape[0]
+        distances built in ``buf`` and packed keys in ``keys``; ``xq_sq`` and
+        ``x_sq`` hold the query and training |x|^2."""
+        rows, n, k = xq.shape[0], self.x.shape[0], self.k
         # Squared Euclidean distances via the inner-product identity, built in
         # place (-2m + |xq|^2 is the same float as |xq|^2 - 2m); sqrt is
         # monotone so neighbour sets are unchanged.
         d2 = np.matmul(xq, self.x.T, out=buf[:rows])
         d2 *= -2.0
-        d2 += (xq ** 2).sum(axis=1)[:, None]
+        d2 += xq_sq[:, None]
         d2 += x_sq[None, :]
-        # One pivot at k: the first k entries are the k smallest distances,
-        # so their max is the k-th, and entry k the next one.
-        part = np.argpartition(d2, self.k, axis=1)
-        near = part[:, : self.k]
-        kth = np.take_along_axis(d2, near, axis=1).max(axis=1)
-        # A row ties when the next distance is not beyond the k-th; an untied
-        # row has exactly k neighbours.
-        tied = ~(d2[np.arange(rows), part[:, self.k]] > kth)
-        q = _lower_quantiles(np.sort(self.y[near], axis=1), np.full(rows, self.k), betas)
-        if tied.any():
-            q[tied] = _lower_quantiles(*_tied_neighbours(d2[tied], kth[tied], self.y), betas)
+        # Key: the distance's int64 bits with the low b cleared, the column
+        # in them. On non-negative floats the bits order as the values, and
+        # every negative float's bits sort below them.
+        b = (n - 1).bit_length()
+        low = (1 << b) - 1
+        key = np.bitwise_and(d2.view(np.int64), ~low, out=keys[:rows])
+        key |= np.arange(n)
+        # One pivot at k: the first k keys are the k smallest, entry k the next.
+        key.partition(k, axis=1)
+        kk, nk = key[:, :k].max(axis=1), key[:, k]
+        # A row is certified when its k-th key is a non-negative distance in
+        # a lower truncated class than the next key: every other distance is
+        # then beyond the k-th, so the row has exactly these k neighbours.
+        # The other rows take the exact path.
+        exact = (kk < 0) | (kk >> b >= nk >> b)
+        q = _lower_quantiles(np.sort(self.y[key[:, :k] & low], axis=1), np.full(rows, k), betas)
+        if exact.any():
+            d2x = d2[exact]
+            kth = np.partition(d2x, k - 1, axis=1)[:, k - 1]
+            q[exact] = _lower_quantiles(*_tied_neighbours(d2x, kth, self.y), betas)
         return q
 
 
@@ -136,6 +170,25 @@ def _tied_neighbours(d2: np.ndarray, kth: np.ndarray, y: np.ndarray):
     return ys, counts
 
 
+def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """|x_i|^2 per row of the (n, p) array x, and the first row over
+    ``MAX_SQ_NORM`` (an overflow to +inf included), -1 when none is."""
+    with np.errstate(over="ignore"):
+        sq = (x ** 2).sum(axis=1)
+    over = ~(sq <= MAX_SQ_NORM)
+    return sq, int(np.argmax(over)) if over.any() else -1
+
+
+def _checked_sq_norms(x: np.ndarray, what: str) -> np.ndarray:
+    """|x_i|^2 per row of x; a ValidationError when a row's distances could
+    overflow."""
+    sq, i = _sq_norms(x)
+    if i >= 0:
+        raise ValidationError(f"{what} covariate row {i} has squared norm {float(sq[i])!r}, "
+                              f"over {MAX_SQ_NORM!r}: its distances would overflow")
+    return sq
+
+
 def _lower_quantiles(ys: np.ndarray, counts: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Entry ceil(beta * count) - 1 of each sorted row of ys, for every level."""
     idx = np.ceil(betas[None, :] * counts[:, None] - 1e-12).astype(int) - 1
@@ -144,13 +197,14 @@ def _lower_quantiles(ys: np.ndarray, counts: np.ndarray, betas: np.ndarray) -> n
 
 def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float) + 0.0
     if x.shape[0] == 0:
         raise ValidationError("empty-dataset")
     if y.shape != (x.shape[0],):
         raise ValidationError("x and y lengths differ")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("training covariates and outcomes must be finite")
+    _checked_sq_norms(x, "training")
     if k is None:
         k = default_k(x.shape[0])
     if k < 1:

@@ -458,6 +458,19 @@ def test_units_bad_treatment_exits_2(corpus, tmp_path, capsys, role, value):
     assert "bad_t.csv row 5: column 't'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["train", "test"])
+def test_covariate_norm_overflow_exits_2(corpus, tmp_path, capsys, role):
+    # A covariate at 1e200 used to pass with exit 0: as a test row it got the
+    # all-points quantile, since every squared distance overflowed to +inf
+    # and the whole row tied.
+    big = tmp_path / "big.csv"
+    _rewrite_units(_units_file(corpus, role), big,
+                   edit=lambda i, r: r.update(x1="1e200") if i == 3 else None)
+    assert _predict_with(corpus, tmp_path / "o", role, big) == 2
+    assert "big.csv row 5: covariates have squared norm inf" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "intervals.csv").exists()
+
+
 def test_written_dataset_with_counterfactuals_is_a_test_file(tmp_path):
     """A write_dataset file carrying y1,y0 serves as --train and as --test."""
     ds = _toy_dataset(60, seed=12)

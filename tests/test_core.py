@@ -120,6 +120,19 @@ def test_csv_bad_cell_names_row(tmp_path):
         read_dataset(str(path))
 
 
+def test_csv_row_numbers_are_file_lines_after_a_multiline_field(tmp_path):
+    # The quoted field of the first data record runs over two file lines, so
+    # the bad cell sits on file line 4, in the third record.
+    path = tmp_path / "multi.csv"
+    path.write_text('x1,t,y\n"0.5\n",1,2\n0.7,1,oops\n')
+    with pytest.raises(DataError, match=r"multi\.csv row 4: column 'y' is not a finite "
+                                        r"number: 'oops'"):
+        read_dataset(str(path))
+    path.write_text('x1,t,y\n"0.5\n",1,2\n0.7,1\n')
+    with pytest.raises(DataError, match=r"multi\.csv row 4: expected 3 fields, got 2"):
+        read_dataset(str(path))
+
+
 def test_csv_bad_treatment_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,t,y\n0.5,2,1.0\n")
@@ -220,7 +233,8 @@ def test_csv_skips_comment_lines(tmp_path):
 # The fast reader against the cell-by-cell reader it replaced
 # ---------------------------------------------------------------------------
 # The oracle is the csv.reader + float() reader as it stood before numpy's
-# reader took over, kept verbatim; _oracle_units and _oracle_instance are the
+# reader took over, kept verbatim save for its row numbers, which are now the
+# file line a record starts on; _oracle_units and _oracle_instance are the
 # column rules of read_units and cli._read_instance on top of it.
 
 
@@ -265,8 +279,12 @@ def _oracle_read_table(path: str) -> _OracleTable:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with fh:
-        records = [(no, rec) for no, rec in enumerate(csv.reader(fh), start=1)
-                   if rec and not rec[0].lstrip().startswith("#")]
+        # Each record with the file line it starts on.
+        reader, records, start = csv.reader(fh), [], 1
+        for rec in reader:
+            if rec and not rec[0].lstrip().startswith("#"):
+                records.append((start, rec))
+            start = reader.line_num + 1
     if not records:
         raise DataError(f"{path}: no header row")
     header = [c.strip() for c in records[0][1]]

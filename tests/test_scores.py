@@ -18,6 +18,7 @@ from confshift import (
     rng,
     scores,
 )
+from confshift.scores import MAX_SQ_NORM
 
 
 def test_default_k_rule():
@@ -244,6 +245,161 @@ def test_knn_tie_path_takes_only_the_tied_rows(monkeypatch):
     got = model.quantile(xq, betas)
     assert sent == [1]
     np.testing.assert_array_equal(got, _knn_quantile_oracle(x, y, 3, xq, betas))
+
+
+def _argpartition_quantile(model, xq, betas):
+    """The kNN query as it stood before packed keys, kept verbatim: blocks of
+    about ``_BLOCK_ENTRIES`` distances in one buffer, argpartition at k, the
+    k-th distance gathered from it, and only the rows tied at the k-th
+    distance through the padded tie path (k < n)."""
+    betas = np.asarray(betas, dtype=float)
+    n = model.x.shape[0]
+    out = np.empty((xq.shape[0], betas.size))
+    step = max(1, scores._BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, xq.shape[0]), n))
+    x_sq = (model.x ** 2).sum(axis=1)
+    for lo in range(0, xq.shape[0], step):
+        out[lo : lo + step] = _argpartition_block(model, xq[lo : lo + step], betas, buf, x_sq)
+    return out
+
+
+def _argpartition_block(model, xq, betas, buf, x_sq):
+    rows = xq.shape[0]
+    d2 = np.matmul(xq, model.x.T, out=buf[:rows])
+    d2 *= -2.0
+    d2 += (xq ** 2).sum(axis=1)[:, None]
+    d2 += x_sq[None, :]
+    part = np.argpartition(d2, model.k, axis=1)
+    near = part[:, : model.k]
+    kth = np.take_along_axis(d2, near, axis=1).max(axis=1)
+    tied = ~(d2[np.arange(rows), part[:, model.k]] > kth)
+    q = scores._lower_quantiles(np.sort(model.y[near], axis=1), np.full(rows, model.k), betas)
+    if tied.any():
+        q[tied] = scores._lower_quantiles(
+            *scores._tied_neighbours(d2[tied], kth[tied], model.y), betas)
+    return q
+
+
+def _ulp_moves(x, moves):
+    """x with each entry moved by ``moves`` (same shape, -2..2) ulps."""
+    for step in (1, 2):
+        for sign in (1, -1):
+            at = moves * sign >= step
+            x = np.where(at, np.nextafter(x, sign * np.inf), x)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_knn_packed_keys_match_the_argpartition_kernel_bit_for_bit(data):
+    """Float covariates over a wide scale, with duplicated and 1-ulp-shifted
+    training points and queries at training points (distances at or below
+    0): the packed-key query gives the argpartition kernel's floats bit for
+    bit, on any block size. Outcomes hold no -0.0 (fit_quantile_model makes
+    it +0.0)."""
+    p = data.draw(st.integers(1, 3))
+    scale = 10.0 ** data.draw(st.sampled_from([-150, -40, -3, 0, 2, 40, 150]))
+    cells = st.floats(-1000.0, 1000.0, allow_subnormal=False)
+    base = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), p), elements=cells)) * scale
+    n = data.draw(st.integers(2, 40))
+    moves = hnp.arrays(np.int64, st.tuples(st.just(n), st.just(p)),
+                       elements=st.sampled_from([0, 0, 0, 1, -1, 2, -2]))
+    pick = hnp.arrays(np.int64, n, elements=st.integers(0, base.shape[0] - 1))
+    x = _ulp_moves(base[data.draw(pick)], data.draw(moves))
+    rows = data.draw(st.integers(1, 30))
+    at = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, n - 1)))
+    xq = np.where(data.draw(hnp.arrays(bool, (rows, 1))), x[at],
+                  data.draw(hnp.arrays(float, (rows, p), elements=cells)) * scale)
+    xq = _ulp_moves(xq, data.draw(hnp.arrays(np.int64, (rows, p),
+                                             elements=st.sampled_from([0, 0, 0, 1, -1]))))
+    y = data.draw(hnp.arrays(float, n, elements=st.integers(-3, 3).map(float)
+                             | st.floats(-1e3, 1e3)))
+    model = fit_quantile_model(x, y, k=data.draw(st.integers(1, n - 1)))
+    assert not np.signbit(model.y[model.y == 0.0]).any()
+    betas = data.draw(_BETAS)
+    block = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
+    entries = scores._BLOCK_ENTRIES if block is None else block * n
+    with mock.patch.object(scores, "_BLOCK_ENTRIES", entries):
+        got = model.quantile(xq, betas)
+        want = _argpartition_quantile(model, xq, betas)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_knn_low_bit_neighbours_take_the_exact_path(monkeypatch):
+    """A row whose k-th and (k+1)-th distances differ only in the low b bits
+    of the key, with no tie, cannot be certified: it takes the exact path,
+    which keeps just its k nearest points, and no other row does."""
+    one_up = np.nextafter(1.0, 2.0)
+    x = np.array([[1.0], [one_up], [5.0], [7.0]])
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    # From 0, the distances are 1 and 1 + 2^-51 (two ulps): b = 2 low bits
+    # hold the column, so both keys fall in one truncated class.
+    b = (x.shape[0] - 1).bit_length()
+    d2 = (x[:2, 0] ** 2).view(np.int64)
+    assert b == 2 and d2[0] != d2[1] and d2[0] >> b == d2[1] >> b
+    sent = []
+    real = scores._tied_neighbours
+
+    def counting(d2, kth, y):
+        sent.append(d2.shape[0])
+        return real(d2, kth, y)
+
+    monkeypatch.setattr(scores, "_tied_neighbours", counting)
+    model = fit_quantile_model(x, y, k=1)
+    xq = np.array([[0.0], [6.2]])
+    betas = [0.5, 1.0]
+    got = model.quantile(xq, betas)
+    assert sent == [1]
+    assert got.tolist() == [[1.0, 1.0], [4.0, 4.0]]
+    monkeypatch.setattr(scores, "_tied_neighbours", real)
+    assert got.tobytes() == _argpartition_quantile(model, xq, betas).tobytes()
+
+
+def test_knn_negative_distances_match_the_argpartition_kernel():
+    """Next to the query, rounding in the distance identity can leave
+    distances below 0: with scipy-openblas 0.3.31 the first row's come out
+    as -2^-35, -2^-34 and 0 (the other two rows make the product a matrix
+    one). Negative floats' int64 bits sort in reverse order, so a row whose
+    k-th key is negative takes the exact path."""
+    x = np.array([[-323.242255680942, -323.2422556809422],
+                  [-323.24225568094204, -323.2422556809422],
+                  [-323.2422556809421, -323.2422556809422]])
+    model = fit_quantile_model(x, np.array([1.0, 2.0, 3.0]), k=1)
+    xq = np.array([[-323.24225568094204, -323.2422556809422]])
+    xq = np.vstack([xq, xq + 1.0, xq - 1.0])
+    betas = [0.5, 1.0]
+    got = model.quantile(xq, betas)
+    assert got.tobytes() == _argpartition_quantile(model, xq, betas).tobytes()
+
+
+def test_fit_turns_negative_zero_outcomes_positive():
+    # With -0.0 and +0.0 among a row's neighbours the sign of a zero
+    # quantile would rest on the selection's internal order.
+    x = np.arange(6.0)[:, None]
+    y = np.array([-0.0, 0.0, -0.0, 1.0, -0.0, 2.0])
+    model = fit_quantile_model(x, y, k=3)
+    assert not np.signbit(model.y).any()
+    q = model.quantile(np.array([[1.0], [4.0]]), [0.5, 1.0])
+    assert not np.signbit(q).any()
+    assert np.signbit(y[[0, 2, 4]]).all()  # the caller's array is left as it was
+
+
+def test_knn_rejects_covariates_whose_distances_overflow():
+    # A query row at 1e200 used to get the all-points quantile: its squared
+    # norm overflows, every distance was +inf and the whole row tied.
+    x = np.arange(10.0).reshape(5, 2)
+    y = np.arange(5.0)
+    model = fit_quantile_model(x, y, k=2)
+    with pytest.raises(ValidationError, match="query covariate row 1 has squared norm inf"):
+        model.quantile(np.array([[0.0, 1.0], [1e200, 0.0]]), 0.5)
+    with pytest.raises(ValidationError, match="training covariate row 3 .*would overflow"):
+        fit_quantile_model(np.vstack([x[:3], [[0.0, 1e160]], x[3:]]), np.arange(6.0), k=2)
+    # Just under the cap the distance identity stays finite: the farthest
+    # pair is about 4 * MAX_SQ_NORM = max / 2 apart.
+    edge = math.sqrt(MAX_SQ_NORM) * (1 - 1e-15)
+    far = fit_quantile_model(np.array([[edge], [0.0]]), np.array([5.0, 6.0]), k=1)
+    with np.errstate(all="raise"):
+        assert far.quantile(np.array([[-edge], [edge]]), 1.0).tolist() == [6.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
