@@ -44,12 +44,12 @@ from .core import (
     split,
     write_table,
 )
-from .nuisance import TargetSpec, fit_propensity, ratio_bounds
+from .nuisance import TargetSpec, fit_propensity
 from .pac import METHODS
-from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, fit_quantile_model
+from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms
 from .sensitivity import GammaGrid, NullSpec, survival_curve
-from .simulate import (SimConfig, run_coverage_experiment, run_sensitivity_experiment,
-                       scan_gamma_values, threshold_path)
+from .simulate import (SimConfig, _calibrated_thresholds, run_coverage_experiment,
+                       run_sensitivity_experiment, scan_gamma_values)
 from .worstcase import DiscreteJoint, worst_cdf_marginal, worst_witness_marginal
 
 # Called through .simulate or not at all; still bound here because the
@@ -79,11 +79,21 @@ class _Parser(argparse.ArgumentParser):
 _REQUIRED = object()
 
 
-def _pinteger(low: int) -> Callable[[str], int]:
+# Caps on the count options, far above every size the campaigns and the
+# benchmark use. At the caps one fold's draw still fits a few hundred MB at
+# p = 4, while a count far beyond them would end in an uncaught MemoryError.
+_MAX_UNITS = 10 ** 6  # n_train, n_calib, n_test, n_eval_gap, and k
+_MAX_P = 1_000
+_MAX_REPS = 100_000
+
+
+def _pinteger(low: int, high: float = math.inf) -> Callable[[str], int]:
     def parse(s: str) -> int:
         value = int(s)
         if value < low:
             raise ValueError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -194,7 +204,7 @@ _FOLDS = {
     "delta": _Opt(_plevel, 0.05, "PAC failure level (alg2)"),
     "method": _Opt(_pmethod, ("alg1", None),
                    "alg1 or alg2:plugin|hoeffding|wsr; plugin carries no guarantee"),
-    "k": _Opt(_pinteger(1), None, "neighbor count for the quantile model"),
+    "k": _Opt(_pinteger(1, _MAX_UNITS), None, "neighbor count for the quantile model"),
 }
 
 _SCORE = _pchoice(*ScoreFn.KINDS)
@@ -229,10 +239,10 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         **_COMMON,
         "threads": _Opt(_pinteger(1), None, "worker process cap; default: every usable CPU"),
         "kind": _Opt(_pchoice("coverage", "sensitivity"), "coverage", "experiment family"),
-        "n_train": _Opt(_pinteger(1), 1000, "target-arm units in the training fold"),
-        "n_calib": _Opt(_pinteger(1), 500, "target-arm units in the calibration fold"),
-        "n_test": _Opt(_pinteger(1), 1, "test units per replication"),
-        "p": _Opt(_pinteger(1), 4, "covariate dimension"),
+        "n_train": _Opt(_pinteger(1, _MAX_UNITS), 1000, "target-arm units in the training fold"),
+        "n_calib": _Opt(_pinteger(1, _MAX_UNITS), 500, "target-arm units in the calibration fold"),
+        "n_test": _Opt(_pinteger(1, _MAX_UNITS), 1, "test units per replication"),
+        "p": _Opt(_pinteger(1, _MAX_P), 4, "covariate dimension"),
         "gamma_true": _Opt(_pfloat, 1.0, "latent confounding strength"),
         "arm": _Opt(_parm, 1, "counterfactual arm (0 or 1)"),
         "population": _Opt(_POP, "ate", "target population"),
@@ -245,8 +255,8 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         "gamma_bounds": _Opt(_pfloat, None, "strength used for bounds; default gamma_true"),
         "effect_kind": _Opt(_pchoice("fixed", "random"), "fixed", "treatment effect form"),
         "effect_a": _Opt(_pfloat, 0.0, "effect size a"),
-        "n_reps": _Opt(_pinteger(1), 20, "replications"),
-        "n_eval_gap": _Opt(_pinteger(0), 0, "evaluation draws for gap certificates"),
+        "n_reps": _Opt(_pinteger(1, _MAX_REPS), 20, "replications"),
+        "n_eval_gap": _Opt(_pinteger(0, _MAX_UNITS), 0, "evaluation draws for gap certificates"),
         "grid": _Opt(_pgrid, None, "sensitivity grid; default 1..26"),
     },
 }
@@ -371,6 +381,8 @@ def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
     _check_covariates(resolved["train"], train.x)
     if resolved["calib"] is not None:
         calib = read_dataset(resolved["calib"])
+        if calib.p != train.p:
+            raise DataError(f"calibration has {calib.p} covariates, training has {train.p}")
         _check_covariates(resolved["calib"], calib.x)
         return train, calib
     return split(train, SplitSpec(resolved["train_fraction"], resolved["seed"]))
@@ -406,26 +418,19 @@ def _fit_nuisance(train: Dataset) -> tuple:
 
 def cmd_predict(resolved: dict, h: str) -> None:
     train, calib = _load_folds(resolved)
-    arm, alpha = resolved["arm"], resolved["alpha"]
+    arm = resolved["arm"]
     x_test = _read_test(resolved["test"], train.p, need_outcome=False)["x"]
-    target = TargetSpec(arm=arm, population=resolved["population"])
     prop, p1 = _fit_nuisance(train)
     train_arm = train.arm(arm)
     calib_arm = _need_arm(calib, arm, "calibration")
-    model = fit_quantile_model(train_arm.x, train_arm.y, k=resolved["k"])
-    fn = ScoreFn(kind=resolved["score"], model=model, alpha=alpha)
-    v_cal = fn.score(calib_arm.x, calib_arm.y)
-
     gammas = sorted(resolved["gamma"])
-    kind, envelope = resolved["method"]
-    lo, hi = ratio_bounds(target, gammas, prop, p1, calib_arm.x)
-    hi_test = ratio_bounds(target, gammas, prop, p1, x_test)[1]
-    # One single-strength path per gamma: each gamma keeps its own alg2 scale M.
-    thr = np.vstack([
-        threshold_path(v_cal, lo[i:i + 1], hi[i:i + 1], hi_test[i:i + 1], alpha,
-                       kind, envelope, resolved["delta"])
-        for i in range(len(gammas))])
-    set_lo, set_hi = fn.interval(x_test, thr)
+    # Not nested: a row's interval at one gamma never depends on the other gammas.
+    (fn,), q_test, thr = _calibrated_thresholds(
+        TargetSpec(arm=arm, population=resolved["population"]), gammas, prop, p1,
+        (train_arm.x, train_arm.y), (calib_arm.x, calib_arm.y), x_test, resolved["score"],
+        (resolved["alpha"],), (resolved["method"],), resolved["delta"], resolved["k"],
+        nested=False)
+    set_lo, set_hi = fn.interval_at(q_test[:, 0], thr)
     n = x_test.shape[0]
     write_table(os.path.join(resolved["out_dir"], "intervals.csv"), {
         "row": np.tile(np.arange(1, n + 1), len(gammas)),
@@ -442,8 +447,6 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
     test_x, test_t, test_y = test["x"], test["t"], test["y"]
     grid = (GammaGrid(resolved["gamma_grid"]) if resolved["gamma_grid"] is not None
             else GammaGrid.default())
-    alpha = resolved["alpha"]
-    kind, envelope = resolved["method"]
     null = NullSpec(resolved["null_kind"], resolved["null_a"])
     prop, p1 = _fit_nuisance(train)
 
@@ -457,16 +460,13 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
             continue
         train_arm = _need_arm(train, cf_arm, "training")
         calib_arm = _need_arm(calib, cf_arm, "calibration")
-        model = fit_quantile_model(train_arm.x, train_arm.y, k=resolved["k"])
-        fn = ScoreFn(kind=resolved["score"], model=model, alpha=alpha)
-        v_cal = fn.score(calib_arm.x, calib_arm.y)
-        target = TargetSpec(arm=cf_arm, population=population)
-        x_side = test_x[mask]
-        lo, hi = ratio_bounds(target, grid.values, prop, p1, calib_arm.x)
-        hi_test = ratio_bounds(target, grid.values, prop, p1, x_side)[1]
-        thr = threshold_path(v_cal, lo, hi, hi_test, alpha, kind, envelope,
-                             resolved["delta"])
-        gamma_hat[mask] = scan_gamma_values(fn, x_side, t_obs, test_y[mask], thr, grid, null)
+        (fn,), q_side, thr = _calibrated_thresholds(
+            TargetSpec(arm=cf_arm, population=population), grid.values, prop, p1,
+            (train_arm.x, train_arm.y), (calib_arm.x, calib_arm.y), test_x[mask],
+            resolved["score"], (resolved["alpha"],), (resolved["method"],),
+            resolved["delta"], resolved["k"])
+        gamma_hat[mask] = scan_gamma_values(fn, q_side[:, 0], t_obs, test_y[mask], thr[0, 0],
+                                            grid, null)
 
     out_dir, stamp = resolved["out_dir"], _stamp(resolved, h)
     write_table(os.path.join(out_dir, "gammas.csv"), {

@@ -18,8 +18,8 @@ A score reads its value in two steps: the query, ``model.quantile(x,
 score.betas)``, and a band rule on the returned columns (``ScoreFn.bands``).
 Several scores on one model may share a query: ask once for the
 concatenation of their ``betas`` and hand each score its own columns
-(``ScoreFn.score_at``). Every column is computed on its own, so the values
-are those of separate queries, bit for bit.
+(``ScoreFn.score_at``, ``interval_at``). Every column is computed on its
+own, so the values are those of separate queries, bit for bit.
 
 A query runs in blocks of query rows, about ``_BLOCK_ENTRIES`` distances
 each, built in one buffer that every block reuses. Each distance is packed
@@ -224,8 +224,8 @@ class ScoreFn:
     """A nonconformity score bound to a fitted quantile model and level alpha.
 
     ``score`` and ``interval`` query the model for ``betas`` themselves;
-    ``score_at`` reads the same value from quantile columns the caller has
-    already queried, such as one slice of a query shared by several alphas.
+    ``score_at`` and ``interval_at`` read the same from columns already
+    queried, such as one slice of a query shared by several alphas.
     """
 
     kind: str
@@ -281,7 +281,10 @@ class ScoreFn:
         kind, while a two-sided set may come out empty (lo > hi) for negative
         thresholds.
         """
-        a, b = self.bands(self.model.quantile(np.atleast_2d(np.asarray(x, dtype=float)),
-                                              self.betas))
+        return self.interval_at(self.model.quantile(x, self.betas), threshold)
+
+    def interval_at(self, q, threshold) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`interval` from quantile columns q, as :meth:`score_at` reads them."""
+        a, b = self.bands(q)
         thr = np.asarray(threshold, dtype=float)
         return a - thr, b + thr

@@ -347,14 +347,15 @@ def _run_reps(worker: Callable, cfg: SimConfig, threads: int | None) -> list[dic
 
 def threshold_path(v_cal: np.ndarray, lo: np.ndarray, hi: np.ndarray, hi_test: np.ndarray,
                    alpha: float, procedure: str, envelope: str = "wsr",
-                   delta: float = 0.05) -> np.ndarray:
+                   delta: float = 0.05, nested: bool = True) -> np.ndarray:
     """Score thresholds along ascending strengths, shape (strengths, test units).
 
     ``lo`` and ``hi`` (strengths x calibration units) and ``hi_test``
     (strengths x test units) are the envelopes of :func:`ratio_bounds`.
     alg1 gives every test unit its own robust marginal threshold; alg2 gives
     all units the one PAC threshold of :func:`pac_threshold_path`, with its
-    default envelope scale M (the largest bound over all strengths).
+    default envelope scale M (the largest bound over all strengths), or with
+    ``nested=False`` one path and M per strength: no strength sees another.
 
     Nestedness is repaired in one place, the scan:
     :func:`gamma_values_from_rejections` stops each unit at its first
@@ -366,21 +367,46 @@ def threshold_path(v_cal: np.ndarray, lo: np.ndarray, hi: np.ndarray, hi_test: n
     if procedure == "alg1":
         return robust_threshold_many(v_cal, lo, hi, alpha, hi_test)
     calibs = CalibrationSet._along(v_cal, lo, hi, hi_test.max(axis=1))
-    path = pac_threshold_path(calibs, alpha, delta, envelope)
+    paths = [calibs] if nested else [[c] for c in calibs]
+    path = np.concatenate([pac_threshold_path(p, alpha, delta, envelope) for p in paths])
     return np.repeat(path[:, None], hi_test.shape[1], axis=1)
 
 
-def scan_gamma_values(fn: ScoreFn, x: np.ndarray, t_obs: int, y: np.ndarray,
+def _calibrated_thresholds(target: TargetSpec, gammas, propensity, p1: float, train, calib,
+                           x_test: np.ndarray, score: str, alphas, methods, delta: float,
+                           k: int | None = None, nested: bool = True) -> tuple:
+    """Fit on ``train = (x, y)``, score ``calib = (x, y)``, bound, threshold.
+
+    One kNN query per query array asks for every alpha's levels (one score
+    kind, so each alpha owns as many columns). Returns the score per alpha,
+    the test rows' quantile columns (rows x alphas x levels) and the
+    thresholds (alphas x (procedure, envelope) methods x strengths x rows).
+    """
+    model = fit_quantile_model(*train, k=k)
+    fns = [ScoreFn(kind=score, model=model, alpha=alpha) for alpha in alphas]
+    betas = [b for fn in fns for b in fn.betas]
+    x_cal, y_cal = calib
+    q_cal, q_test = (model.quantile(x, betas).reshape(len(x), len(fns), -1)
+                     for x in (x_cal, x_test))
+    lo, hi = ratio_bounds(target, gammas, propensity, p1, x_cal)
+    hi_test = ratio_bounds(target, gammas, propensity, p1, x_test)[1]
+    thr = np.array([[threshold_path(fn.score_at(q_cal[:, i], y_cal), lo, hi, hi_test,
+                                    fn.alpha, procedure, envelope, delta, nested)
+                     for procedure, envelope in methods] for i, fn in enumerate(fns)])
+    return fns, q_test, thr
+
+
+def scan_gamma_values(fn: ScoreFn, q: np.ndarray, t_obs: int, y: np.ndarray,
                       thresholds: np.ndarray, grid: GammaGrid, null: NullSpec) -> np.ndarray:
     """Sensitivity values of units observed in arm ``t_obs`` with outcomes ``y``.
 
     ``thresholds`` (strengths x units, from :func:`threshold_path`, or
-    several such paths stacked on leading axes) give the counterfactual
-    intervals in one ``fn.interval`` call; the effect intervals come from
-    :func:`ite_set_one_missing`, and a strength rejects when
-    ``null.disjoint`` holds. Returns one value per unit and stacked path.
+    several such paths stacked on leading axes) and the units' quantile
+    columns ``q`` give the counterfactual intervals (``fn.interval_at``); the
+    effect intervals come from :func:`ite_set_one_missing`, and a strength
+    rejects when ``null.disjoint`` holds. Returns one value per unit and path.
     """
-    cf = Interval(*fn.interval(x, thresholds))
+    cf = Interval(*fn.interval_at(q, thresholds))
     reject = null.disjoint(ite_set_one_missing(t_obs, y, cf))
     return gamma_values_from_rejections(np.swapaxes(reject, -1, -2), grid)
 
@@ -400,12 +426,13 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
 
     train_arm = train.take(np.nonzero(train.t == arm)[0])
     calib_arm = calib.take(np.nonzero(calib.t == arm)[0])
-    model = fit_quantile_model(train_arm.x, train_arm.outcome(arm))
     target = cfg.target()
     gammas = (cfg.gamma_true if cfg.gamma_bounds is None else cfg.gamma_bounds,)
     prop, p1 = _propensity(cfg, train)
-    lo_cal, hi_cal = ratio_bounds(target, gammas, prop, p1, calib_arm.x)
-    hi_test = ratio_bounds(target, gammas, prop, p1, test.x)[1]
+    fns, q_test, thr = _calibrated_thresholds(
+        target, gammas, prop, p1, (train_arm.x, train_arm.outcome(arm)),
+        (calib_arm.x, calib_arm.outcome(arm)), test.x, cfg.score, cfg.alphas,
+        ((cfg.procedure, cfg.envelope),), cfg.delta)
 
     # The gap certificates depend on the bounds, not on alpha.
     gaps: dict = {}
@@ -419,20 +446,10 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
                 "pac_gap": pac_gap(w, lo_est, hi_est),
                 "lower_bound_l1": float(np.abs(lo_est - lo_true).mean())}
 
-    # Neighbour sets depend on x alone: one kNN query per query array asks
-    # for every alpha's levels. All alphas share one score kind, so each owns
-    # the same number of columns, (units, alphas, levels) after a reshape.
-    fns = [ScoreFn(kind=cfg.score, model=model, alpha=alpha) for alpha in cfg.alphas]
-    betas = [b for fn in fns for b in fn.betas]
-    q_cal, q_test = (model.quantile(units.x, betas).reshape(units.n, len(fns), -1)
-                     for units in (calib_arm, test))
     out: dict = {}
     for i, fn in enumerate(fns):
-        v_cal = fn.score_at(q_cal[:, i], calib_arm.outcome(arm))
         v_test = fn.score_at(q_test[:, i], test.outcome(arm))
-        thr = threshold_path(v_cal, lo_cal, hi_cal, hi_test, fn.alpha, cfg.procedure,
-                             cfg.envelope, cfg.delta)[0]
-        out[_akey(fn.alpha)] = {"coverage": float(np.mean(v_test <= thr)), **gaps}
+        out[_akey(fn.alpha)] = {"coverage": float(np.mean(v_test <= thr[i, 0, 0])), **gaps}
     return out
 
 
@@ -478,10 +495,8 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
 
     Test units are scanned as treated, with counterfactual arm 0, one-sided
     upper intervals and the null C = (-inf, 0]. Both procedures share one
-    propensity fit (estimated bounds) and the envelopes along the grid;
-    each gets its thresholds from :func:`threshold_path`, and one
-    :func:`scan_gamma_values` call on the stacked paths gives both sets of
-    sensitivity values.
+    :func:`_calibrated_thresholds` step, and one :func:`scan_gamma_values`
+    call on the stacked paths gives both sets of sensitivity values.
     """
     cfg, seed = job
     r = rng(seed)
@@ -490,19 +505,13 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     calib = _pool_until(cfg, r, 0, cfg.n_calib)
     test = _draw_target_units(cfg, r, cfg.n_test)
 
-    alpha = cfg.alphas[0]
     train_c = train.take(np.nonzero(train.t == 0)[0])
     calib_c = calib.take(np.nonzero(calib.t == 0)[0])
-    model = fit_quantile_model(train_c.x, train_c.y0)
-    fn = ScoreFn(kind="cqr_one_sided", model=model, alpha=alpha)
-    v_cal = fn.score(calib_c.x, calib_c.y0)
-
-    target, (prop, p1) = cfg.target(), _propensity(cfg, train)
-    lo, hi = ratio_bounds(target, grid.values, prop, p1, calib_c.x)
-    hi_test = ratio_bounds(target, grid.values, prop, p1, test.x)[1]
-    thr = np.stack([threshold_path(v_cal, lo, hi, hi_test, alpha, key, cfg.envelope,
-                                   cfg.delta) for key in ("alg1", "alg2")])
-    alg1, alg2 = scan_gamma_values(fn, test.x, 1, test.y1, thr, grid, NullSpec("le", 0.0))
+    (fn,), q_test, thr = _calibrated_thresholds(
+        cfg.target(), grid.values, *_propensity(cfg, train), (train_c.x, train_c.y0),
+        (calib_c.x, calib_c.y0), test.x, "cqr_one_sided", cfg.alphas,
+        (("alg1", cfg.envelope), ("alg2", cfg.envelope)), cfg.delta)
+    alg1, alg2 = scan_gamma_values(fn, q_test[:, 0], 1, test.y1, thr[0], grid, NullSpec("le", 0.0))
     return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}
 
 

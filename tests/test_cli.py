@@ -20,6 +20,7 @@ import pytest
 from confshift import cli
 from confshift.cli import _TABLES, main
 from confshift.core import Dataset, write_dataset
+from confshift.scores import KNNQuantileModel
 from confshift.simulate import SimConfig
 from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
 
@@ -199,6 +200,13 @@ def test_predict_library_checks_exit_3(corpus, tmp_path, capsys, flags, message)
     ("predict", ["--train-fraction", "1.5"]),
     ("simulate", ["--alphas", "0.2,0.2"]),
     ("predict", ["--gamma", "1.5,1.5"]),
+    # One over each count cap: refused by the parser, never run.
+    *[("simulate", [flag, str(cap + 1)]) for flag, cap in (
+        ("--n-train", cli._MAX_UNITS), ("--n-calib", cli._MAX_UNITS),
+        ("--n-test", cli._MAX_UNITS), ("--n-eval-gap", cli._MAX_UNITS),
+        ("--p", cli._MAX_P), ("--n-reps", cli._MAX_REPS))],
+    ("predict", ["--k", str(cli._MAX_UNITS + 1)]),
+    ("sensitivity", ["--k", str(cli._MAX_UNITS + 1)]),
 ])
 def test_option_values_are_checked_before_any_file_is_read(tmp_path, capsys, command, flags):
     # A malformed data file would exit 2 if it were read first.
@@ -348,6 +356,14 @@ def test_bad_data_exits_2(corpus, tmp_path, capsys):
                "--out-dir", str(tmp_path / "o2")])
     assert rc == 2
     assert "covariates" in capsys.readouterr().err
+
+    wide_calib = tmp_path / "wide_calib.csv"
+    wide_calib.write_text("x1,x2,x3,t,y\n0.1,0.2,0.3,0,1.0\n0.3,0.1,0.2,1,0.5\n",
+                          encoding="utf-8")
+    rc = main(["predict", "--train", corpus["train"], "--calib", str(wide_calib),
+               "--test", corpus["test"], "--out-dir", str(tmp_path / "o3")])
+    assert rc == 2
+    assert "calibration has 3 covariates, training has 2" in capsys.readouterr().err
 
 
 def test_single_arm_calibration_exits_2(corpus, tmp_path, capsys):
@@ -539,6 +555,33 @@ def test_sensitivity_pac_variant_runs(corpus, tmp_path):
                "--out-dir", str(out)])
     assert rc == 0
     assert (out / "gammas.csv").exists() and (out / "survival.csv").exists()
+
+
+@pytest.mark.parametrize("argv,sides,test_rows", [
+    (["predict", "--calib", "calib", "--test", "test", "--gamma", "1,2",
+      "--method", "alg2:plugin"], 1, 12),
+    (["sensitivity", "--calib", "calib", "--test", "obstest"], 2, 10),
+    # A scan replication has one side; two replications run in process.
+    (["simulate", "--kind", "sensitivity", "--n-train", "40", "--n-calib", "40",
+      "--n-test", "5", "--n-reps", "2", "--threads", "1", "--grid", "1,1.5"], 2, 10),
+])
+def test_each_calibration_side_queries_the_knn_model_twice(corpus, tmp_path, monkeypatch,
+                                                          argv, sides, test_rows):
+    # One query for the calibration units, then one for the side's test rows;
+    # the intervals and the scan read the test query's columns.
+    rows = []
+
+    def counting_quantile(self, x, beta):
+        rows.append(np.atleast_2d(x).shape[0])
+        return real_quantile(self, x, beta)
+
+    real_quantile = KNNQuantileModel.quantile
+    monkeypatch.setattr(KNNQuantileModel, "quantile", counting_quantile)
+    folds = [] if argv[0] == "simulate" else ["--train", corpus["train"]]
+    argv = [corpus.get(a, a) for a in argv]
+    assert main([*argv, *folds, "--out-dir", str(tmp_path / "run")]) == 0
+    assert len(rows) == 2 * sides
+    assert sum(rows[1::2]) == test_rows
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,9 @@ def test_interval_inverts_score(kind):
         lo, hi = fn.interval(xq, thr)
         inside = (lo <= yq) & (yq <= hi)
         np.testing.assert_array_equal(inside, fn.score(xq, yq) <= thr)
+        # The same interval from columns already queried.
+        np.testing.assert_array_equal(fn.interval_at(model.quantile(xq, fn.betas), thr),
+                                      (lo, hi))
 
 
 def test_interval_per_row_thresholds_and_inf():

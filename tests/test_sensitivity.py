@@ -215,7 +215,7 @@ def test_scan_matches_scalar_gamma_value_oracle(kind, null_kind, null_a, t_obs, 
     thr = data.draw(hnp.arrays(float, (len(grid), n), elements=_THR))
     fn = ScoreFn(kind=kind, model=_ShiftQuantiles(), alpha=0.2)
     null = NullSpec(kind=null_kind, a=null_a)
-    got = scan_gamma_values(fn, x, t_obs, y, thr, grid, null)
+    got = scan_gamma_values(fn, fn.model.quantile(x, fn.betas), t_obs, y, thr, grid, null)
 
     for i in range(n):
         def build(gamma, i=i):
@@ -241,9 +241,10 @@ def test_scan_ignores_a_running_max_of_the_thresholds(kind, null_kind, null_a, t
     raw = data.draw(hnp.arrays(float, (len(grid), n), elements=_THR))
     fn = ScoreFn(kind=kind, model=_ShiftQuantiles(), alpha=0.2)
     null = NullSpec(kind=null_kind, a=null_a)
+    q = fn.model.quantile(x, fn.betas)
     np.testing.assert_array_equal(
-        scan_gamma_values(fn, x, t_obs, y, raw, grid, null),
-        scan_gamma_values(fn, x, t_obs, y, np.maximum.accumulate(raw, axis=0), grid, null))
+        scan_gamma_values(fn, q, t_obs, y, raw, grid, null),
+        scan_gamma_values(fn, q, t_obs, y, np.maximum.accumulate(raw, axis=0), grid, null))
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,11 +260,12 @@ def test_stacked_scan_equals_separate_scans(kind, null_kind, t_obs, data):
     thr = np.maximum.accumulate(raw, axis=1)
     fn = ScoreFn(kind=kind, model=_ShiftQuantiles(), alpha=0.2)
     null = NullSpec(kind=null_kind, a=0.0)
-    stacked = scan_gamma_values(fn, x, t_obs, y, thr, grid, null)
+    q = fn.model.quantile(x, fn.betas)
+    stacked = scan_gamma_values(fn, q, t_obs, y, thr, grid, null)
     assert stacked.shape == (paths, n)
     for j in range(paths):
         np.testing.assert_array_equal(
-            stacked[j], scan_gamma_values(fn, x, t_obs, y, thr[j], grid, null))
+            stacked[j], scan_gamma_values(fn, q, t_obs, y, thr[j], grid, null))
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,26 @@ def test_treated_fraction_quadrature():
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the sensitivity campaign calibrates on controls (arm 0) "
                           "but builds its envelope for cfg.target(), arm 1")
-def test_sensitivity_campaign_envelope_covers_control_ratios():
+def test_sensitivity_campaign_envelope_covers_control_ratios(monkeypatch):
+    # The envelope is the one the campaign itself asks its step for.
+    targets = []
+
+    def recording_step(target, *args, **kwargs):
+        targets.append(target)
+        return real_step(target, *args, **kwargs)
+
+    real_step = simulate._calibrated_thresholds
+    monkeypatch.setattr(simulate, "_calibrated_thresholds", recording_step)
     gamma = 1.6
-    cfg = SimConfig(n_train=50, n_calib=50, gamma_true=gamma)
+    cfg = SimConfig(n_train=50, n_calib=50, gamma_true=gamma, grid=(1.0, gamma))
+    run_sensitivity_experiment(cfg, threads=1)
+    (target,) = targets
     d = gen_superpop(20000, cfg.p, gamma, rng(71))
     controls = d.take(np.nonzero(d.t == 0)[0])
-    # Controls calibrate Y(0) for the whole population: target arm 0, ate.
-    w = true_likelihood_ratio(controls, TargetSpec(arm=0, population="ate"))
+    # Controls calibrate Y(0) for the target population: arm 0.
+    w = true_likelihood_ratio(controls, TargetSpec(arm=0, population=cfg.population))
     prop, p1 = simulate._propensity(cfg, controls)
-    (lo,), (hi,) = ratio_bounds(cfg.target(), (gamma,), prop, p1, controls.x)
+    (lo,), (hi,) = ratio_bounds(target, (gamma,), prop, p1, controls.x)
     assert ((w >= lo - 1e-10) & (w <= hi + 1e-10)).all()
 
 
@@ -455,5 +466,12 @@ def test_threshold_path_shares_one_sort_bit_for_bit(seed, n, strengths, m, ties,
     path = pac_threshold_path(one_by_one, alpha, 0.1, envelope)
     np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg2", envelope, 0.1),
                                   np.repeat(path[:, None], m, axis=1))
+    # Not nested: each strength is its own single-row path, with its own M.
+    for procedure in ("alg1", "alg2"):
+        alone = np.vstack([threshold_path(v, lo[i:i + 1], hi[i:i + 1], hi_test[i:i + 1], alpha,
+                                          procedure, envelope, 0.1) for i in range(strengths)])
+        np.testing.assert_array_equal(
+            threshold_path(v, lo, hi, hi_test, alpha, procedure, envelope, 0.1, nested=False),
+            alone)
     if (u_scale, n) == (50.0, 1):
         assert np.isinf(per_strength).all()
