@@ -44,7 +44,7 @@ from .core import (
     split,
     write_table,
 )
-from .nuisance import TargetSpec, fit_propensity
+from .nuisance import TargetSpec, _EnvelopeOverflow, fit_propensity
 from .pac import METHODS
 from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms
 from .sensitivity import GammaGrid, NullSpec, survival_curve
@@ -399,16 +399,17 @@ def _check_covariates(path: str, x: np.ndarray) -> None:
 
 
 def _need_arm(ds: Dataset, arm: int, role: str) -> Dataset:
-    if int((ds.t == arm).sum()) == 0:
-        raise DataError(f"{role} data has no units with t={arm}")
-    return ds.arm(arm)
+    try:
+        return ds.arm(arm)
+    except ValidationError:
+        raise DataError(f"{role} data has no units with t={arm}") from None
 
 
 def _fit_nuisance(train: Dataset) -> tuple:
-    for a in (0, 1):
-        _need_arm(train, a, "training")
-    prop = fit_propensity(train.x, train.t)
-    return prop, float(np.mean(train.t == 1))
+    p1 = float(np.mean(train.t == 1))
+    if p1 in (0.0, 1.0):
+        raise DataError(f"training data has no units with t={int(p1 == 0.0)}")
+    return fit_propensity(train.x, train.t), p1
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
         mask = test_t == t_obs
         if not mask.any():
             continue
-        train_arm = _need_arm(train, cf_arm, "training")
+        train_arm = train.arm(cf_arm)
         calib_arm = _need_arm(calib, cf_arm, "calibration")
         (fn,), q_side, thr = _calibrated_thresholds(
             TargetSpec(arm=cf_arm, population=population), grid.values, prop, p1,
@@ -567,6 +568,13 @@ def _parser() -> _Parser:
     return _build_parser()
 
 
+def _strength_key(command: str, resolved: dict) -> str:
+    """The option holding the strengths a command builds its envelopes at."""
+    if command == "simulate" and resolved["kind"] == "coverage":
+        return "gamma_true" if resolved["gamma_bounds"] is None else "gamma_bounds"
+    return {"predict": "gamma", "sensitivity": "gamma_grid", "simulate": "grid"}[command]
+
+
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
@@ -578,6 +586,10 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"confshift: data error: {exc}", file=sys.stderr)
         return 2
+    except _EnvelopeOverflow as exc:
+        print(f"confshift: config error: bad value for {_strength_key(ns.command, resolved)}: "
+              f"{exc}", file=sys.stderr)
+        return 3
     except FileNotFoundError as exc:
         print(f"confshift: config error: missing file: {exc.filename}", file=sys.stderr)
         return 3

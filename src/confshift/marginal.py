@@ -9,6 +9,8 @@ pessimistic CDF estimate
 
 reaches 1 - alpha; +inf when even F(n) falls short. F is nondecreasing in k
 (numerator grows, denominator shrinks), so the search is a single pass.
+:func:`robust_threshold_many` builds the sorted scores and the two sums with
+``core._envelope_sums``; a :class:`CalibrationSet` holds no sorted view.
 
 Also here: the marginal coverage-gap certificate for misspecified
 envelopes.
@@ -16,8 +18,7 @@ envelopes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,55 +35,32 @@ __all__ = [
 class CalibrationSet:
     """Calibration scores with their ratio envelope, plus the test bound.
 
-    Arrays stay in original sample order (the PAC machinery needs it). The
-    envelope kernel's stably sorted scores ``vs`` and cumulative sums
-    ``cum_lo``/``tail_hi`` are built once, at construction. All bounds must
-    be strictly positive and l <= u elementwise.
+    A plain record, checked once at construction: arrays stay in original
+    sample order (the PAC machinery needs it), all bounds must be strictly
+    positive and l <= u elementwise. The readers sort what they need:
+    ``core._envelope_sums`` gives the stably sorted scores and the envelope
+    sums, and ``pac.pac_threshold_path`` sorts a path's shared scores once.
     """
 
     v: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     u_test: float
-    vs: np.ndarray = field(init=False, repr=False)
-    cum_lo: np.ndarray = field(init=False, repr=False)
-    tail_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._check()
-        self.vs, self.cum_lo, self.tail_hi = _envelope_sums(self.v, self.lo, self.hi)
-
-    def _check(self) -> None:
-        self.v = np.asarray(self.v, dtype=float)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+        self.v, self.lo, self.hi = (np.asarray(a, dtype=float) for a in (self.v, self.lo, self.hi))
         n = self.v.shape[0]
         if n == 0:
             raise ValidationError("empty-dataset: no calibration scores")
         if self.lo.shape != (n,) or self.hi.shape != (n,):
             raise ValidationError("score and bound arrays must have equal length")
-        if not (np.isfinite(self.v).all() and np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+        if not all(np.isfinite(a).all() for a in (self.v, self.lo, self.hi)):
             raise ValidationError("scores and bounds must be finite")
         if np.any(self.lo <= 0) or np.any(self.hi < self.lo):
             raise ValidationError("bounds must satisfy 0 < lo <= hi")
         if not (np.isfinite(self.u_test) and self.u_test > 0):
             raise ValidationError(f"u_test must be positive and finite, got {self.u_test}")
         self.u_test = float(self.u_test)
-
-    @classmethod
-    def _along(cls, v, lo, hi, u_tests) -> list[CalibrationSet]:
-        """The sets ``CalibrationSet(v, lo[i], hi[i], u_tests[i])`` along a
-        strength grid (``lo``, ``hi``: strengths x n), from one stable sort
-        of the shared scores instead of one per set."""
-        vs, cum_lo, tail_hi = _envelope_sums(v, lo, hi)
-        path = []
-        for row in zip(lo, hi, u_tests, cum_lo, tail_hi):
-            c = cls.__new__(cls)
-            c.v, c.lo, c.hi, c.u_test = v, *row[:3]
-            c._check()
-            c.vs, c.cum_lo, c.tail_hi = vs, *row[3:]
-            path.append(c)
-        return path
 
     @property
     def n(self) -> int:
@@ -113,16 +91,13 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
     c = (1.0 - alpha) - PROB_SLACK
     key = np.maximum.accumulate((1.0 - c) * cum_lo[..., 1:] - c * tail_hi[..., 1:], axis=-1)
     target = c * np.asarray(u_tests, dtype=float)
-    if key.ndim == 1:
-        idx = np.searchsorted(key, target, side="left")
-    else:
-        if target.ndim != 2 or target.shape[0] != key.shape[0]:
-            raise ValidationError("u_tests must have one row per strength")
-        idx = np.empty(target.shape, dtype=np.intp)
-        for i, (row, t) in enumerate(zip(key, target)):
-            idx[i] = np.searchsorted(row, t, side="left")
-    out = np.where(idx < n, vs[np.minimum(idx, n - 1)], math.inf)
-    return np.asarray(out, dtype=float)
+    if key.ndim == 2 and (target.ndim != 2 or len(target) != len(key)):
+        raise ValidationError("u_tests must have one row per strength")
+    key = np.atleast_2d(key)
+    idx = np.array([np.searchsorted(row, t, side="left")
+                    for row, t in zip(key, target.reshape(len(key), -1))])
+    out = np.where(idx < n, vs[np.minimum(idx, n - 1)], np.inf)
+    return out.reshape(target.shape)
 
 
 def marginal_gap(w_eval, lo, hi, n_calib: int | None = None) -> float:

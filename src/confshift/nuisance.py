@@ -67,8 +67,10 @@ def fit_propensity(x, t) -> PropensityModel:
     Stops when the gradient's Euclidean norm drops below ``_TOL`` or after
     ``_MAX_ITER`` iterations. Separable data make the coefficients diverge;
     iteration then either hits the cap (``converged=False``) or stalls once
-    the probabilities saturate, and prediction clipping keeps e(x) usable
-    either way. A single-arm sample is an error ("degenerate-treatment").
+    the probabilities saturate. A singular or overflowing Newton step
+    (collinear covariates at extreme scales) stops it at the last finite fit.
+    Prediction clipping keeps e(x) usable in every case. A single-arm sample
+    is an error ("degenerate-treatment").
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
@@ -81,17 +83,24 @@ def fit_propensity(x, t) -> PropensityModel:
     beta = np.zeros(design.shape[1])
     converged = False
     it = 0
-    for it in range(1, _MAX_ITER + 1):
-        prob = expit(design @ beta)
-        grad = design.T @ (t - prob)
-        if float(np.linalg.norm(grad)) < _TOL:
-            converged = True
-            break
-        w = prob * (1.0 - prob)
-        hess = design.T @ (design * w[:, None])
-        # Tiny ridge keeps the solve well-posed when probabilities saturate.
-        hess[np.diag_indices_from(hess)] += 1e-10
-        beta = beta + np.linalg.solve(hess, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, _MAX_ITER + 1):
+            prob = expit(design @ beta)
+            grad = design.T @ (t - prob)
+            if float(np.linalg.norm(grad)) < _TOL:
+                converged = True
+                break
+            w = prob * (1.0 - prob)
+            hess = design.T @ (design * w[:, None])
+            # Tiny ridge keeps the solve well-posed when probabilities saturate.
+            hess[np.diag_indices_from(hess)] += 1e-10
+            try:
+                step = beta + np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(design @ step).all():
+                break
+            beta = step
     return PropensityModel(coef=beta[1:].copy(), intercept=float(beta[0]),
                            converged=converged, n_iter=it)
 
@@ -136,6 +145,10 @@ def _strengths(gammas, p1: float) -> np.ndarray:
     return g
 
 
+class _EnvelopeOverflow(ValidationError):
+    """A strength whose envelope leaves the floating-point range."""
+
+
 def ratio_bounds(target: TargetSpec, gammas, propensity, p1: float,
                  x) -> tuple[np.ndarray, np.ndarray]:
     """Envelope ``(lo, hi)`` for ``target`` at every strength, shape (strengths, rows).
@@ -143,7 +156,8 @@ def ratio_bounds(target: TargetSpec, gammas, propensity, p1: float,
     ``propensity`` is anything with ``predict(x) -> e`` taking values in
     (0, 1); it is called once, and each cell of the table above is applied
     to the odds with the strengths as a column. With a clipped logistic
-    model the bounds have a finite sup.
+    model the bounds have a finite sup. A strength at which a lower bound is 0
+    or the upper bounds' sum is not finite is refused (thresholds sum them).
     """
     g = _strengths(gammas, p1)
     p0 = 1.0 - p1
@@ -153,13 +167,21 @@ def ratio_bounds(target: TargetSpec, gammas, propensity, p1: float,
         return np.ones(shape), np.ones(shape)
     e = np.asarray(propensity.predict(x), dtype=float)
     r = e / (1.0 - e)
-    if arm == 1:
-        if pop == "atc":
-            return (p1 / p0) / (g * r), (p1 / p0) * g / r
-        return p1 * (1.0 + 1.0 / (g * r)), p1 * (1.0 + g / r)
-    if pop == "att":
-        return (p0 / p1) * r / g, (p0 / p1) * g * r
-    return p0 * (1.0 + r / g), p0 * (1.0 + g * r)
+    with np.errstate(over="ignore"):
+        if arm == 1 and pop == "atc":
+            lo, hi = (p1 / p0) / (g * r), (p1 / p0) * g / r
+        elif arm == 1:
+            lo, hi = p1 * (1.0 + 1.0 / (g * r)), p1 * (1.0 + g / r)
+        elif pop == "att":
+            lo, hi = (p0 / p1) * r / g, (p0 / p1) * g * r
+        else:
+            lo, hi = p0 * (1.0 + r / g), p0 * (1.0 + g * r)
+        out = ~((lo > 0.0).all(axis=1) & np.isfinite(hi.sum(axis=1)))
+    if out.any():
+        raise _EnvelopeOverflow(f"strength {float(g[out][0, 0])!r} overflows the ratio envelope "
+                                f"of {hi.shape[1]} units: a lower bound is 0 or the upper "
+                                "bounds' sum is not finite")
+    return lo, hi
 
 
 def bound_functions(target: TargetSpec, gamma: float, propensity, p1: float) -> BoundPair:

@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .core import PROB_SLACK, ValidationError
+from .core import PROB_SLACK, ValidationError, _envelope_sums
 from .marginal import CalibrationSet
 
 __all__ = [
@@ -236,15 +236,15 @@ def _summands(v: np.ndarray, lo_m: np.ndarray, hi_m: np.ndarray, t: np.ndarray,
     return out
 
 
-def _sum_envelope(calib: CalibrationSet, penalty: float) -> np.ndarray:
-    """The plug-in envelope minus ``penalty``, floored at 0, on the set's
-    sorted scores.
+def _sum_envelope(calib: CalibrationSet, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """The set's stably sorted scores, and the plug-in envelope minus
+    ``penalty``, floored at 0, on them.
 
     Entry j of the curve (n + 1 entries) is the envelope with the first j
     sorted scores at or below t: max{sum(l 1{V<=t}), n - sum(u 1{V>t})} / n.
     """
-    n = calib.n
-    return np.maximum(np.maximum(calib.cum_lo / n, 1.0 - calib.tail_hi / n) - penalty, 0.0)
+    vs, cum_lo, tail_hi = _envelope_sums(calib.v, calib.lo, calib.hi)
+    return vs, np.maximum(np.maximum(cum_lo / calib.n, 1.0 - tail_hi / calib.n) - penalty, 0.0)
 
 
 def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
@@ -260,8 +260,8 @@ def envelope_hoeffding(
     final value is floored at 0.
     """
     _check_levels("hoeffding", delta)
-    curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
-    return float(curve[np.searchsorted(calib.vs, t, side="right")])
+    vs, curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
+    return float(curve[np.searchsorted(vs, t, side="right")])
 
 
 def envelope_wsr(
@@ -281,11 +281,10 @@ def envelope_wsr(
     return min(max(value, 0.0), 1.0)
 
 
-def _wsr_first_crossing(
-    calib: CalibrationSet, alpha: float, delta: float, m: float, start: int = 0
-) -> int:
-    """Index of the first sorted score at or after ``start`` whose raw WSR
-    envelope reaches 1-alpha; n when none does.
+def _wsr_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
+                        m: float, start: int = 0) -> int:
+    """Index of the first of the sorted scores ``vs`` at or after ``start``
+    whose raw WSR envelope reaches 1-alpha; n when none does.
 
     Exact sublevel test: G^L >= 1-alpha iff the wealth at the fixed bet
     g0 = (1-alpha)/M still exceeds 2/delta (the bound is the inf over
@@ -314,7 +313,6 @@ def _wsr_first_crossing(
     holds no passing row in its range, and the result equals the index of a
     linear scan.
     """
-    vs = calib.vs
     n = calib.n
     if start >= n:
         return n
@@ -355,14 +353,14 @@ def _wsr_first_crossing(
     return n
 
 
-def _first_crossing(calib: CalibrationSet, alpha: float, delta: float, method: str,
-                    m: float, start: int) -> int:
-    """Index of the first sorted score at or after ``start`` whose raw
-    envelope reaches 1 - alpha; n when none does."""
+def _first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
+                    method: str, m: float, start: int) -> int:
+    """Index of the first of the sorted scores ``vs`` at or after ``start``
+    whose raw envelope reaches 1 - alpha; n when none does."""
     if method == "wsr":
-        return _wsr_first_crossing(calib, alpha, delta, m, start)
+        return _wsr_first_crossing(calib, vs, alpha, delta, m, start)
     penalty = 0.0 if method == "plugin" else _hoeffding_penalty(calib.n, delta, m)
-    crossed = _sum_envelope(calib, penalty)[1 + start:] >= (1.0 - alpha) - PROB_SLACK
+    crossed = _sum_envelope(calib, penalty)[1][1 + start:] >= (1.0 - alpha) - PROB_SLACK
     return start + int(np.argmax(crossed)) if crossed.any() else calib.n
 
 
@@ -396,7 +394,9 @@ def pac_threshold_path(
     (a larger threshold is always conservative). Each search resumes at the
     previous crossing, so a whole path costs little more than one search;
     for plugin and Hoeffding the path equals the running max of the per-set
-    thresholds (see the module notes).
+    thresholds (see the module notes). The searches read one stable sort of
+    the shared scores, taken here; plugin and Hoeffding sum each set's
+    envelope with ``core._envelope_sums``.
 
     M must dominate every set's bounds; default: the largest single-set M.
     """
@@ -404,20 +404,18 @@ def pac_threshold_path(
     calibs = list(calibs)
     if not calibs:
         raise ValidationError("empty calibration path")
-    v0 = calibs[0].v
-    for c in calibs[1:]:
-        if not np.array_equal(c.v, v0):
-            raise ValidationError("path members must share the score vector")
     m = max(_default_m(c) for c in calibs) if M is None else float(M)
     for c in calibs:
+        if not np.array_equal(c.v, calibs[0].v):
+            raise ValidationError("path members must share the score vector")
         _check_m(c, m)
-    vs = calibs[0].vs
-    n = calibs[0].n
+    vs = np.sort(calibs[0].v, kind="stable")
+    n = vs.shape[0]
     out = np.empty(len(calibs))
     cur = 0
     for i, c in enumerate(calibs):
         if cur < n:
-            cur = _first_crossing(c, alpha, delta, method, m, cur)
+            cur = _first_crossing(c, vs, alpha, delta, method, m, cur)
         out[i] = float(vs[cur]) if cur < n else math.inf
     return out
 

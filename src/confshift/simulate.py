@@ -191,21 +191,11 @@ def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
     p0 = 1.0 - p1
     exu = draw.e_xu
     arm, pop = target.arm, target.population
+    if (arm, pop) in ((1, "att"), (0, "atc")):
+        return np.ones(draw.n)
     if arm == 1:
-        if pop == "att":
-            w = np.ones(draw.n)
-        elif pop == "atc":
-            w = (p1 / p0) * (1.0 - exu) / exu
-        else:
-            w = p1 / exu
-    else:
-        if pop == "atc":
-            w = np.ones(draw.n)
-        elif pop == "att":
-            w = (p0 / p1) * exu / (1.0 - exu)
-        else:
-            w = p0 / (1.0 - exu)
-    return w
+        return (p1 / p0) * (1.0 - exu) / exu if pop == "atc" else p1 / exu
+    return (p0 / p1) * exu / (1.0 - exu) if pop == "att" else p0 / (1.0 - exu)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,8 @@ def threshold_path(v_cal: np.ndarray, lo: np.ndarray, hi: np.ndarray, hi_test: n
     """
     if procedure == "alg1":
         return robust_threshold_many(v_cal, lo, hi, alpha, hi_test)
-    calibs = CalibrationSet._along(v_cal, lo, hi, hi_test.max(axis=1))
+    calibs = [CalibrationSet(v_cal, *row)
+              for row in zip(lo, hi, hi_test.max(axis=1), strict=True)]
     paths = [calibs] if nested else [[c] for c in calibs]
     path = np.concatenate([pac_threshold_path(p, alpha, delta, envelope) for p in paths])
     return np.repeat(path[:, None], hi_test.shape[1], axis=1)

@@ -5,17 +5,22 @@ then inspects the CSV/JSON artifacts. Exit-code contract: 0 success, 2 bad
 data, 3 bad configuration.
 """
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from confshift import cli
 from confshift.cli import _TABLES, main
@@ -375,7 +380,13 @@ def test_single_arm_calibration_exits_2(corpus, tmp_path, capsys):
                "--test", corpus["test"], "--arm", "0",
                "--out-dir", str(tmp_path / "o")])
     assert rc == 2
-    assert "no units with t=0" in capsys.readouterr().err
+    assert "calibration data has no units with t=0" in capsys.readouterr().err
+    # A one-arm training file is refused before the propensity fit.
+    for command, test in (("predict", "test"), ("sensitivity", "obstest")):
+        rc = main([command, "--train", str(path), "--calib", corpus["calib"],
+                   "--test", corpus[test], "--out-dir", str(tmp_path / "o2")])
+        assert rc == 2
+        assert "training data has no units with t=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["alg1", "alg2:wsr"])
@@ -892,6 +903,151 @@ def test_threads_is_a_simulate_only_option(corpus, tmp_path):
     assert [c for c in _TABLES if "threads" in _TABLES[c]] == ["simulate"]
     assert _run_predict(corpus, tmp_path / "run") == 0
     assert "threads" not in _manifest(tmp_path / "run")["config"]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract
+# ---------------------------------------------------------------------------
+
+_TINY_SIM = ["--n-reps", "1", "--n-train", "200", "--n-calib", "200", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["predict", "--test", "test", "--method", "alg1", "--gamma", "1,1e308"], "gamma"),
+    (["predict", "--test", "test", "--method", "alg2", "--gamma", "1,1e308"], "gamma"),
+    (["sensitivity", "--test", "obstest", "--method", "alg2", "--gamma-grid", "1,1e307"],
+     "gamma_grid"),
+    (["simulate", "--kind", "sensitivity", "--grid", "1,1e307", *_TINY_SIM], "grid"),
+    (["simulate", "--kind", "coverage", "--gamma-bounds", "1e308", *_TINY_SIM], "gamma_bounds"),
+    (["simulate", "--kind", "coverage", "--gamma-true", "1e308", *_TINY_SIM], "gamma_true"),
+])
+def test_a_strength_that_overflows_the_envelope_exits_3(corpus, tmp_path, capsys, argv, key):
+    """At 1e308 an upper bound overflows; at 1e307 the bounds are finite and
+    their sum over the calibration units is not. Either way the run writes
+    nothing and names the option that holds the strength."""
+    if argv[0] != "simulate":
+        argv = [argv[0], "--train", corpus["train"], "--calib", corpus["calib"],
+                *[corpus.get(a, a) for a in argv[1:]]]
+    out = tmp_path / "o"
+    assert main([*argv, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"confshift: config error: bad value for {key}: strength 1e+30")
+    assert "overflows the ratio envelope" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+def _csv_of(item, max_size=3):
+    return st.lists(item, min_size=1, max_size=max_size).map(
+        lambda vals: ",".join(repr(float(v)) for v in vals))
+
+
+_STRENGTH = st.one_of(st.sampled_from((1.0, 1.5, 2.0, 1e300, 1e307, 1e308)),
+                      st.floats(0.5, 1e308))
+_LEVEL = st.one_of(st.sampled_from((1e-300, 1e-12, 0.1, 0.5, 0.9)),
+                   st.floats(1e-300, 1.0, exclude_max=True))
+# One value strategy per option the property draws. Counts stay small:
+# the caps are tested by the parser's refusal alone, never run.
+_VALUES = {
+    "gamma": _csv_of(_STRENGTH), "gamma_grid": _csv_of(_STRENGTH), "grid": _csv_of(_STRENGTH),
+    "gamma_true": _STRENGTH, "gamma_bounds": _STRENGTH,
+    "alpha": _LEVEL, "delta": _LEVEL, "alphas": _csv_of(_LEVEL, 2),
+    "train_fraction": st.floats(0.05, 0.95),
+    "method": st.sampled_from(("alg1", "alg2", "alg2:plugin", "alg2:hoeffding", "alg2:wsr")),
+    "k": st.integers(1, 40), "arm": st.integers(0, 1),
+    "population": st.sampled_from(("ate", "att", "atc")),
+    "score": st.sampled_from(("cqr", "cqr_one_sided", "abs_residual")),
+    "null_kind": st.sampled_from(("point", "le", "ge")),
+    "null_a": st.one_of(st.just(0.0), st.floats(-1e308, 1e308)),
+    "at": _csv_of(st.floats(-1e308, 1e308)), "witness": st.booleans(),
+    "seed": st.integers(0, 3),
+    "kind": st.sampled_from(("coverage", "sensitivity")),
+    "n_train": st.integers(1, 30), "n_calib": st.integers(1, 30), "n_test": st.integers(1, 5),
+    "p": st.integers(1, 3), "n_reps": st.integers(1, 2), "n_eval_gap": st.integers(0, 10),
+    "procedure": st.sampled_from(("alg1", "alg2")),
+    "envelope": st.sampled_from(("plugin", "hoeffding", "wsr")),
+    "bounds": st.sampled_from(("oracle", "estimated")),
+    "effect_kind": st.sampled_from(("fixed", "random")),
+    "effect_a": st.floats(-10.0, 10.0),
+}
+_FILE_KEYS = ("train", "calib", "test", "instance")
+# A campaign at its default sizes runs for seconds; these keep it small.
+_BASE = {"simulate": ["--n-reps", "1", "--n-train", "20", "--n-calib", "20", "--n-test", "2",
+                      "--threads", "1"]}
+
+
+def _units(path, r, n, p, scale, decimals, treatment) -> None:
+    x = np.round(r.uniform(size=(n, p)), decimals) * scale
+    t = {"random": r.uniform(size=n) < 0.5, "treated": np.ones(n, dtype=bool),
+         "separable": x[:, 0] > np.median(x[:, 0])}[treatment]
+    _write_xmatrix(path, x, t, x.sum(axis=1) / scale + r.normal(size=n))
+
+
+@st.composite
+def _files(draw, root):
+    """Small units files (train, calib, test) and a worst-case instance:
+    one covariate count, or a test file with one more; covariates at scale
+    1 or 1e150, rounded to few decimals so rows repeat; one-arm or
+    separable treatment."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((1.0, 1e150)))
+    decimals = draw(st.sampled_from((0, 1, 6)))
+    treatment = draw(st.sampled_from(("random", "random", "treated", "separable")))
+    paths = {key: os.path.join(root, f"{key}.csv") for key in _FILE_KEYS}
+    for key, n, q in (("train", draw(st.integers(4, 40)), p),
+                      ("calib", draw(st.integers(1, 20)), p),
+                      ("test", draw(st.integers(1, 6)), p + draw(st.sampled_from((0, 0, 0, 1))))):
+        _units(paths[key], r, n, q, scale, decimals, treatment if key == "train" else "random")
+    atoms = draw(st.integers(1, 6))
+    lo = r.uniform(0.1, 1.0, size=atoms)
+    with open(paths["instance"], "w", encoding="utf-8") as fh:
+        fh.write("v,lo,hi\n")
+        for row in zip(np.round(r.normal(size=atoms), decimals), lo,
+                       lo * r.uniform(0.5, 3.0, size=atoms)):
+            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+    return paths
+
+
+def test_the_property_draws_every_option():
+    drawn = {key for table in _TABLES.values() for key in table}
+    assert drawn - {"config", "out_dir", "threads", *_FILE_KEYS} == set(_VALUES)
+
+
+@pytest.mark.filterwarnings("ignore:k=.* exceeds training size:UserWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_run_exits_0_2_or_3_with_a_matching_message(data):
+    """argv drawn from the option tables on small generated files, with
+    strengths up to 1e308 and levels down to 1e-300: every run exits 0, 2
+    or 3 without a traceback, and stderr says what the code says."""
+    command = data.draw(st.sampled_from(sorted(_TABLES)))
+    table = _TABLES[command]
+    keys = data.draw(st.lists(st.sampled_from(sorted(set(table) & set(_VALUES))),
+                              max_size=4, unique=True))
+    with tempfile.TemporaryDirectory() as root:
+        files = data.draw(_files(root))
+        argv = [command, *_BASE.get(command, [])]
+        for key in _FILE_KEYS:
+            if key in table and (table[key].default is not None or data.draw(st.booleans())):
+                argv += ["--" + key, files[key]]
+        for key in keys:
+            argv += ["--" + key.replace("_", "-"), str(data.draw(_VALUES[key]))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out-dir", os.path.join(root, "out")])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+        err = err.getvalue()
+    note(f"argv={argv}\ncode={code}\nstderr={err}")
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert "confshift: " not in err
+    elif code == 2:
+        assert err.startswith("confshift: data error: ")
+    else:
+        assert err.startswith(("confshift: config error: ", "usage: confshift"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from confshift import (
     robust_threshold_many,
     rng,
 )
+from confshift.core import _envelope_sums
 
 V5 = np.array([3.0, 1.0, 4.0, 1.5, 5.0])
 ONES5 = np.ones(5)
@@ -82,10 +83,11 @@ def test_calibration_set_validation():
 
 def test_calibration_set_sorted_arrays():
     c = CalibrationSet(v=V5, lo=np.arange(1.0, 6.0), hi=np.arange(1.0, 6.0) + 1, u_test=1.0)
-    assert c.vs.tolist() == [1.0, 1.5, 3.0, 4.0, 5.0]
+    vs, cum_lo, tail_hi = _envelope_sums(c.v, c.lo, c.hi)
+    assert vs.tolist() == [1.0, 1.5, 3.0, 4.0, 5.0]
     # sorted lo = [2, 4, 1, 3, 5], sorted hi = [3, 5, 2, 4, 6]
-    assert c.cum_lo.tolist() == [0.0, 2.0, 6.0, 7.0, 10.0, 15.0]
-    assert c.tail_hi.tolist() == [20.0, 17.0, 12.0, 10.0, 6.0, 0.0]
+    assert cum_lo.tolist() == [0.0, 2.0, 6.0, 7.0, 10.0, 15.0]
+    assert tail_hi.tolist() == [20.0, 17.0, 12.0, 10.0, 6.0, 0.0]
     # original-order arrays untouched
     assert c.v.tolist() == V5.tolist()
     assert c.lo.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]

@@ -1,5 +1,8 @@
 """Propensity fitting and likelihood-ratio bound functions."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +213,37 @@ def test_ratio_bounds_match_the_per_strength_closures_bit_for_bit(cell, gammas, 
         pair_lo, pair_hi = bound_functions(target, gamma, prop, p1)(x)
         np.testing.assert_array_equal(pair_lo, lo[i])
         np.testing.assert_array_equal(pair_hi, hi[i])
+
+
+@pytest.mark.parametrize("x,t", [
+    # Two equal columns at 1e150: the ridge is lost and the solve is singular.
+    (np.repeat(np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])[:, None] * 1e150, 2, axis=1),
+     [0, 1, 0, 1, 1, 0]),
+    # A Newton step whose linear predictor overflows.
+    ([[1e149, 9e149], [9e149, 3e149], [8e149, 2e149], [0.0, 4e149], [8e149, 3e149],
+      [2e149, 4e149]], [1, 0, 0, 1, 0, 0]),
+])
+def test_fit_stops_at_the_last_finite_step(x, t):
+    """Covariates at extreme scales: a singular or overflowing Newton step
+    ends the fit, unconverged, at finite coefficients, with no warning."""
+    model = fit_propensity(x, t)
+    assert not model.converged
+    assert np.isfinite(model.coef).all() and math.isfinite(model.intercept)
+    assert np.isfinite(model.predict(x)).all()
+
+
+@pytest.mark.parametrize("cell,e,gammas", [
+    ((1, "ate"), 0.3, (1.0, 1e308)),   # each upper bound finite, their sum not
+    ((1, "ate"), 0.3, (1.7e308,)),     # an upper bound overflows
+    ((1, "atc"), 0.9, (1.0, 1e308)),   # gamma * odds overflows: a lower bound is 0
+])
+def test_ratio_bounds_refuse_a_strength_out_of_float_range(cell, e, gammas):
+    x = np.zeros((4, 1))
+    with pytest.raises(ValidationError, match=re.escape(f"strength {gammas[-1]!r} overflows the "
+                                                        "ratio envelope of 4 units")):
+        ratio_bounds(TargetSpec(*cell), gammas, _FixedPropensity(e), 0.4, x)
+    lo, hi = ratio_bounds(TargetSpec(*cell), (1.0, 1e306), _FixedPropensity(e), 0.4, x)
+    assert (lo > 0).all() and np.isfinite(hi.sum(axis=1)).all()
 
 
 def test_ratio_bounds_call_the_propensity_once_per_array():

@@ -109,6 +109,11 @@ def _wsr_lcb(f: np.ndarray, delta: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _vs(calib: CalibrationSet) -> np.ndarray:
+    """The set's scores in stable sorted order, as the searches read them."""
+    return np.sort(calib.v, kind="stable")
+
+
 def _summands(calib: CalibrationSet, t: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
     """WSR summand rows at each threshold in ``t``, both (len(t), n):
     f = 1{V <= t} l / M and h = 1 - 1{V > t} u / M."""
@@ -417,13 +422,13 @@ def _crossing_hits(calib, t, alpha, delta, m):
 def _linear_first_crossing(calib, alpha, delta, m, start=0):
     """Reference search: test every sorted candidate from ``start`` on, in
     blocks of 256, and return the first that passes (n when none does)."""
-    n = calib.n
+    n, vs = calib.n, _vs(calib)
     if start >= n:
         return n
     if (m - alpha) / m <= 0.0:
         return start
     for blk in range(start, n, 256):
-        hit = _crossing_hits(calib, calib.vs[blk : blk + 256], alpha, delta, m)
+        hit = _crossing_hits(calib, vs[blk : blk + 256], alpha, delta, m)
         if hit.any():
             return blk + int(np.argmax(hit))
     return n
@@ -435,7 +440,7 @@ def _linear_path(path, alpha, delta):
     out, cur = [], 0
     for c in path:
         cur = _linear_first_crossing(c, alpha, delta, m, cur)
-        out.append(float(c.vs[cur]) if cur < c.n else math.inf)
+        out.append(float(_vs(c)[cur]) if cur < c.n else math.inf)
     return np.array(out)
 
 
@@ -471,7 +476,7 @@ def test_wsr_search_equals_linear_scan(seed, n, ties, spread, inflate, alpha, de
     calib = _seeded_calib(seed, n, ties, spread)
     m = _default_m(calib) * inflate
     k = int(start * n)
-    assert (_wsr_first_crossing(calib, alpha, delta, m, k)
+    assert (_wsr_first_crossing(calib, _vs(calib), alpha, delta, m, k)
             == _linear_first_crossing(calib, alpha, delta, m, k))
 
 
@@ -501,7 +506,7 @@ def test_wsr_log_wealth_bound_dominates_every_row(seed, n, ties, spread, inflate
     m = _default_m(calib) * inflate
     a, b = sorted(int(e * (n - 1)) for e in ends)
     kernel = _Kernel(n, delta)
-    for rows, g0 in zip(_summands(calib, calib.vs[a : b + 1], m),
+    for rows, g0 in zip(_summands(calib, _vs(calib)[a : b + 1], m),
                         ((1.0 - alpha) / m, (m - alpha) / m)):
         exact = kernel.log_wealth_max(rows, kernel.running_nu(rows), g0)
         bound = kernel.log_wealth_bound(rows[:1], rows[-1:], np.array([g0]))[0]
@@ -559,9 +564,9 @@ def test_wsr_crossing_predicate_flips_on_campaign_instance():
     d = np.load(FLIP)
     calib = CalibrationSet(d["v"], d["lo"], d["hi"], float(d["u_test"]))
     m, alpha, delta = float(d["m"]), float(d["alpha"]), float(d["delta"])
-    assert _crossing_hits(calib, calib.vs[958:960], alpha, delta, m).tolist() == [True, False]
+    assert _crossing_hits(calib, _vs(calib)[958:960], alpha, delta, m).tolist() == [True, False]
     assert _linear_first_crossing(calib, alpha, delta, m) == 958
-    assert _wsr_first_crossing(calib, alpha, delta, m) == 958
+    assert _wsr_first_crossing(calib, _vs(calib), alpha, delta, m) == 958
 
 
 def _count_rows(monkeypatch):
@@ -587,7 +592,7 @@ def test_wsr_search_evaluates_few_rows(monkeypatch):
     calib = CalibrationSet(r.normal(size=n), w / 2.0, w * 2.0, 3.0)
     m = _default_m(calib)
     rows = _count_rows(monkeypatch)
-    k = _wsr_first_crossing(calib, 0.1, 0.05, m)
+    k = _wsr_first_crossing(calib, _vs(calib), 0.1, 0.05, m)
     monkeypatch.undo()
     assert k == _linear_first_crossing(calib, 0.1, 0.05, m) > 0.9 * n
     assert sum(r for r, _ in rows) < n / 4
@@ -604,7 +609,8 @@ def test_wsr_resumed_searches_build_one_side(monkeypatch):
     assert calib.lo.max() / m <= (1.0 - alpha) / m
     rows = _count_rows(monkeypatch)
     starts = range(900, 959)
-    assert [_wsr_first_crossing(calib, alpha, delta, m, s) for s in starts] == [958] * len(starts)
+    vs = _vs(calib)
+    assert [_wsr_first_crossing(calib, vs, alpha, delta, m, s) for s in starts] == [958] * len(starts)
     monkeypatch.undo()
     assert {tuple(sides) for _, sides in rows} == {(1,)}
     assert sum(r for r, _ in rows) < sum(959 - s for s in starts)
@@ -631,7 +637,7 @@ def test_wsr_search_with_a_dead_side_equals_linear_scan(seed, n, alpha, delta, s
     calib = _one_side_calib(seed, n, alpha, l_live)
     m = _default_m(calib)
     k = int(start * n)
-    assert (_wsr_first_crossing(calib, alpha, delta, m, k)
+    assert (_wsr_first_crossing(calib, _vs(calib), alpha, delta, m, k)
             == _linear_first_crossing(calib, alpha, delta, m, k))
 
 
@@ -644,7 +650,7 @@ def test_wsr_search_revives_a_side_in_a_later_range(monkeypatch, seed):
     calib = _seeded_calib(seed, 300, False, 0.3)
     m = _default_m(calib)
     rows = _count_rows(monkeypatch)
-    k = _wsr_first_crossing(calib, 0.2, 0.05, m)
+    k = _wsr_first_crossing(calib, _vs(calib), 0.2, 0.05, m)
     monkeypatch.undo()
     assert k == _linear_first_crossing(calib, 0.2, 0.05, m)
     sides = [tuple(s) for _, s in rows]
@@ -662,11 +668,11 @@ def test_wsr_search_finds_an_l_side_just_above_its_bet():
                            np.full(n, 4.0), 1.0)
     m = _default_m(calib)
     k = _linear_first_crossing(calib, alpha, delta, m)
-    f, h = _summands(calib, calib.vs[k : k + 1], m)
+    f, h = _summands(calib, _vs(calib)[k : k + 1], m)
     thresh = math.log(2.0 / delta)
     assert _log_wealth_max(f, _running_nu(f, delta), (1.0 - alpha) / m)[0] >= thresh
     assert _log_wealth_max(h, _running_nu(h, delta), (m - alpha) / m)[0] < thresh
-    assert _wsr_first_crossing(calib, alpha, delta, m) == k < n
+    assert _wsr_first_crossing(calib, _vs(calib), alpha, delta, m) == k < n
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3])
@@ -680,7 +686,7 @@ def test_wsr_search_with_a_bet_above_one_equals_linear_scan(alpha):
     m = 0.6
     assert (1.0 - alpha) / m > 1.0 and m >= _default_m(calib)
     for k in (0, 100, 250):
-        assert (_wsr_first_crossing(calib, alpha, 0.05, m, k)
+        assert (_wsr_first_crossing(calib, _vs(calib), alpha, 0.05, m, k)
                 == _linear_first_crossing(calib, alpha, 0.05, m, k))
 
 

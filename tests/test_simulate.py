@@ -459,10 +459,6 @@ def test_threshold_path_shares_one_sort_bit_for_bit(seed, n, strengths, m, ties,
     np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg1"),
                                   per_strength)
     one_by_one = [CalibrationSet(v, *row, float(ht.max())) for *row, ht in zip(lo, hi, hi_test)]
-    shared = CalibrationSet._along(v, lo, hi, hi_test.max(axis=1))
-    for a, b in zip(shared, one_by_one):
-        for name in ("v", "lo", "hi", "u_test", "vs", "cum_lo", "tail_hi"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     path = pac_threshold_path(one_by_one, alpha, 0.1, envelope)
     np.testing.assert_array_equal(threshold_path(v, lo, hi, hi_test, alpha, "alg2", envelope, 0.1),
                                   np.repeat(path[:, None], m, axis=1))
