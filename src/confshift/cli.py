@@ -14,7 +14,8 @@ reruns of the same configuration are byte-identical. Infinite interval
 endpoints are serialized as empty cells next to boolean ``unbounded_lo`` /
 ``unbounded_hi`` columns.
 
-Exit codes: 0 success, 2 malformed or insufficient input data, 3 bad
+Exit codes: 0 success (after at most one ``confshift: warning:`` line, for
+a k above the training size), 2 malformed or insufficient input data, 3 bad
 configuration (including missing files and unknown keys).
 """
 
@@ -46,7 +47,7 @@ from .core import (
 )
 from .nuisance import TargetSpec, _EnvelopeOverflow, fit_propensity
 from .pac import METHODS
-from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms
+from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, default_k
 from .sensitivity import GammaGrid, NullSpec, survival_curve
 from .simulate import (SimConfig, _calibrated_thresholds, run_coverage_experiment,
                        run_sensitivity_experiment, scan_gamma_values)
@@ -405,6 +406,17 @@ def _need_arm(ds: Dataset, arm: int, role: str) -> Dataset:
         raise DataError(f"{role} data has no units with t={arm}") from None
 
 
+def _report_k_clamp(k: int | None, sizes: dict[int, int]) -> None:
+    """One warning line when ``k`` (default: :func:`default_k` of the size)
+    exceeds the training units of an arm in ``sizes``; those fits use all
+    their units. The run goes on."""
+    over = [f"k={want} exceeds training size n={n} of arm {arm}"
+            for arm, n in sorted(sizes.items())
+            if (want := default_k(n) if k is None else k) > n]
+    if over:
+        print(f"confshift: warning: {'; '.join(over)}; clamping to n", file=sys.stderr)
+
+
 def _fit_nuisance(train: Dataset) -> tuple:
     p1 = float(np.mean(train.t == 1))
     if p1 in (0.0, 1.0):
@@ -424,6 +436,7 @@ def cmd_predict(resolved: dict, h: str) -> None:
     prop, p1 = _fit_nuisance(train)
     train_arm = train.arm(arm)
     calib_arm = _need_arm(calib, arm, "calibration")
+    _report_k_clamp(resolved["k"], {arm: train_arm.n})
     gammas = sorted(resolved["gamma"])
     # Not nested: a row's interval at one gamma never depends on the other gammas.
     (fn,), q_test, thr = _calibrated_thresholds(
@@ -455,10 +468,11 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
     gamma_hat = np.ones(n)
     # Counterfactual arm 0 for treated rows (target att), arm 1 for control
     # rows (target atc); each side walks the grid with nested intervals.
-    for cf_arm, population, t_obs in ((0, "att", 1), (1, "atc", 0)):
+    sides = [side for side in ((0, "att", 1), (1, "atc", 0)) if (test_t == side[2]).any()]
+    _report_k_clamp(resolved["k"], {cf_arm: int(np.sum(train.t == cf_arm))
+                                    for cf_arm, _, _ in sides})
+    for cf_arm, population, t_obs in sides:
         mask = test_t == t_obs
-        if not mask.any():
-            continue
         train_arm = train.arm(cf_arm)
         calib_arm = _need_arm(calib, cf_arm, "calibration")
         (fn,), q_side, thr = _calibrated_thresholds(
@@ -516,6 +530,8 @@ def cmd_worstcase(resolved: dict, h: str) -> None:
 def cmd_simulate(resolved: dict, h: str) -> None:
     cfg = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
     out_dir = resolved["out_dir"]
+    # Both campaigns fit on exactly n_train units of one arm, at the default k.
+    _report_k_clamp(None, {cfg.arm if resolved["kind"] == "coverage" else 0: cfg.n_train})
     if resolved["kind"] == "coverage":
         report = run_coverage_experiment(cfg, threads=resolved["threads"])
         per_alpha = report["per_alpha"]

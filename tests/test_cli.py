@@ -782,6 +782,42 @@ def test_parser_is_built_once_and_reused(corpus, tmp_path, monkeypatch):
                 assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
 
+_CLAMPED = "k=20 exceeds training size n=10 of arm {}"
+
+
+@pytest.mark.parametrize("command, argv, arms", [
+    ("predict", ["--test", "test", "--k", "20"], (1,)),
+    ("sensitivity", ["--test", "obstest", "--k", "20"], (0, 1)),
+    # Default k = 20 on 10 arm units, in two worker processes.
+    ("simulate", ["--kind", "coverage", "--n-reps", "2", "--n-train", "10", "--n-calib", "50",
+                  "--n-test", "20", "--threads", "2"], (1,)),
+])
+def test_a_k_above_the_training_size_is_one_warning_line(corpus, tmp_path, command, argv, arms):
+    """A k above an arm's training units is clamped to them; a fresh process
+    says so in one ``confshift: warning:`` line, from the parent alone, and
+    exits 0 with the outputs of k = n."""
+    train = tmp_path / "train.csv"
+    x = np.random.default_rng(3).uniform(size=(20, 2))
+    write_dataset(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
+    folds = ["--train", str(train), "--calib", corpus["calib"]]
+    argv = [corpus.get(a, a) for a in argv] + (folds if command != "simulate" else [])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    run = subprocess.run([sys.executable, "-m", "confshift.cli", command, *argv,
+                          "--out-dir", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stderr == ("confshift: warning: "
+                          + "; ".join(_CLAMPED.format(arm) for arm in arms)
+                          + "; clamping to n\n")
+    if command != "simulate":
+        assert main([command, *[a if a != "20" else "10" for a in argv],
+                     "--out-dir", str(tmp_path / "k10")]) == 0
+        for name in os.listdir(tmp_path / "k10"):
+            if name.endswith(".csv"):  # past the stamp line, which hashes k
+                got, want = (_read_csv(tmp_path / d / name)[1:] for d in ("out", "k10"))
+                assert got == want
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -1013,7 +1049,6 @@ def test_the_property_draws_every_option():
     assert drawn - {"config", "out_dir", "threads", *_FILE_KEYS} == set(_VALUES)
 
 
-@pytest.mark.filterwarnings("ignore:k=.* exceeds training size:UserWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_run_exits_0_2_or_3_with_a_matching_message(data):
@@ -1042,12 +1077,15 @@ def test_every_run_exits_0_2_or_3_with_a_matching_message(data):
     note(f"argv={argv}\ncode={code}\nstderr={err}")
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+    # At most one warning line (the k clamp), before anything else.
+    warned = int(err.startswith("confshift: warning: "))
+    rest = "".join(err.splitlines(keepends=True)[warned:])
     if code == 0:
-        assert "confshift: " not in err
+        assert rest == ""
     elif code == 2:
-        assert err.startswith("confshift: data error: ")
+        assert rest.startswith("confshift: data error: ")
     else:
-        assert err.startswith(("confshift: config error: ", "usage: confshift"))
+        assert rest.startswith(("confshift: config error: ", "usage: confshift"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,64 @@ def test_treated_fraction_quadrature():
     se = float(d.e_x.std()) / np.sqrt(d.n)
     assert abs(d.e_x.mean() - true_treated_fraction(4)) < 4 * se
     assert abs(d.t.mean() - true_treated_fraction(4)) < 0.006
+
+
+def _meshgrid_treated_fraction(p: int) -> float:
+    """The quadrature on full meshgrid copies of the nodes and weights
+    (eight 24^4 arrays at p >= 4), kept as the oracle of its broadcast form."""
+    beta = beta_vector(p)
+    active = np.nonzero(beta)[0]
+    if active.size == 0:
+        return 0.5
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    xs = 0.5 * (nodes + 1.0)
+    ws = 0.5 * weights
+    grids = np.meshgrid(*([xs] * active.size), indexing="ij")
+    wgrids = np.meshgrid(*([ws] * active.size), indexing="ij")
+    z = sum(beta[d] * g for d, g in zip(active, grids))
+    w = wgrids[0]
+    for g in wgrids[1:]:
+        w = w * g
+    return float((w * expit(z)).sum())
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_treated_fraction_matches_the_meshgrid_quadrature_bit_for_bit(p):
+    assert true_treated_fraction(p) == _meshgrid_treated_fraction(p)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_treated_fraction_peaks_under_8_mib():
+    # 5.30 MiB with broadcast axes; the meshgrid form peaked at 27.85 MiB.
+    true_treated_fraction.cache_clear()
+    assert _traced_peak(true_treated_fraction, 4) < 8 * 2**20
+
+
+@pytest.mark.parametrize("run, cfg, measured_mib", [
+    (run_coverage_experiment,
+     SimConfig(n_train=1000, n_calib=2000, n_test=10_000, p=4, gamma_true=1.5,
+               alphas=(0.2, 0.5), procedure="alg2", envelope="wsr", seed=404), 4.26),
+    (run_sensitivity_experiment,
+     SimConfig(n_train=500, n_calib=1000, n_test=100, p=4, gamma_true=1.6, alphas=(0.1,),
+               seed=808, grid=tuple(np.round(np.linspace(1.0, 2.2, 13), 1))), 2.51),
+], ids=["c04-coverage", "c08-scan"])
+def test_one_replication_stays_under_twice_its_measured_peak(run, cfg, measured_mib):
+    """One c04-sized coverage replication peaks at 4.26 MiB under tracemalloc
+    and one c08-sized scan replication (13-point grid) at 2.51 MiB, with
+    P(T = 1) cached (numpy 2.4, seeds 404 and 808). Twice that is the bound,
+    so a new temporary of O(n_test x n_train) floats fails the c04 case,
+    and a P(T = 1) quadrature (5.3 MiB) run uncached fails the c08 case."""
+    true_treated_fraction(cfg.p)
+    assert _traced_peak(run, cfg, 1) < 2 * measured_mib * 2**20
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
