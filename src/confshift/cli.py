@@ -14,7 +14,7 @@ reruns of the same configuration are byte-identical. Infinite interval
 endpoints are serialized as empty cells next to boolean ``unbounded_lo`` /
 ``unbounded_hi`` columns.
 
-Exit codes: 0 success (after at most one ``confshift: warning:`` line, for
+Exit codes: 0 success (with at most one ``confshift: warning:`` line, for
 a k above the training size), 2 malformed or insufficient input data, 3 bad
 configuration (including missing files and unknown keys).
 """
@@ -47,10 +47,10 @@ from .core import (
 )
 from .nuisance import TargetSpec, _EnvelopeOverflow, fit_propensity
 from .pac import METHODS
-from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, default_k
+from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, clamp_k
 from .sensitivity import GammaGrid, NullSpec, survival_curve
 from .simulate import (SimConfig, _calibrated_thresholds, run_coverage_experiment,
-                       run_sensitivity_experiment, scan_gamma_values)
+                       run_sensitivity_experiment, scan_gamma_values, training_arm)
 from .worstcase import DiscreteJoint, worst_cdf_marginal, worst_witness_marginal
 
 # Called through .simulate or not at all; still bound here because the
@@ -406,15 +406,16 @@ def _need_arm(ds: Dataset, arm: int, role: str) -> Dataset:
         raise DataError(f"{role} data has no units with t={arm}") from None
 
 
-def _report_k_clamp(k: int | None, sizes: dict[int, int]) -> None:
-    """One warning line when ``k`` (default: :func:`default_k` of the size)
-    exceeds the training units of an arm in ``sizes``; those fits use all
-    their units. The run goes on."""
-    over = [f"k={want} exceeds training size n={n} of arm {arm}"
-            for arm, n in sorted(sizes.items())
-            if (want := default_k(n) if k is None else k) > n]
-    if over:
-        print(f"confshift: warning: {'; '.join(over)}; clamping to n", file=sys.stderr)
+def _k_clamp_warning(k: int | None, sizes: dict[int, int]) -> str | None:
+    """The warning line for the arms in ``sizes`` (arm: training units)
+    whose fits clamp ``k`` (:func:`clamp_k`) to their size, or None. The
+    command returns it and :func:`main` prints it once the run succeeded."""
+    over = []
+    for arm, n in sorted(sizes.items()):
+        want, used = clamp_k(k, n)
+        if used < want:
+            over.append(f"k={want} exceeds training size n={n} of arm {arm}")
+    return f"confshift: warning: {'; '.join(over)}; clamping to n" if over else None
 
 
 def _fit_nuisance(train: Dataset) -> tuple:
@@ -429,14 +430,14 @@ def _fit_nuisance(train: Dataset) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cmd_predict(resolved: dict, h: str) -> None:
+def cmd_predict(resolved: dict, h: str) -> str | None:
     train, calib = _load_folds(resolved)
     arm = resolved["arm"]
     x_test = _read_test(resolved["test"], train.p, need_outcome=False)["x"]
     prop, p1 = _fit_nuisance(train)
     train_arm = train.arm(arm)
     calib_arm = _need_arm(calib, arm, "calibration")
-    _report_k_clamp(resolved["k"], {arm: train_arm.n})
+    warning = _k_clamp_warning(resolved["k"], {arm: train_arm.n})
     gammas = sorted(resolved["gamma"])
     # Not nested: a row's interval at one gamma never depends on the other gammas.
     (fn,), q_test, thr = _calibrated_thresholds(
@@ -453,9 +454,10 @@ def cmd_predict(resolved: dict, h: str) -> None:
         "unbounded_lo": np.isinf(set_lo).ravel(), "unbounded_hi": np.isinf(set_hi).ravel(),
     }, _stamp(resolved, h))
     _write_manifest(resolved, h, "predict", ["intervals.csv", "manifest.json"])
+    return warning
 
 
-def cmd_sensitivity(resolved: dict, h: str) -> None:
+def cmd_sensitivity(resolved: dict, h: str) -> str | None:
     train, calib = _load_folds(resolved)
     test = _read_test(resolved["test"], train.p, need_outcome=True)
     test_x, test_t, test_y = test["x"], test["t"], test["y"]
@@ -469,8 +471,8 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
     # Counterfactual arm 0 for treated rows (target att), arm 1 for control
     # rows (target atc); each side walks the grid with nested intervals.
     sides = [side for side in ((0, "att", 1), (1, "atc", 0)) if (test_t == side[2]).any()]
-    _report_k_clamp(resolved["k"], {cf_arm: int(np.sum(train.t == cf_arm))
-                                    for cf_arm, _, _ in sides})
+    warning = _k_clamp_warning(resolved["k"], {cf_arm: int(np.sum(train.t == cf_arm))
+                                               for cf_arm, _, _ in sides})
     for cf_arm, population, t_obs in sides:
         mask = test_t == t_obs
         train_arm = train.arm(cf_arm)
@@ -493,6 +495,7 @@ def cmd_sensitivity(resolved: dict, h: str) -> None:
     }, stamp)
     _write_manifest(resolved, h, "sensitivity",
                     ["gammas.csv", "manifest.json", "survival.csv"])
+    return warning
 
 
 def _read_instance(path: str) -> DiscreteJoint:
@@ -527,11 +530,11 @@ def cmd_worstcase(resolved: dict, h: str) -> None:
     _write_manifest(resolved, h, "worstcase", outputs, results)
 
 
-def cmd_simulate(resolved: dict, h: str) -> None:
+def cmd_simulate(resolved: dict, h: str) -> str | None:
     cfg = SimConfig(**{f.name: resolved[f.name] for f in fields(SimConfig)})
     out_dir = resolved["out_dir"]
     # Both campaigns fit on exactly n_train units of one arm, at the default k.
-    _report_k_clamp(None, {cfg.arm if resolved["kind"] == "coverage" else 0: cfg.n_train})
+    warning = _k_clamp_warning(None, {training_arm(cfg, resolved["kind"]): cfg.n_train})
     if resolved["kind"] == "coverage":
         report = run_coverage_experiment(cfg, threads=resolved["threads"])
         per_alpha = report["per_alpha"]
@@ -555,6 +558,7 @@ def cmd_simulate(resolved: dict, h: str) -> None:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_manifest(resolved, h, "simulate", [curve, "manifest.json", "report.json"])
+    return warning
 
 
 _COMMANDS = {
@@ -597,8 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         resolved = _resolve(ns.command, ns)
         h = _config_hash(ns.command, resolved)
         os.makedirs(resolved["out_dir"], exist_ok=True)
-        _COMMANDS[ns.command](resolved, h)
-        return 0
+        warning = _COMMANDS[ns.command](resolved, h)
     except DataError as exc:
         print(f"confshift: data error: {exc}", file=sys.stderr)
         return 2
@@ -612,6 +615,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"confshift: config error: {exc}", file=sys.stderr)
         return 3
+    if warning is not None:
+        print(warning, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .core import ValidationError
 __all__ = [
     "KNNQuantileModel",
     "ScoreFn",
+    "clamp_k",
     "default_k",
     "fit_quantile_model",
 ]
@@ -68,6 +69,13 @@ MAX_SQ_NORM = float(np.finfo(float).max) / 8
 
 def default_k(n: int) -> int:
     return max(20, math.ceil(n / 20))
+
+
+def clamp_k(k: int | None, n: int) -> tuple[int, int]:
+    """The k requested for a fit on ``n`` training units (``k``, or
+    :func:`default_k` of n) and the k the fit uses: the request clamped to n."""
+    want = default_k(n) if k is None else int(k)
+    return want, min(want, n)
 
 
 @dataclass(frozen=True)
@@ -205,18 +213,15 @@ def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("training covariates and outcomes must be finite")
     _checked_sq_norms(x, "training")
-    if k is None:
-        k = default_k(x.shape[0])
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    clipped = False
-    if k > x.shape[0]:
+    want, k = clamp_k(k, x.shape[0])
+    if want < 1:
+        raise ValidationError(f"k must be >= 1, got {want}")
+    if k < want:
         warnings.warn(
-            f"k={k} exceeds training size n={x.shape[0]}; clamping to n",
+            f"k={want} exceeds training size n={x.shape[0]}; clamping to n",
             stacklevel=2,
         )
-        k, clipped = x.shape[0], True
-    return KNNQuantileModel(x=x, y=y, k=int(k), clipped=clipped)
+    return KNNQuantileModel(x=x, y=y, k=k, clipped=k < want)
 
 
 @dataclass(frozen=True)

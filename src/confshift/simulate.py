@@ -42,7 +42,7 @@ from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity, ra
 # pac_threshold is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) patches threshold callables at this module.
 from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
-from .scores import ScoreFn, default_k, fit_quantile_model
+from .scores import ScoreFn, clamp_k, fit_quantile_model
 from .sensitivity import (GammaGrid, Interval, NullSpec, fdp_curve, fwer_estimate,
                           gamma_values_from_rejections, ite_set_one_missing,
                           survival_curve)
@@ -164,9 +164,7 @@ def true_treated_fraction(p: int) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(24)
     xs = np.ix_(*([0.5 * (nodes + 1.0)] * active.size))
     ws = np.ix_(*([0.5 * weights] * active.size))
-    z = beta[active[0]] * xs[0]
-    for d, g in zip(active[1:], xs[1:]):
-        z = z + beta[d] * g
+    z = sum(beta[d] * g for d, g in zip(active, xs))
     w = ws[0]
     for g in ws[1:]:
         w = w * g
@@ -382,12 +380,11 @@ def _calibrated_thresholds(target: TargetSpec, gammas, propensity, p1: float, tr
     kind, so each alpha owns as many columns). Returns the score per alpha,
     the test rows' quantile columns (rows x alphas x levels) and the
     thresholds (alphas x (procedure, envelope) methods x strengths x rows).
-    A ``k`` (default :func:`default_k`) above the training size is clamped
-    to it without a warning: the CLI reports it once per run, before any
-    campaign worker starts.
+    A ``k`` above the training size is clamped to it (:func:`clamp_k`)
+    without a warning: the CLI reports it once per run, from the parent
+    process.
     """
-    n = len(train[1])
-    model = fit_quantile_model(*train, k=min(default_k(n) if k is None else k, n))
+    model = fit_quantile_model(*train, k=clamp_k(k, len(train[1]))[1])
     fns = [ScoreFn(kind=score, model=model, alpha=alpha) for alpha in alphas]
     betas = [b for fn in fns for b in fn.betas]
     x_cal, y_cal = calib
@@ -421,10 +418,17 @@ def scan_gamma_values(fn: ScoreFn, q: np.ndarray, t_obs: int, y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def training_arm(cfg: SimConfig, kind: str) -> int:
+    """The arm whose first ``cfg.n_train`` units a replication of the
+    ``kind`` campaign ("coverage" or "sensitivity") fits its kNN model on:
+    the target arm, or the counterfactual arm 0 of the sensitivity scan."""
+    return cfg.arm if kind == "coverage" else 0
+
+
 def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     cfg, seed = job
     r = rng(seed)
-    arm = cfg.arm
+    arm = training_arm(cfg, "coverage")
     train = _pool_until(cfg, r, arm, cfg.n_train)
     calib = _pool_until(cfg, r, arm, cfg.n_calib)
     test = _draw_target_units(cfg, r, cfg.n_test)
@@ -506,15 +510,16 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     cfg, seed = job
     r = rng(seed)
     grid = GammaGrid(cfg.grid) if cfg.grid is not None else GammaGrid.default()
-    train = _pool_until(cfg, r, 0, cfg.n_train)
-    calib = _pool_until(cfg, r, 0, cfg.n_calib)
+    arm = training_arm(cfg, "sensitivity")
+    train = _pool_until(cfg, r, arm, cfg.n_train)
+    calib = _pool_until(cfg, r, arm, cfg.n_calib)
     test = _draw_target_units(cfg, r, cfg.n_test)
 
-    train_c = train.take(np.nonzero(train.t == 0)[0])
-    calib_c = calib.take(np.nonzero(calib.t == 0)[0])
+    train_c = train.take(np.nonzero(train.t == arm)[0])
+    calib_c = calib.take(np.nonzero(calib.t == arm)[0])
     (fn,), q_test, thr = _calibrated_thresholds(
-        cfg.target(), grid.values, *_propensity(cfg, train), (train_c.x, train_c.y0),
-        (calib_c.x, calib_c.y0), test.x, "cqr_one_sided", cfg.alphas,
+        cfg.target(), grid.values, *_propensity(cfg, train),
+        (train_c.x, train_c.outcome(arm)), (calib_c.x, calib_c.outcome(arm)), test.x, "cqr_one_sided", cfg.alphas,
         (("alg1", cfg.envelope), ("alg2", cfg.envelope)), cfg.delta)
     alg1, alg2 = scan_gamma_values(fn, q_test[:, 0], 1, test.y1, thr[0], grid, NullSpec("le", 0.0))
     return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}

@@ -818,6 +818,18 @@ def test_a_k_above_the_training_size_is_one_warning_line(corpus, tmp_path, comma
                 assert got == want
 
 
+def test_a_clamped_k_then_a_failure_prints_the_error_alone(corpus, tmp_path, capsys):
+    """The clamp is decided before the fit, but its warning line is printed
+    only once the run has succeeded."""
+    train = tmp_path / "train.csv"
+    x = np.random.default_rng(3).uniform(size=(20, 2))
+    write_dataset(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
+    assert main(["predict", "--train", str(train), "--calib", corpus["calib"],
+                 "--test", corpus["test"], "--k", "20", "--gamma", "1,1e308",
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("confshift: config error: bad value for gamma: ")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -1077,15 +1089,14 @@ def test_every_run_exits_0_2_or_3_with_a_matching_message(data):
     note(f"argv={argv}\ncode={code}\nstderr={err}")
     assert code in (0, 2, 3)
     assert "Traceback" not in err
-    # At most one warning line (the k clamp), before anything else.
-    warned = int(err.startswith("confshift: warning: "))
-    rest = "".join(err.splitlines(keepends=True)[warned:])
     if code == 0:
-        assert rest == ""
+        # Nothing, or the one warning line of a clamped k.
+        assert all(line.startswith("confshift: warning: ") for line in err.splitlines())
+        assert err.count("\n") <= 1
     elif code == 2:
-        assert rest.startswith("confshift: data error: ")
+        assert err.startswith("confshift: data error: ")
     else:
-        assert rest.startswith(("confshift: config error: ", "usage: confshift"))
+        assert err.startswith(("confshift: config error: ", "usage: confshift"))
 
 
 # ---------------------------------------------------------------------------
