@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .core import ValidationError
+from .core import ValidationError, expit
 
 __all__ = [
     "BoundPair",

@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, ndtri
 
-from .core import ValidationError, rng
+from .core import ValidationError, expit, ndtri, rng
 from .marginal import CalibrationSet, marginal_gap, robust_threshold_many
 from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity, ratio_bounds
 # pac_threshold is not called here; it stays bound because the benchmark's
@@ -153,9 +151,11 @@ def true_treated_fraction(p: int) -> float:
     The 24 nodes and weights enter as broadcast axes (``np.ix_``), so only
     two 24^a arrays exist at once (a <= 4 active coefficients): the node
     sums, turned into the integrand in place, and the weight product. The
-    call peaks at about 5.3 MiB (tracemalloc) at p >= 4. Each cell sees the
-    operations of full meshgrid copies in the same order, and the sum runs
-    over one C-ordered 24^a array, so the float is theirs bit for bit.
+    call peaks at about 5.4 MiB (tracemalloc) at p >= 4, plus about 0.7 MiB
+    for importing ``numpy.polynomial`` on a process's first call. Each cell
+    sees the operations of full meshgrid copies in the same order, and the
+    sum runs over one C-ordered 24^a array, so the float is theirs bit for
+    bit.
     """
     beta = beta_vector(p)
     active = np.nonzero(beta)[0]
@@ -333,6 +333,9 @@ def _run_reps(worker: Callable, cfg: SimConfig, threads: int | None) -> list[dic
     jobs = [(cfg, s) for s in _rep_seeds(cfg)]
     workers = _worker_count(threads, cfg.n_reps)
     if workers > 1:
+        # Imported here: the pool's modules are a cost every CLI start would pay.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, jobs))
     return [worker(j) for j in jobs]

@@ -830,6 +830,26 @@ def test_a_clamped_k_then_a_failure_prints_the_error_alone(corpus, tmp_path, cap
     assert capsys.readouterr().err.startswith("confshift: config error: bad value for gamma: ")
 
 
+def test_a_cli_start_loads_no_scipy_and_no_process_pool(tmp_path):
+    """Importing the CLI and one single-process simulate run load no scipy
+    module and no process pool; pytest itself imports scipy, so a fresh
+    interpreter checks."""
+    argv = ["simulate", "--kind", "coverage", "--n-reps", "1", "--n-train", "60",
+            "--n-calib", "40", "--n-test", "20", "--threads", "1",
+            "--out-dir", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(names))\n"
+            "import confshift.cli\n"
+            "print(loaded('scipy', 'concurrent.futures'))\n"
+            f"assert confshift.cli.main({argv!r}) == 0\n"
+            "print(loaded('scipy', 'concurrent.futures.process'))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Primitives: seeding, datasets, splits, CSV round trips."""
+"""Primitives: seeding, datasets, splits, CSV round trips, special functions."""
 
 import csv
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
+from scipy.special import ndtri as scipy_ndtri
 
 from confshift import (
     DataError,
@@ -22,7 +25,7 @@ from confshift import (
     write_dataset,
 )
 from confshift.cli import _read_instance
-from confshift.core import _fast_table, read_table, read_units, write_table
+from confshift.core import _fast_table, expit, ndtri, read_table, read_units, write_table
 from confshift.worstcase import DiscreteJoint
 
 
@@ -445,3 +448,74 @@ def test_fast_path_reads_written_files(tmp_path):
                  "x1,y\n1,2\x1c\n", 'x1,y\n1,"2\n3",4\n', 'x1,y\n# a,"b\n1,2\n',
                  "x1,y\n1,nan\n", "x1,y\n1,2,3\n"):
         assert _fast_table(path, text) is None, text
+
+
+# ---------------------------------------------------------------------------
+# Special functions against scipy.special
+# ---------------------------------------------------------------------------
+
+
+def test_expit_matches_scipy_bit_for_bit():
+    """libm's exp, as scipy uses it: a dense grid, the band where glibc's
+    cexp rescales, draws at several scales and the signed extremes."""
+    r = rng(0)
+    x = np.concatenate([
+        np.linspace(-760.0, 760.0, 1_000_001),
+        np.linspace(-709.8, -709.0, 200_001),
+        *(s * r.standard_normal(50_000) for s in (1.0, 10.0, 40.0, 400.0)),
+        [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+        assert np.isnan(expit(np.nan)) and np.isnan(expit([np.nan, 1.0])[0])
+    assert _bits(got) == _bits(scipy_expit(x))
+    assert expit(0.25) == scipy_expit(0.25) and np.ndim(expit(0.25)) == 0
+
+
+def test_expit_in_place_on_a_quadrature_sized_array():
+    z = 30.0 * rng(1).standard_normal((24,) * 4)
+    z[0, 0, 0, :3] = (-709.5, -709.9, 709.5)
+    want = scipy_expit(z)
+    assert expit(z, out=z) is z
+    assert _bits(z) == _bits(want)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        expit(z[:, 0], out=np.empty((24, 24, 24)).T)
+
+
+def _ordered(a) -> np.ndarray:
+    """Float bits as integers in the order of the floats, so that a
+    difference counts ulps across zero too."""
+    i = np.asarray(a, dtype=float).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+def _assert_within_8_ulps(p):
+    got, want = ndtri(p), scipy_ndtri(p)
+    assert np.abs(_ordered(got) - _ordered(want)).max() <= 8, p
+
+
+def test_ndtri_is_within_8_ulps_of_scipy():
+    r = rng(2)
+    _assert_within_8_ulps(np.concatenate([
+        r.uniform(size=200_000),
+        np.linspace(0.0, 1.0, 100_001)[1:-1],
+        10.0 ** -r.uniform(0.0, 307.0, 20_000),      # lower tail
+        1.0 - 10.0 ** -r.uniform(0.0, 16.0, 20_000),  # upper tail
+        [5e-324, 1e-300, 1e-11, 0.075, 0.925, 0.5 + 2.0 ** -53]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_property_within_8_ulps(p):
+    _assert_within_8_ulps(np.array([p]))
+
+
+def test_ndtri_endpoints_and_shapes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ndtri(0.5) == 0.0 and np.ndim(ndtri(0.5)) == 0
+        assert ndtri(1.0) == np.inf and ndtri(0.0) == -np.inf
+        assert np.isnan(ndtri(np.array([-0.1, 1.1, np.nan]))).all()
+        grid = np.array([[0.0, 0.02], [0.5, 0.97], [1.0, 0.3]])
+        assert ndtri(grid).shape == (3, 2)
+        _assert_within_8_ulps(grid)
