@@ -512,9 +512,20 @@ def _read_instance(path: str) -> DiscreteJoint:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _distinct_sorted(values) -> np.ndarray:
+    """The sorted distinct values, each kept where it differs from the one
+    before it: ``np.unique``'s rule on finite floats, without the masked-array
+    import that ``np.unique`` makes."""
+    v = np.sort(np.asarray(values, dtype=float))
+    keep = np.empty(v.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def cmd_worstcase(resolved: dict, h: str) -> None:
     d = _read_instance(resolved["instance"])
-    queries = np.unique(resolved["at"] if resolved["at"] is not None else d.v)
+    queries = _distinct_sorted(resolved["at"] if resolved["at"] is not None else d.v)
     cdf = worst_cdf_marginal(d, queries)
     out_dir, stamp = resolved["out_dir"], _stamp(resolved, h)
     outputs = ["cdf.csv", "manifest.json"]

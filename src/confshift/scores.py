@@ -21,18 +21,49 @@ concatenation of their ``betas`` and hand each score its own columns
 (``ScoreFn.score_at``, ``interval_at``). Every column is computed on its
 own, so the values are those of separate queries, bit for bit.
 
-A query runs in blocks of query rows, about ``_BLOCK_ENTRIES`` distances
-each, built in one buffer that every block reuses. Each distance is packed
-with its column into an int64 key (the distance's bits above the low b, the
-column in them), and one in-place partition of the keys at k selects every
-row's neighbours. A row whose k-th key sits in a lower b-truncated class
-than the next key is certified: its k keys are the k nearest points, with no
-tie at the k-th distance. The other rows (ties, and the rare rows whose k-th
-and next distance differ only in the low bits or lie below 0) take the exact
-float64 tie path. Each row's selection is its own, but its distances come
-from its block's matrix product, which the BLAS may round differently for
-blocks of other sizes; where the distances are exact (integer covariates,
-say) no output depends on the block rule.
+Distances are direct differences: from a query row a to a training point
+x, d(a, x) = ((a - x) ** 2).sum() in float64. That is elementwise, so every
+answer is the kNN quantile under d, ties included, and does not depend on
+the rows queried with it or on the block size.
+
+A query gets there without computing d for most rows. It runs in blocks of
+query rows, about ``_BLOCK_ENTRIES`` distances each, in one buffer that every
+block reuses. One matrix product, [a, 1, s_a] @ [-2x; s_x; 1] with s the
+float |.|^2 of a row, gives the block's product distances
+e(a, x) = s_a - 2 <a, x> + s_x. Each is packed in place with its column into
+an int64 key (its bits with the low b cleared, the column in them), and one
+in-place partition of the keys at k picks every row's k candidates.
+
+The rounding bound. Let u = 2^-53, eta = 2^-1074 (the most an underflowing
+product or square loses is eta / 2), S = s_a + max_x s_x and D = |a - x|^2
+exactly. To first order in u:
+
+* e: the product adds p + 2 terms (only the p products a_l (-2 x_l) round)
+  whose sizes sum to s_a + s_x + 2 sum |a_l x_l| <= 2S, in whatever order the
+  BLAS picks, so it is within 2 (p + 2) u S of s_a + s_x - 2 <a, x>; s_a and
+  s_x, p roundings each, are within p u S of |a|^2 + |x|^2. So
+  |e - D| <= (3p + 4) u S + 2p eta.
+* d: a difference, a square and p - 1 additions of non-negative terms give
+  |d - D| <= (p + 2) u D + p eta, and D <= 2 (|a|^2 + |x|^2), about 2S.
+
+So |e - d| <= (5p + 8) u S + 3p eta. ``_rounding_bound`` takes
+tol = 8 (p + 2) (u S + eta), at least 1.6 times that for every p, which also
+covers the second-order terms and the rounding of the test below.
+
+The certificate. After the partition, a row's k-th key kk (the largest of
+the first k) and next key nk (entry k) bound its product distances: the k
+picked are at most kk's class ceiling (kk with its low b set), every other
+one at least nk's class floor (nk with them cleared). A row is certified
+when kk >= 0 and floor - ceiling > 2 tol: then every picked point's d is
+below every other point's d, so the k picked are the row's k nearest under
+d, with no tie at the k-th. Negative floats' bits sort in reverse, so a
+negative kk bounds nothing. Every other row (ties, near ties, negative
+product distances) gets d to every training point and takes the tie path.
+
+No overflow. With every |.|^2 at most ``MAX_SQ_NORM`` = max / 8, each
+product |a_l 2 x_l| <= 2 |a| |x| <= max / 4 and every partial sum of the
+product is at most s_a + s_x + 2 |a| |x| <= max / 2 in size, and d is at
+most 2 (|a|^2 + |x|^2) <= max / 2.
 """
 
 from __future__ import annotations
@@ -54,17 +85,22 @@ __all__ = [
 ]
 
 
-# Query rows per block: about this many distance entries, so one block's
-# distances and packed int64 keys (1 MiB each) fit a 2 MiB L2 cache; 2^17
-# ran faster than 2^18 on the benchmark's coverage and cli workloads.
+# Query rows per block: about this many distance entries, so one block's one
+# buffer (its distances, then their packed int64 keys in place; 1 MiB) fits a
+# 2 MiB L2 cache. On the coverage campaign's query pair (12,000 rows, 1,000
+# training points) 2^17 ran at least as fast as 2^16 and 2^18.
 _BLOCK_ENTRIES = 2 ** 17
 
 # Largest squared norm of a covariate row. With |a|^2 and |b|^2 at most this,
-# Cauchy-Schwarz gives |<a, b>| <= |a| |b| <= max / 8 (every partial sum of
-# the inner product too), so the three terms of the distance identity
-# |a|^2 - 2 <a, b> + |b|^2 sum to at most max / 2 in size: no rounding error
-# of a few ulps can overflow it.
+# Cauchy-Schwarz gives |<a, b>| <= |a| |b| <= max / 8, so the augmented
+# product's terms, and every partial sum of them, stay at most max / 2 in size
+# (see the module docstring): no rounding error of a few ulps can overflow it.
 MAX_SQ_NORM = float(np.finfo(float).max) / 8
+
+# Unit roundoff and the smallest subnormal of float64, the relative and the
+# absolute term of one rounding.
+_U = 2.0 ** -53
+_ETA = float(np.finfo(float).smallest_subnormal)
 
 
 def default_k(n: int) -> int:
@@ -110,59 +146,84 @@ class KNNQuantileModel:
         if not np.isfinite(x).all():
             raise ValidationError("query covariates must be finite")
         xq_sq = _checked_sq_norms(x, "query")
-        n = self.x.shape[0]
-        out = np.empty((x.shape[0], betas.size))
+        (n, p), m = self.x.shape, x.shape[0]
+        out = np.empty((m, betas.size))
         if self.k >= n:
             # Every training point is a neighbour of every row.
             out[:] = _lower_quantiles(np.sort(self.y)[None, :], np.array([n]), betas)
         else:
-            # One distance buffer and one key buffer for every block: fresh
-            # (rows x n) arrays per block would be handed back to the kernel
-            # and faulted in again.
-            step = max(1, _BLOCK_ENTRIES // n)
-            rows = min(step, x.shape[0])
-            buf = np.empty((rows, n))
-            keys = np.empty((rows, n), dtype=np.int64)
+            # [xq, 1, |xq|^2] @ [-2 x^T; |x|^2; 1] is |xq|^2 - 2 <xq, x> + |x|^2
+            # in one product, into one buffer that every block reuses (fresh
+            # arrays per block would be faulted in again).
             x_sq = _checked_sq_norms(self.x, "training")
-            for lo in range(0, x.shape[0], step):
-                out[lo : lo + step] = self._quantile_block(
-                    x[lo : lo + step], xq_sq[lo : lo + step], betas, buf, keys, x_sq)
+            aq = np.empty((m, p + 2))
+            aq[:, :p], aq[:, p], aq[:, p + 1] = x, 1.0, xq_sq
+            ax = np.empty((p + 2, n))
+            np.multiply(self.x.T, -2.0, out=ax[:p])
+            ax[p], ax[p + 1] = x_sq, 1.0
+            tol = _rounding_bound(xq_sq, float(x_sq.max()), p)
+            step = max(1, _BLOCK_ENTRIES // n)
+            buf = np.empty((min(step, m), n))
+            for lo in range(0, m, step):
+                sl = slice(lo, lo + step)
+                out[sl] = self._quantile_block(x[sl], aq[sl], ax, tol[sl], betas, buf)
         return out[:, 0] if scalar else out
 
-    def _quantile_block(self, xq: np.ndarray, xq_sq: np.ndarray, betas: np.ndarray,
-                        buf: np.ndarray, keys: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-        """Lower quantiles of the neighbour outcomes of each row of xq, with
-        distances built in ``buf`` and packed keys in ``keys``; ``xq_sq`` and
-        ``x_sq`` hold the query and training |x|^2."""
+    def _quantile_block(self, xq: np.ndarray, aq: np.ndarray, ax: np.ndarray, tol: np.ndarray,
+                        betas: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """Lower quantiles of the neighbour outcomes of each row of xq: ``aq``
+        holds its rows augmented, ``ax`` the augmented training points, ``tol``
+        each row's rounding bound, and ``buf`` the product distances, then
+        their keys, then the exact rows' direct distances."""
         rows, n, k = xq.shape[0], self.x.shape[0], self.k
-        # Squared Euclidean distances via the inner-product identity, built in
-        # place (-2m + |xq|^2 is the same float as |xq|^2 - 2m); sqrt is
-        # monotone so neighbour sets are unchanged.
-        d2 = np.matmul(xq, self.x.T, out=buf[:rows])
-        d2 *= -2.0
-        d2 += xq_sq[:, None]
-        d2 += x_sq[None, :]
-        # Key: the distance's int64 bits with the low b cleared, the column
-        # in them. On non-negative floats the bits order as the values, and
-        # every negative float's bits sort below them.
+        d2 = np.matmul(aq, ax, out=buf[:rows])
+        # Key, in place: the distance's int64 bits with the low b cleared, the
+        # column in them. On non-negative floats the bits order as the values,
+        # and every negative float's bits sort below them.
         b = (n - 1).bit_length()
         low = (1 << b) - 1
-        key = np.bitwise_and(d2.view(np.int64), ~low, out=keys[:rows])
+        key = d2.view(np.int64)
+        key &= ~low
         key |= np.arange(n)
         # One pivot at k: the first k keys are the k smallest, entry k the next.
         key.partition(k, axis=1)
-        kk, nk = key[:, :k].max(axis=1), key[:, k]
-        # A row is certified when its k-th key is a non-negative distance in
-        # a lower truncated class than the next key: every other distance is
-        # then beyond the k-th, so the row has exactly these k neighbours.
-        # The other rows take the exact path.
-        exact = (kk < 0) | (kk >> b >= nk >> b)
+        exact = _uncertified(key, k, b, tol)
         q = _lower_quantiles(np.sort(self.y[key[:, :k] & low], axis=1), np.full(rows, k), betas)
         if exact.any():
-            d2x = d2[exact]
-            kth = np.partition(d2x, k - 1, axis=1)[:, k - 1]
-            q[exact] = _lower_quantiles(*_tied_neighbours(d2x, kth, self.y), betas)
+            # The keys are read: the buffer takes the exact rows' distances.
+            d = _direct_sq_dists(xq[exact], self.x, buf)
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+            q[exact] = _lower_quantiles(*_tied_neighbours(d, kth, self.y), betas)
         return q
+
+
+def _uncertified(key: np.ndarray, k: int, b: int, tol: np.ndarray) -> np.ndarray:
+    """Rows of the keys, partitioned at k with b low bits for the column, that
+    do not certify their first k as the k nearest under direct distances: a
+    negative k-th key, or a gap from the next key's class floor to the k-th
+    key's class ceiling of at most 2 tol."""
+    low = (1 << b) - 1
+    kk, nk = key[:, :k].max(axis=1), key[:, k]
+    gap = (nk & ~low).view(float) - (kk | low).view(float)
+    return (kk < 0) | ~(gap > 2.0 * tol)
+
+
+def _rounding_bound(xq_sq: np.ndarray, x_sq_max: float, p: int) -> np.ndarray:
+    """Per query row, tol >= |e - d| for every training point (the module
+    docstring derives it); ``xq_sq`` holds the rows' s_a, ``x_sq_max`` the
+    largest s_x."""
+    return (8 * (p + 2) * _U) * (xq_sq + x_sq_max) + (8 * (p + 2) * _ETA)
+
+
+def _direct_sq_dists(xq: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((xq_i - x_j) ** 2).sum() for every pair, into the first rows of out,
+    about ``_BLOCK_ENTRIES`` differences at a time. Elementwise, so a row's
+    distances do not depend on the rows computed with it."""
+    d = out[: xq.shape[0]]
+    step = max(1, _BLOCK_ENTRIES // x.size)
+    for lo in range(0, xq.shape[0], step):
+        np.sum((xq[lo : lo + step, None, :] - x) ** 2, axis=-1, out=d[lo : lo + step])
+    return d
 
 
 def _tied_neighbours(d2: np.ndarray, kth: np.ndarray, y: np.ndarray):

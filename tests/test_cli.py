@@ -850,6 +850,21 @@ def test_a_cli_start_loads_no_scipy_and_no_process_pool(tmp_path):
     assert run.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_a_worstcase_run_loads_no_masked_arrays(corpus, tmp_path):
+    """``worstcase`` sorts its query points without ``np.unique``, which
+    imports ``numpy.ma`` on every call; a fresh interpreter checks."""
+    argv = ["worstcase", "--instance", corpus["instance"], "--witness", "true",
+            "--out-dir", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "import confshift.cli\n"
+            f"assert confshift.cli.main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["False"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

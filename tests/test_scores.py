@@ -224,14 +224,8 @@ def test_knn_blocks_answer_each_row_on_its_own(rows, data):
     np.testing.assert_array_equal(got, alone)
 
 
-def test_knn_tie_path_takes_only_the_tied_rows(monkeypatch):
-    """A block with exactly one row tied at the k-th distance sends that row,
-    and no other, down the padded tie path."""
-    x = np.arange(10.0, 40.0)[:, None]
-    y = rng(6).integers(-9, 9, size=x.shape[0]).astype(float)
-    # Left of every training point: distinct distances. 20.5 sits half-way
-    # between two training points, and k = 3 splits the second pair.
-    xq = np.array([[0.0], [1.0], [20.5], [2.0], [3.0]])
+def _counting_exact_rows(monkeypatch):
+    """A list that collects the number of rows each exact-path call takes."""
     sent = []
     real = scores._tied_neighbours
 
@@ -240,44 +234,23 @@ def test_knn_tie_path_takes_only_the_tied_rows(monkeypatch):
         return real(d2, kth, y)
 
     monkeypatch.setattr(scores, "_tied_neighbours", counting)
+    return sent
+
+
+def test_knn_tie_path_takes_only_the_tied_rows(monkeypatch):
+    """A block with exactly one row tied at the k-th distance sends that row,
+    and no other, down the padded tie path."""
+    x = np.arange(10.0, 40.0)[:, None]
+    y = rng(6).integers(-9, 9, size=x.shape[0]).astype(float)
+    # Left of every training point: distinct distances. 20.5 sits half-way
+    # between two training points, and k = 3 splits the second pair.
+    xq = np.array([[0.0], [1.0], [20.5], [2.0], [3.0]])
+    sent = _counting_exact_rows(monkeypatch)
     model = fit_quantile_model(x, y, k=3)
     betas = [0.25, 0.5, 1.0]
     got = model.quantile(xq, betas)
     assert sent == [1]
     np.testing.assert_array_equal(got, _knn_quantile_oracle(x, y, 3, xq, betas))
-
-
-def _argpartition_quantile(model, xq, betas):
-    """The kNN query as it stood before packed keys, kept verbatim: blocks of
-    about ``_BLOCK_ENTRIES`` distances in one buffer, argpartition at k, the
-    k-th distance gathered from it, and only the rows tied at the k-th
-    distance through the padded tie path (k < n)."""
-    betas = np.asarray(betas, dtype=float)
-    n = model.x.shape[0]
-    out = np.empty((xq.shape[0], betas.size))
-    step = max(1, scores._BLOCK_ENTRIES // n)
-    buf = np.empty((min(step, xq.shape[0]), n))
-    x_sq = (model.x ** 2).sum(axis=1)
-    for lo in range(0, xq.shape[0], step):
-        out[lo : lo + step] = _argpartition_block(model, xq[lo : lo + step], betas, buf, x_sq)
-    return out
-
-
-def _argpartition_block(model, xq, betas, buf, x_sq):
-    rows = xq.shape[0]
-    d2 = np.matmul(xq, model.x.T, out=buf[:rows])
-    d2 *= -2.0
-    d2 += (xq ** 2).sum(axis=1)[:, None]
-    d2 += x_sq[None, :]
-    part = np.argpartition(d2, model.k, axis=1)
-    near = part[:, : model.k]
-    kth = np.take_along_axis(d2, near, axis=1).max(axis=1)
-    tied = ~(d2[np.arange(rows), part[:, model.k]] > kth)
-    q = scores._lower_quantiles(np.sort(model.y[near], axis=1), np.full(rows, model.k), betas)
-    if tied.any():
-        q[tied] = scores._lower_quantiles(
-            *scores._tied_neighbours(d2[tied], kth[tied], model.y), betas)
-    return q
 
 
 def _ulp_moves(x, moves):
@@ -289,18 +262,29 @@ def _ulp_moves(x, moves):
     return x
 
 
+def _assert_rows_answer_alone(model, xq, betas, got):
+    """got equals the brute-force oracle and each row's single-row query, bit
+    for bit."""
+    want = _knn_quantile_oracle(model.x, model.y, model.k, xq, betas)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    alone = np.concatenate([model.quantile(row[None, :], betas) for row in xq])
+    assert got.tobytes() == alone.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_knn_packed_keys_match_the_argpartition_kernel_bit_for_bit(data):
-    """Float covariates over a wide scale, with duplicated and 1-ulp-shifted
-    training points and queries at training points (distances at or below
-    0): the packed-key query gives the argpartition kernel's floats bit for
-    bit, on any block size. Outcomes hold no -0.0 (fit_quantile_model makes
-    it +0.0)."""
+def test_knn_wide_scale_rows_match_the_oracle_and_their_single_row_query(data):
+    """Float covariates over a wide scale (products that underflow at 1e-160,
+    points 1e9 from the origin that spread over one part in 10^6), with
+    duplicated and 1-ulp-shifted training points and queries at training
+    points: every row gets the brute-force answer under direct-difference
+    distances and the answer it gets alone, on any block size."""
     p = data.draw(st.integers(1, 3))
-    scale = 10.0 ** data.draw(st.sampled_from([-150, -40, -3, 0, 2, 40, 150]))
+    scale = 10.0 ** data.draw(st.sampled_from([-160, -150, -40, -3, 0, 2, 40, 150]))
+    shift = data.draw(st.sampled_from([0.0, 0.0, 1e9])) if scale < 1e100 else 0.0
     cells = st.floats(-1000.0, 1000.0, allow_subnormal=False)
-    base = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), p), elements=cells)) * scale
+    base = (data.draw(hnp.arrays(float, (data.draw(st.integers(1, 12)), p), elements=cells))
+            + shift) * scale
     n = data.draw(st.integers(2, 40))
     moves = hnp.arrays(np.int64, st.tuples(st.just(n), st.just(p)),
                        elements=st.sampled_from([0, 0, 0, 1, -1, 2, -2]))
@@ -309,20 +293,17 @@ def test_knn_packed_keys_match_the_argpartition_kernel_bit_for_bit(data):
     rows = data.draw(st.integers(1, 30))
     at = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, n - 1)))
     xq = np.where(data.draw(hnp.arrays(bool, (rows, 1))), x[at],
-                  data.draw(hnp.arrays(float, (rows, p), elements=cells)) * scale)
+                  (data.draw(hnp.arrays(float, (rows, p), elements=cells)) + shift) * scale)
     xq = _ulp_moves(xq, data.draw(hnp.arrays(np.int64, (rows, p),
                                              elements=st.sampled_from([0, 0, 0, 1, -1]))))
     y = data.draw(hnp.arrays(float, n, elements=st.integers(-3, 3).map(float)
                              | st.floats(-1e3, 1e3)))
     model = fit_quantile_model(x, y, k=data.draw(st.integers(1, n - 1)))
-    assert not np.signbit(model.y[model.y == 0.0]).any()
     betas = data.draw(_BETAS)
     block = data.draw(st.sampled_from([None, 1, 2, 3, 7]))
     entries = scores._BLOCK_ENTRIES if block is None else block * n
     with mock.patch.object(scores, "_BLOCK_ENTRIES", entries):
-        got = model.quantile(xq, betas)
-        want = _argpartition_quantile(model, xq, betas)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        _assert_rows_answer_alone(model, xq, betas, model.quantile(xq, betas))
 
 
 def test_knn_low_bit_neighbours_take_the_exact_path(monkeypatch):
@@ -337,39 +318,103 @@ def test_knn_low_bit_neighbours_take_the_exact_path(monkeypatch):
     b = (x.shape[0] - 1).bit_length()
     d2 = (x[:2, 0] ** 2).view(np.int64)
     assert b == 2 and d2[0] != d2[1] and d2[0] >> b == d2[1] >> b
-    sent = []
-    real = scores._tied_neighbours
-
-    def counting(d2, kth, y):
-        sent.append(d2.shape[0])
-        return real(d2, kth, y)
-
-    monkeypatch.setattr(scores, "_tied_neighbours", counting)
+    sent = _counting_exact_rows(monkeypatch)
     model = fit_quantile_model(x, y, k=1)
     xq = np.array([[0.0], [6.2]])
     betas = [0.5, 1.0]
     got = model.quantile(xq, betas)
     assert sent == [1]
     assert got.tolist() == [[1.0, 1.0], [4.0, 4.0]]
-    monkeypatch.setattr(scores, "_tied_neighbours", real)
-    assert got.tobytes() == _argpartition_quantile(model, xq, betas).tobytes()
+    assert got.tobytes() == _knn_quantile_oracle(x, y, 1, xq, betas).tobytes()
 
 
-def test_knn_negative_distances_match_the_argpartition_kernel():
-    """Next to the query, rounding in the distance identity can leave
-    distances below 0: with scipy-openblas 0.3.31 the first row's come out
-    as -2^-35, -2^-34 and 0 (the other two rows make the product a matrix
-    one). Negative floats' int64 bits sort in reverse order, so a row whose
-    k-th key is negative takes the exact path."""
-    x = np.array([[-323.242255680942, -323.2422556809422],
-                  [-323.24225568094204, -323.2422556809422],
-                  [-323.2422556809421, -323.2422556809422]])
-    model = fit_quantile_model(x, np.array([1.0, 2.0, 3.0]), k=1)
-    xq = np.array([[-323.24225568094204, -323.2422556809422]])
+# Near-duplicate training points whose product distances cancel to a few ulps
+# of |x|^2: with scipy-openblas 0.3.31 and the distance identity, querying the
+# second point alone gave its farther neighbour's outcome, 1.0, and querying
+# all three as one batch gave 2.0, 2.0, 1.0 in place of 1, 2, 3.
+_NEAR_DUPLICATES = np.array([[-323.242255680942, -323.2422556809422],
+                             [-323.24225568094204, -323.2422556809422],
+                             [-323.2422556809421, -323.2422556809422]])
+
+
+def test_knn_near_duplicates_answer_alone_as_in_a_batch():
+    """Each near-duplicate point is its own nearest neighbour, queried alone,
+    in a batch of three, in any order, and by the oracle."""
+    model = fit_quantile_model(_NEAR_DUPLICATES, np.array([1.0, 2.0, 3.0]), k=1)
+    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+        xq = _NEAR_DUPLICATES[order]
+        got = model.quantile(xq, [0.5, 1.0])
+        assert got.tolist() == [[o + 1.0] * 2 for o in order]
+        _assert_rows_answer_alone(model, xq, [0.5, 1.0], got)
+
+
+def test_knn_negative_product_distances_match_the_oracle():
+    """Next to the query, rounding in the product can leave distances below
+    0: with scipy-openblas 0.3.31 the first row's come out as -2^-35, -2^-34
+    and 0 (the other two rows make the product a matrix one). Negative
+    floats' int64 bits sort in reverse order, so such a row takes the exact
+    path and gets the oracle's answer."""
+    model = fit_quantile_model(_NEAR_DUPLICATES, np.array([1.0, 2.0, 3.0]), k=1)
+    xq = _NEAR_DUPLICATES[1:2]
     xq = np.vstack([xq, xq + 1.0, xq - 1.0])
     betas = [0.5, 1.0]
+    _assert_rows_answer_alone(model, xq, betas, model.quantile(xq, betas))
+
+
+@pytest.mark.parametrize("p", [2, 9])
+def test_knn_offset_covariates_take_the_exact_path(p, monkeypatch):
+    """Covariates 1e6 + U[0, 1]^p: the rounding bound scales with |x|^2, about
+    1e12 p, so the margin is wider than most gaps between neighbours' squared
+    distances and most rows take the exact path. p = 9 sums each distance's
+    squares pairwise (numpy does for 8 or more), as the oracle does."""
+    r = rng(11)
+    x = 1e6 + r.uniform(size=(300, p))
+    model = fit_quantile_model(x, r.normal(size=300), k=15)
+    xq = 1e6 + r.uniform(size=(40, p))
+    sent = _counting_exact_rows(monkeypatch)
+    betas = [0.1, 0.5, 1.0]
     got = model.quantile(xq, betas)
-    assert got.tobytes() == _argpartition_quantile(model, xq, betas).tobytes()
+    assert sum(sent) > xq.shape[0] // 2
+    _assert_rows_answer_alone(model, xq, betas, got)
+
+
+def test_knn_underflowing_products_match_the_oracle():
+    """At 1e-160 every square is below the smallest normal float, so the
+    products and the direct differences round to a handful of subnormal
+    steps; the absolute term of the rounding bound keeps every row exact."""
+    r = rng(12)
+    x = r.normal(size=(200, 3)) * 1e-160
+    model = fit_quantile_model(x, r.normal(size=200), k=9)
+    xq = np.vstack([r.normal(size=(30, 3)) * 1e-160, x[:10]])
+    betas = [0.25, 0.5, 1.0]
+    got = model.quantile(xq, betas)
+    assert (np.abs(x) ** 2 < np.finfo(float).tiny).all()
+    _assert_rows_answer_alone(model, xq, betas, got)
+
+
+def test_knn_certifies_a_row_only_past_twice_the_rounding_bound(monkeypatch):
+    """From the origin with p = 1 the product distances are exactly the
+    squares, so the gap between the nearest and the next point is known: 1.5
+    times the row's rounding bound takes the exact path, 2.5 times does not."""
+    tol = float(scores._rounding_bound(np.zeros(1), 16.0, 1)[0])
+    sent = _counting_exact_rows(monkeypatch)
+    for gap, exact in ((1.5, [1]), (2.5, [])):
+        x = np.array([[1.0], [math.sqrt(1.0 + gap * tol)], [4.0]])
+        model = fit_quantile_model(x, np.array([1.0, 2.0, 3.0]), k=1)
+        sent.clear()
+        assert model.quantile(np.zeros((1, 1)), 1.0).tolist() == [1.0]
+        assert sent == exact
+
+
+def test_knn_a_negative_kth_key_certifies_nothing():
+    """Negative floats' bits sort in reverse, so a k-th key below 0 bounds
+    nothing, however wide its gap to the next key."""
+    d = np.array([[-2.0 ** -40, -2.0 ** -41, 1.0, 9.0],
+                  [2.0 ** -41, 2.0 ** -40, 1.0, 9.0]])
+    b = 2
+    key = (d.view(np.int64) & ~3) | np.arange(4)
+    key.partition(2, axis=1)
+    assert scores._uncertified(key, 2, b, np.full(2, 1e-20)).tolist() == [True, False]
 
 
 def test_fit_turns_negative_zero_outcomes_positive():
