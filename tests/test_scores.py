@@ -329,9 +329,9 @@ def test_knn_low_bit_neighbours_take_the_exact_path(monkeypatch):
 
 
 # Near-duplicate training points whose product distances cancel to a few ulps
-# of |x|^2: with scipy-openblas 0.3.31 and the distance identity, querying the
-# second point alone gave its farther neighbour's outcome, 1.0, and querying
-# all three as one batch gave 2.0, 2.0, 1.0 in place of 1, 2, 3.
+# of |x|^2: with scipy-openblas 0.3.31 and the distance identity alone, the
+# first and second points queried one at a time got 2.0 and 1.0, and all three
+# as one batch got 3.0, 2.0, 1.0, in place of their own outcomes 1, 2, 3.
 _NEAR_DUPLICATES = np.array([[-323.242255680942, -323.2422556809422],
                              [-323.24225568094204, -323.2422556809422],
                              [-323.2422556809421, -323.2422556809422]])
