@@ -37,15 +37,15 @@ from .core import (
     ConfigError,
     DataError,
     Dataset,
-    SplitSpec,
     ValidationError,
+    _train_share,
     read_dataset,
     read_table,
     read_units,
     split,
     write_table,
 )
-from .nuisance import TargetSpec, _EnvelopeOverflow, fit_propensity
+from .nuisance import POPULATIONS, TargetSpec, _EnvelopeOverflow, fit_propensity
 from .pac import METHODS
 from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, clamp_k
 from .sensitivity import GammaGrid, NullSpec, survival_curve
@@ -117,7 +117,7 @@ def _plevel(s: str) -> float:
 def _pfraction(s: str) -> float:
     """A train share, checked by the split's own rule."""
     try:
-        return SplitSpec(_pfloat(s), 0).train_fraction
+        return _train_share(_pfloat(s))
     except ValidationError as exc:
         raise ValueError(str(exc)) from None
 
@@ -209,7 +209,7 @@ _FOLDS = {
 }
 
 _SCORE = _pchoice(*ScoreFn.KINDS)
-_POP = _pchoice("ate", "att", "atc")
+_POP = _pchoice(*POPULATIONS)
 
 _TABLES: dict[str, dict[str, _Opt]] = {
     "predict": {
@@ -227,7 +227,7 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         "test": _Opt(str, _REQUIRED, "test CSV with observed t,y"),
         "gamma_grid": _Opt(_pgrid, None, "grid of strengths; default 1..26"),
         "score": _Opt(_SCORE, "cqr_one_sided", "nonconformity score kind"),
-        "null_kind": _Opt(_pchoice("point", "le", "ge"), "le", "shape of the effect null set C"),
+        "null_kind": _Opt(_pchoice(*NullSpec.KINDS), "le", "shape of the effect null set C"),
         "null_a": _Opt(_pfloat, 0.0, "boundary of C"),
     },
     "worstcase": {
@@ -386,7 +386,7 @@ def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
             raise DataError(f"calibration has {calib.p} covariates, training has {train.p}")
         _check_covariates(resolved["calib"], calib.x)
         return train, calib
-    return split(train, SplitSpec(resolved["train_fraction"], resolved["seed"]))
+    return split(train, resolved["train_fraction"], resolved["seed"])
 
 
 def _check_covariates(path: str, x: np.ndarray) -> None:

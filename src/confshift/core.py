@@ -39,7 +39,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "SplitSpec",
     "ValidationError",
     "read_dataset",
     "rng",
@@ -283,32 +282,24 @@ class Dataset:
         return self.subset(np.nonzero(mask)[0])
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic train/calibration split: sizes floor(n*f) / remainder."""
-
-    train_fraction: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValidationError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+def _train_share(train_fraction: float) -> float:
+    """``train_fraction``, after checking that it lies in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    return train_fraction
 
 
-def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Random partition of ``ds`` into (train, calibration) folds.
+def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Random partition of ``ds`` into (train, calibration) folds of sizes
+    floor(n * train_fraction) and the remainder.
 
-    The permutation is a pure function of ``spec.seed``; identical seeds give
+    The permutation is a pure function of ``seed``; identical seeds give
     identical folds. Either fold coming out empty is an error ("empty-fold").
     """
-    n_train = int(math.floor(ds.n * spec.train_fraction))
+    n_train = int(math.floor(ds.n * _train_share(train_fraction)))
     if n_train == 0 or n_train == ds.n:
-        raise ValidationError(
-            f"empty-fold: n={ds.n}, train_fraction={spec.train_fraction}"
-        )
-    perm = rng(spec.seed).permutation(ds.n)
+        raise ValidationError(f"empty-fold: n={ds.n}, train_fraction={train_fraction}")
+    perm = rng(seed).permutation(ds.n)
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 

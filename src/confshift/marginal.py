@@ -120,17 +120,23 @@ def marginal_gap(w_eval, lo, hi, n_calib: int | None = None) -> float:
     the 1-norm the mean. ``n_calib`` defaults to the number of evaluation
     points.
     """
-    w = np.asarray(w_eval, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("w_eval must be a nonempty 1-d array")
+    w, l_hat, under, over = _envelope_misses(w_eval, lo, hi)
     n = w.size if n_calib is None else int(n_calib)
     if n < 1:
         raise ValidationError(f"n_calib must be >= 1, got {n_calib}")
+    terms = under.mean() + over.mean() + (w * over).mean() / n
+    return float((1.0 / l_hat).max() * terms)
+
+
+def _envelope_misses(w_eval, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The gap certificates' checked inputs ``w`` and ``lo`` as float arrays,
+    and by how much w leaves the envelope: (l - w)_+ where the lower bound is
+    too high, (w - u)_+ = (u - w)_- where the upper bound is too low. ``w_eval``
+    must be a nonempty 1-d array and each bound shaped like it."""
+    w = np.asarray(w_eval, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValidationError("w_eval must be a nonempty 1-d array")
     l_hat, u_hat = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if l_hat.shape != w.shape or u_hat.shape != w.shape:
         raise ValidationError("bounds and w_eval shapes disagree")
-
-    under = np.maximum(l_hat - w, 0.0)   # (l - w)_+, lower bound too high
-    over = np.maximum(w - u_hat, 0.0)    # (u - w)_-, upper bound too low
-    terms = under.mean() + over.mean() + (w * over).mean() / n
-    return float((1.0 / l_hat).max() * terms)
+    return w, l_hat, np.maximum(l_hat - w, 0.0), np.maximum(w - u_hat, 0.0)

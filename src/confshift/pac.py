@@ -58,7 +58,7 @@ import math
 import numpy as np
 
 from .core import PROB_SLACK, ValidationError, _envelope_sums
-from .marginal import CalibrationSet
+from .marginal import CalibrationSet, _envelope_misses
 
 __all__ = [
     "METHODS",
@@ -432,9 +432,5 @@ def pac_gap(w_eval, lo, hi) -> float:
     where gap is the population value of the penalty: the mass by which w
     leaves the envelope on either side bounds how far the envelope's lower
     CDF bound can overstate the target CDF."""
-    w = np.asarray(w_eval, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("w_eval must be a nonempty 1-d array")
-    under = np.maximum(np.asarray(lo, dtype=float) - w, 0.0)
-    over = np.maximum(w - np.asarray(hi, dtype=float), 0.0)
+    _, _, under, over = _envelope_misses(w_eval, lo, hi)
     return float(max(under.mean(), over.mean()))

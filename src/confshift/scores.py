@@ -118,9 +118,6 @@ def clamp_k(k: int | None, n: int) -> tuple[int, int]:
 class KNNQuantileModel:
     """Empirical conditional quantiles over the k nearest training points.
 
-    ``clipped`` records that the requested k exceeded the training size and
-    was clamped to n (a warning is emitted at fit time).
-
     :func:`fit_quantile_model` stores the outcomes as ``y + 0.0``, which
     turns each -0.0 into +0.0: with both zeros among a row's neighbours, the
     sign of a zero quantile would depend on the selection's internal order.
@@ -129,7 +126,6 @@ class KNNQuantileModel:
     x: np.ndarray
     y: np.ndarray
     k: int
-    clipped: bool = False
 
     def quantile(self, x: np.ndarray, beta) -> np.ndarray:
         """Conditional beta-quantile per row of x; beta may be a scalar
@@ -282,7 +278,7 @@ def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
             f"k={want} exceeds training size n={x.shape[0]}; clamping to n",
             stacklevel=2,
         )
-    return KNNQuantileModel(x=x, y=y, k=k, clipped=k < want)
+    return KNNQuantileModel(x=x, y=y, k=k)
 
 
 @dataclass(frozen=True)

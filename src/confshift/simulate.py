@@ -36,7 +36,8 @@ import numpy as np
 
 from .core import ValidationError, expit, ndtri, rng
 from .marginal import CalibrationSet, marginal_gap, robust_threshold_many
-from .nuisance import BoundPair, TargetSpec, bound_functions, fit_propensity, ratio_bounds
+from .nuisance import (BoundPair, PropensityModel, TargetSpec, bound_functions, fit_propensity,
+                       ratio_bounds)
 # pac_threshold is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) patches threshold callables at this module.
 from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
@@ -48,7 +49,6 @@ from .sensitivity import (GammaGrid, Interval, NullSpec, fdp_curve, fwer_estimat
 __all__ = [
     "SimConfig",
     "SuperPopDraw",
-    "TruePropensity",
     "beta_vector",
     "gen_superpop",
     "oracle_bound_pair",
@@ -101,10 +101,7 @@ class SuperPopDraw:
         return self.x.shape[0]
 
     def take(self, idx) -> "SuperPopDraw":
-        return SuperPopDraw(
-            x=self.x[idx], u=self.u[idx], t=self.t[idx], y0=self.y0[idx],
-            y1=self.y1[idx], e_x=self.e_x[idx], e_xu=self.e_xu[idx],
-        )
+        return SuperPopDraw(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def outcome(self, arm: int) -> np.ndarray:
         return self.y1 if arm == 1 else self.y0
@@ -113,8 +110,8 @@ class SuperPopDraw:
 def _concat(draws: list[SuperPopDraw]) -> SuperPopDraw:
     if len(draws) == 1:
         return draws[0]
-    return SuperPopDraw(*(np.concatenate([getattr(d, f) for d in draws])
-                          for f in ("x", "u", "t", "y0", "y1", "e_x", "e_xu")))
+    return SuperPopDraw(*(np.concatenate([getattr(d, f.name) for d in draws])
+                          for f in fields(SuperPopDraw)))
 
 
 def gen_superpop(
@@ -173,19 +170,14 @@ def true_treated_fraction(p: int) -> float:
     return float(z.sum())
 
 
-@dataclass(frozen=True)
-class TruePropensity:
-    """Oracle e(x) = expit(beta'x); satisfies the predict() protocol."""
-
-    p: int
-
-    def predict(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return expit(x @ beta_vector(self.p))
+def _oracle_nuisance(p: int) -> tuple[PropensityModel, float]:
+    """The true propensity e(x) = expit(beta'x) and treated fraction. On
+    [0, 1]^p e(x) lies in [0.30, 0.54], so the model's clip never acts."""
+    return PropensityModel(coef=beta_vector(p), intercept=0.0), true_treated_fraction(p)
 
 
 def oracle_bound_pair(target: TargetSpec, gamma: float, p: int) -> BoundPair:
-    return bound_functions(target, gamma, TruePropensity(p), true_treated_fraction(p))
+    return bound_functions(target, gamma, *_oracle_nuisance(p))
 
 
 def true_likelihood_ratio(draw: SuperPopDraw, target: TargetSpec) -> np.ndarray:
@@ -246,6 +238,8 @@ class SimConfig:
             raise ValidationError(f"unknown procedure {self.procedure!r}")
         if self.bounds not in ("oracle", "estimated"):
             raise ValidationError(f"unknown bounds mode {self.bounds!r}")
+        if not self.alphas:
+            raise ValidationError("alphas must name at least one level")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValidationError("alphas must lie in (0, 1)")
         if len(set(self.alphas)) < len(self.alphas):
@@ -262,8 +256,10 @@ class SimConfig:
         return TargetSpec(arm=self.arm, population=self.population)
 
 
-def _pool_until(cfg: SimConfig, r: np.random.Generator, arm: int, count: int) -> SuperPopDraw:
-    """IID prefix of the super-population ending at the count-th arm unit."""
+def _pool_until(cfg: SimConfig, r: np.random.Generator, arm: int,
+                count: int) -> tuple[SuperPopDraw, SuperPopDraw]:
+    """IID prefix of the super-population ending at the count-th arm unit,
+    and the prefix's ``count`` arm units."""
     rate = true_treated_fraction(cfg.p)
     rate = rate if arm == 1 else 1.0 - rate
     chunks: list[SuperPopDraw] = []
@@ -276,24 +272,22 @@ def _pool_until(cfg: SimConfig, r: np.random.Generator, arm: int, count: int) ->
         chunks.append(d)
         have += int((d.t == arm).sum())
     pool = _concat(chunks)
-    stop = np.nonzero(pool.t == arm)[0][count - 1]
-    return pool.take(slice(0, int(stop) + 1))
+    at = np.nonzero(pool.t == arm)[0][:count]
+    return pool.take(slice(0, int(at[-1]) + 1)), pool.take(at)
 
 
 def _draw_target_units(cfg: SimConfig, r: np.random.Generator, n: int) -> SuperPopDraw:
     """Fresh units from the target population (arm-conditioned for att/atc)."""
     if cfg.population == "ate":
         return gen_superpop(n, cfg.p, cfg.gamma_true, r, cfg.effect_kind, cfg.effect_a)
-    want = 1 if cfg.population == "att" else 0
-    pool = _pool_until(cfg, r, want, n)
-    return pool.take(np.nonzero(pool.t == want)[0])
+    return _pool_until(cfg, r, 1 if cfg.population == "att" else 0, n)[1]
 
 
 def _propensity(cfg: SimConfig, train: SuperPopDraw) -> tuple:
     """Propensity model and treated fraction behind the bounds: the oracle
     pair, or one propensity fit on the training fold."""
     if cfg.bounds == "oracle":
-        return TruePropensity(cfg.p), true_treated_fraction(cfg.p)
+        return _oracle_nuisance(cfg.p)
     return fit_propensity(train.x, train.t), float(np.mean(train.t == 1))
 
 
@@ -432,12 +426,10 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     cfg, seed = job
     r = rng(seed)
     arm = training_arm(cfg, "coverage")
-    train = _pool_until(cfg, r, arm, cfg.n_train)
-    calib = _pool_until(cfg, r, arm, cfg.n_calib)
+    train, train_arm = _pool_until(cfg, r, arm, cfg.n_train)
+    calib_arm = _pool_until(cfg, r, arm, cfg.n_calib)[1]
     test = _draw_target_units(cfg, r, cfg.n_test)
 
-    train_arm = train.take(np.nonzero(train.t == arm)[0])
-    calib_arm = calib.take(np.nonzero(calib.t == arm)[0])
     target = cfg.target()
     gammas = (cfg.gamma_true if cfg.gamma_bounds is None else cfg.gamma_bounds,)
     prop, p1 = _propensity(cfg, train)
@@ -449,8 +441,7 @@ def _coverage_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     # The gap certificates depend on the bounds, not on alpha.
     gaps: dict = {}
     if cfg.n_eval_gap > 0:
-        ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)
-        ev = ev.take(np.nonzero(ev.t == arm)[0])
+        ev = _pool_until(cfg, r, arm, cfg.n_eval_gap)[1]
         w = true_likelihood_ratio(ev, target)
         lo_true = oracle_bound_pair(target, gammas[0], cfg.p).lower(ev.x)
         (lo_est,), (hi_est,) = ratio_bounds(target, gammas, prop, p1, ev.x)
@@ -514,12 +505,10 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
     r = rng(seed)
     grid = GammaGrid(cfg.grid) if cfg.grid is not None else GammaGrid.default()
     arm = training_arm(cfg, "sensitivity")
-    train = _pool_until(cfg, r, arm, cfg.n_train)
-    calib = _pool_until(cfg, r, arm, cfg.n_calib)
+    train, train_c = _pool_until(cfg, r, arm, cfg.n_train)
+    calib_c = _pool_until(cfg, r, arm, cfg.n_calib)[1]
     test = _draw_target_units(cfg, r, cfg.n_test)
 
-    train_c = train.take(np.nonzero(train.t == arm)[0])
-    calib_c = calib.take(np.nonzero(calib.t == arm)[0])
     (fn,), q_test, thr = _calibrated_thresholds(
         cfg.target(), grid.values, *_propensity(cfg, train),
         (train_c.x, train_c.outcome(arm)), (calib_c.x, calib_c.outcome(arm)), test.x, "cqr_one_sided", cfg.alphas,

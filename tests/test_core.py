@@ -17,7 +17,6 @@ from scipy.special import ndtri as scipy_ndtri
 from confshift import (
     DataError,
     Dataset,
-    SplitSpec,
     ValidationError,
     read_dataset,
     rng,
@@ -81,8 +80,8 @@ def test_dataset_arm_filter():
 
 def test_split_deterministic_and_sized():
     ds = _toy_dataset(n=25)
-    tr1, ca1 = split(ds, SplitSpec(train_fraction=0.6, seed=11))
-    tr2, ca2 = split(ds, SplitSpec(train_fraction=0.6, seed=11))
+    tr1, ca1 = split(ds, train_fraction=0.6, seed=11)
+    tr2, ca2 = split(ds, train_fraction=0.6, seed=11)
     assert tr1.n == 15 and ca1.n == 10
     np.testing.assert_array_equal(tr1.x, tr2.x)
     np.testing.assert_array_equal(ca1.y, ca2.y)
@@ -94,9 +93,9 @@ def test_split_deterministic_and_sized():
 def test_split_rejects_empty_fold():
     ds = _toy_dataset(n=3)
     with pytest.raises(ValidationError):
-        split(ds, SplitSpec(train_fraction=0.01, seed=0))
+        split(ds, train_fraction=0.01, seed=0)
     with pytest.raises(ValidationError):
-        SplitSpec(train_fraction=1.5, seed=0)
+        split(ds, train_fraction=1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

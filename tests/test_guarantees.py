@@ -1,7 +1,8 @@
 """Monte Carlo checks of coverage guarantees that the docstrings state and the
 acceptance gate does not test: the gap certificates under a misspecified
-envelope, PAC coverage of the Hoeffding envelope, and validity with the
-over-coverage (sharpness) reported at several strengths.
+envelope, PAC coverage of the Hoeffding envelope, validity with the
+over-coverage (sharpness) reported at several strengths, and alg2's validity
+and sharpness against the envelope's exact worst case.
 
 Sizes, seeds and tolerances are fixed in advance; the observed numbers are
 printed (``pytest -s``) so a failure shows by how much it missed.
@@ -12,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from confshift import SimConfig, run_coverage_experiment
+from confshift import (DiscreteJoint, SimConfig, ratio_bounds, rng, run_coverage_experiment,
+                       worst_cdf_marginal)
+from confshift import simulate
 
 
 @pytest.mark.parametrize("gamma_bounds", [1.0, 1.3])
@@ -75,3 +78,47 @@ def test_validity_and_over_coverage_with_oracle_bounds(gamma):
         print(f"gamma={gamma} {name}: mean coverage {cov.mean():.3f}, "
               f"over-coverage {cov.mean() - (1.0 - alpha):+.3f} (SE {se:.3f})")
         assert cov.mean() >= 1.0 - alpha - 3.0 * se
+
+
+def test_alg2_covers_the_whole_envelope_class_and_is_sharp():
+    """alg2:wsr against every ratio inside the oracle envelope, not only the
+    generator's (Jin, Ren & Candes, Section 5.1). Per replication, G(v) is
+    the smallest target CDF at v over the class: ``worst_cdf_marginal`` over
+    fresh calibration-law arm units with their oracle l and u, at the
+    realized threshold v_hat. Validity: the share of replications with
+    G(v_hat) < 1 - alpha is at most delta plus 3 binomial standard errors.
+    Sharpness: the mean slack G(v_hat) - (1 - alpha) is below the Hoeffding
+    width M sqrt(log(2/delta) / (2n)), with M the envelope scale alg2 used
+    (its largest bound over the calibration units and the test unit) and n
+    the calibration units; the smallest width over replications counts.
+    Each replication takes ``_coverage_rep``'s steps and RNG order, then
+    draws the evaluation units."""
+    alpha, delta, n_reps, n_eval = 0.2, 0.05, 40, 20_000
+    cfg = SimConfig(n_train=1000, n_calib=2000, n_test=1, p=4, gamma_true=1.5,
+                    alphas=(alpha,), delta=delta, procedure="alg2", envelope="wsr",
+                    bounds="oracle", n_reps=n_reps, seed=404)
+    target, gammas, arm = cfg.target(), (cfg.gamma_true,), cfg.arm
+    worst, widths = [], []
+    for seed in simulate._rep_seeds(cfg):
+        r = rng(seed)
+        train, train_arm = simulate._pool_until(cfg, r, arm, cfg.n_train)
+        calib = simulate._pool_until(cfg, r, arm, cfg.n_calib)[1]
+        test = simulate._draw_target_units(cfg, r, cfg.n_test)
+        prop, p1 = simulate._propensity(cfg, train)
+        (fn,), _, thr = simulate._calibrated_thresholds(
+            target, gammas, prop, p1, (train_arm.x, train_arm.outcome(arm)),
+            (calib.x, calib.outcome(arm)), test.x, cfg.score, cfg.alphas,
+            ((cfg.procedure, cfg.envelope),), delta)
+        ev = simulate._pool_until(cfg, r, arm, n_eval)[1]
+        (lo,), (hi,) = ratio_bounds(target, gammas, prop, p1, ev.x)
+        joint = DiscreteJoint(fn.score(ev.x, ev.outcome(arm)), np.full(n_eval, 1.0 / n_eval),
+                              lo, hi)
+        worst.append(worst_cdf_marginal(joint, float(thr[0, 0, 0, 0])))
+        m = max(ratio_bounds(target, gammas, prop, p1, x)[1].max() for x in (calib.x, test.x))
+        widths.append(m * math.sqrt(math.log(2.0 / delta) / (2.0 * cfg.n_calib)))
+    slack = np.array(worst) - (1.0 - alpha)
+    share, cap = float(np.mean(slack < 0.0)), delta + 3.0 * math.sqrt(delta * (1 - delta) / n_reps)
+    print(f"alg2:wsr gamma=1.5: share G < 1 - alpha {share:.3f} <= {cap:.3f}; "
+          f"mean slack {slack.mean():.4f} < width {min(widths):.4f}")
+    assert share <= cap
+    assert slack.mean() < min(widths)

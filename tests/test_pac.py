@@ -13,6 +13,7 @@ from confshift import (
     ValidationError,
     envelope_hoeffding,
     envelope_wsr,
+    marginal_gap,
     pac_gap,
     pac_threshold,
     pac_threshold_path,
@@ -727,3 +728,14 @@ def test_pac_gap_hand_values():
     assert pac_gap(w, w, w) == 0.0
     with pytest.raises(ValidationError):
         pac_gap(np.array([]), w, w)
+
+
+@pytest.mark.parametrize("gap", [marginal_gap, pac_gap])
+@pytest.mark.parametrize("lo, hi", [
+    ([[1.5], [0.5]], [[3.0], [3.0]]),   # column bounds, which would broadcast to 2 x 2
+    ([1.5, 0.5, 1.0], [3.0, 3.0]),
+    ([1.5, 0.5], [3.0, 3.0, 3.0]),
+])
+def test_gap_certificates_refuse_bounds_not_shaped_like_w(gap, lo, hi):
+    with pytest.raises(ValidationError, match="shapes disagree"):
+        gap(np.array([1.0, 2.0]), lo, hi)

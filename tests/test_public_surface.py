@@ -1,13 +1,17 @@
-"""The public surface: every name ``confshift`` exports has a caller.
+"""The public surface: every name ``confshift`` exports has a caller, and
+every private helper has a reader in the package.
 
 A name counts as used when the package source, the README (its Python
 examples and inline code) or the acceptance gate reads it. Its definition,
 an import of it and its ``__all__`` entry do not count, so a name that only
-the unit tests keep alive shows up here.
+the unit tests keep alive shows up here. A private name (one leading
+underscore) counts as used only when the package source reads it outside
+its own definition; reads from the tests do not count.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import confshift
@@ -50,3 +54,35 @@ def test_every_exported_name_has_a_caller():
 
 def test_no_private_name_is_exported():
     assert [name for name in confshift.__all__ if name.startswith("_")] == []
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """Every name and attribute that ``node`` loads, with repeats."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining statement) for each private module-level function,
+    class and constant, and for each private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            yield from ((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_private_helper_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "confshift").glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name, node in _private_definitions(tree)
+              if name.startswith("_") and not name.endswith("__")
+              and reads[name] <= _reads(node).count(name)]
+    assert unread == []

@@ -255,6 +255,13 @@ def test_sim_config_rejects_nonfinite_strengths(field, value):
         SimConfig(n_train=10, n_calib=10, **{field: value})
 
 
+@pytest.mark.parametrize("run", [run_coverage_experiment, run_sensitivity_experiment])
+def test_a_campaign_without_alphas_is_refused_by_name(run):
+    # An empty alphas used to pass the config and fail in numpy's reshape.
+    with pytest.raises(ValidationError, match="alphas"):
+        run(SimConfig(n_train=40, n_calib=40, n_test=5, alphas=()))
+
+
 def _tiny_cfg(**kw):
     base = dict(
         n_train=60,
@@ -345,6 +352,26 @@ def test_sensitivity_survival_orders_with_effect_size():
         rep = run_sensitivity_experiment(cfg)
         areas.append(float(np.mean(rep["alg1"]["survival_mean"])))
     assert areas[1] > areas[0]
+
+
+def test_gamma_hat_is_nondecreasing_in_the_effect_size():
+    """With common seeds, only Y(1) = Y(0) + a moves with the effect size a:
+    the draw's RNG order, T and the control calibration do not depend on it.
+    A treated unit's effect interval has lower end (y0 + a) - cf.hi, which
+    only grows with a, so every unit's sensitivity value is nondecreasing in
+    a, for alg1 and alg2 (Jin, Ren & Candes, Section 5.2).
+    Compared with >=: censored values are +inf."""
+    effects = (-1.0, 0.0, 0.5, 1.0, 2.0)
+    for gamma in (1.2, 2.0):
+        cfgs = [SimConfig(n_train=500, n_calib=1000, n_test=100, p=4, gamma_true=gamma,
+                          alphas=(0.1,), delta=0.05, envelope="wsr", effect_a=a,
+                          n_reps=3, seed=808) for a in effects]
+        for rep in range(3):
+            gh = [simulate._sensitivity_rep((cfg, simulate._rep_seeds(cfg)[rep])) for cfg in cfgs]
+            for key in ("alg1", "alg2"):
+                vals = np.array([g[key] for g in gh])
+                assert (vals[1:] >= vals[:-1]).all(), (gamma, rep, key)
+                assert (vals[-1] > vals[0]).any()
 
 
 def test_scan_replication_fits_the_propensity_once(monkeypatch):
