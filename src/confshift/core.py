@@ -337,7 +337,11 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
 #   field limit, which the cell reader refuses.
 #
 # Output cells: floats via repr (bit-exact on reading back), an empty cell for
-# a non-finite float, ints and bools as ints, strings as given.
+# a non-finite float, ints and bools as ints, strings as given, quoted with
+# each '"' doubled when they hold a comma, a quote, \r or \n (the csv
+# module's QUOTE_MINIMAL rule). A table is UTF-8: the optional comment line
+# ends in \n, the header and every data row in \r\n, and a one-column row
+# whose cell is empty is written '""', so that no data line is empty.
 
 _OUTCOMES = ("t", "y", "y1", "y0")
 
@@ -516,29 +520,42 @@ def read_dataset(path: str) -> Dataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _text_cell(value) -> str:
+    """``str(value)``, quoted under the output rule above."""
+    cell = str(value)
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column_cells(col: np.ndarray) -> list[str]:
+    """The cells of one column under the output rule above."""
+    if col.dtype.kind == "f":
+        cells = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            cells[i] = ""
+        return cells
+    if col.dtype.kind in "biu":
+        return list(map(str, col.astype(int).tolist()))
+    return list(map(_text_cell, col.tolist()))
+
+
 def write_table(path: str, columns: dict[str, np.ndarray], comment: str | None) -> None:
     """Write equal-length 1-D columns as a CSV, after a '# comment' line.
 
-    Cells follow the output rule above; the csv module writes a Python float
-    with ``str``, which is its shortest round-trip ``repr``.
+    The bytes are those the csv module's default writer gives: UTF-8, the
+    comment line (when given) ending in \n, then the header and one row per
+    entry, each ending in \r\n. Cells follow the output rule above: each
+    column is formatted once, and each row is its cells joined by ",".
+    Columns of unequal length raise ValueError, and nothing is written.
     """
-    cells = []
-    for col in map(np.asarray, columns.values()):
-        if col.dtype.kind == "f":
-            out = col.tolist()
-            for i in np.flatnonzero(~np.isfinite(col)).tolist():
-                out[i] = ""
-        elif col.dtype.kind in "biu":
-            out = col.astype(int).tolist()
-        else:
-            out = col.tolist()
-        cells.append(out)
+    cells = [_column_cells(np.asarray(col)) for col in columns.values()]
+    lines = [",".join(map(_text_cell, columns)), *map(",".join, zip(*cells, strict=True))]
+    if len(cells) == 1:
+        lines = [line or '""' for line in lines]
+    text = "\r\n".join(lines) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+        fh.write(f"# {comment}\n{text}" if comment else text)
 
 
 def write_dataset(path: str, ds: Dataset, comment: str | None = None) -> None:

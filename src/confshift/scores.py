@@ -57,8 +57,22 @@ one at least nk's class floor (nk with them cleared). A row is certified
 when kk >= 0 and floor - ceiling > 2 tol: then every picked point's d is
 below every other point's d, so the k picked are the row's k nearest under
 d, with no tie at the k-th. Negative floats' bits sort in reverse, so a
-negative kk bounds nothing. Every other row (ties, near ties, negative
-product distances) gets d to every training point and takes the tie path.
+negative kk bounds nothing.
+
+The window. Every other row (ties, near ties, negative product distances)
+takes the tie path, with d computed only to its candidates: the points whose
+key's class floor is at most c + 2 tol, with c the class ceiling of kk (every
+point, when kk < 0). Every neighbour under d is a candidate:
+
+* the k picked points have e <= c (a non-negative key at most kk has e at
+  most c, a negative one has e < 0), so d <= c + tol at k points and the
+  k-th smallest d, D_k, is at most c + tol;
+* a neighbour has d <= D_k, so e <= d + tol <= c + 2 tol, and its class
+  floor is at most its e.
+
+So every other point's d is above D_k, and +inf in its place moves neither
+the k-th distance nor the set at or within it. The factor 1.6 in tol covers
+the rounding of c + 2 tol, as it covers the certificate's test.
 
 No overflow. With every |.|^2 at most ``MAX_SQ_NORM`` = max / 8, each
 product |a_l 2 x_l| <= 2 |a| |x| <= max / 4 and every partial sum of the
@@ -186,8 +200,8 @@ class KNNQuantileModel:
         exact = _uncertified(key, k, b, tol)
         q = _lower_quantiles(np.sort(self.y[key[:, :k] & low], axis=1), np.full(rows, k), betas)
         if exact.any():
-            # The keys are read: the buffer takes the exact rows' distances.
-            d = _direct_sq_dists(xq[exact], self.x, buf)
+            # The exact rows' keys are copied out: the buffer takes their distances.
+            d = _candidate_sq_dists(xq[exact], self.x, key[exact], k, b, tol[exact], buf)
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
             q[exact] = _lower_quantiles(*_tied_neighbours(d, kth, self.y), betas)
         return q
@@ -211,14 +225,29 @@ def _rounding_bound(xq_sq: np.ndarray, x_sq_max: float, p: int) -> np.ndarray:
     return (8 * (p + 2) * _U) * (xq_sq + x_sq_max) + (8 * (p + 2) * _ETA)
 
 
-def _direct_sq_dists(xq: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """((xq_i - x_j) ** 2).sum() for every pair, into the first rows of out,
-    about ``_BLOCK_ENTRIES`` differences at a time. Elementwise, so a row's
-    distances do not depend on the rows computed with it."""
+def _candidate_sq_dists(xq: np.ndarray, x: np.ndarray, key: np.ndarray, k: int, b: int,
+                        tol: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Direct distances ((xq_i - x_j) ** 2).sum() from each row of xq to its
+    candidates, +inf to every other training point, into the first rows of
+    out, about ``_BLOCK_ENTRIES`` differences at a time. ``key`` holds the
+    rows' keys partitioned at k with b low bits for the column, ``tol`` their
+    rounding bounds. A candidate's class floor is at most the k-th key's
+    class ceiling plus 2 tol; a row whose k-th key is negative takes every
+    column. The module docstring shows that every neighbour is a candidate.
+    Elementwise, so a row's distances do not depend on the rows computed
+    with it."""
+    low = (1 << b) - 1
+    kk = key[:, :k].max(axis=1)
+    # A negative key's class floor is a negative float, under any limit.
+    limit = np.where(kk < 0, np.inf, (kk | low).view(float) + 2.0 * tol)
+    rows, at = np.nonzero((key & ~low).view(float) <= limit[:, None])
+    cols = key[rows, at] & low
     d = out[: xq.shape[0]]
-    step = max(1, _BLOCK_ENTRIES // x.size)
-    for lo in range(0, xq.shape[0], step):
-        np.sum((xq[lo : lo + step, None, :] - x) ** 2, axis=-1, out=d[lo : lo + step])
+    d.fill(np.inf)
+    step = max(1, _BLOCK_ENTRIES // x.shape[1])
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        d[r, c] = ((xq[r] - x[c]) ** 2).sum(-1)
     return d
 
 

@@ -1168,6 +1168,9 @@ def _recorded_cases():
     cases["simulate-coverage-alg2:wsr-gap"] = (
         "simulate", [*_COV_ARGS, "--n-calib", "400", "--alphas", "0.5,0.2",
                      "--procedure", "alg2", "--envelope", "wsr", "--n-eval-gap", "200"])
+    cases["worstcase-witness"] = (
+        "worstcase", ["--instance", "instance", "--at", "0.5,1.0,1.25,2.0,3.0",
+                      "--witness", "true"])
     return cases
 
 
@@ -1257,6 +1260,14 @@ _DIGESTS = {
         "report.json":
             "d8e771089d68d76f1fb70f49a5a1f8c11d88705b679d7822e7d139181b171572",
     },
+    # Recorded with the csv.writer version of write_table, before it joined
+    # each row from per-column strings.
+    "worstcase-witness": {
+        "cdf.csv":
+            "9ce417f78a888b643c78979e63dfe782d4f2f52170ce8165eeee71dc01e56f23",
+        "witness.csv":
+            "c13629bca3341cd5988c021e713d71c1b73fda3abec3bc0f2419d76817009c05",
+    },
 }
 
 
@@ -1276,7 +1287,7 @@ def _output_digests(out_dir) -> dict[str, str]:
 def test_outputs_match_recorded_digests(corpus, tmp_path, case):
     command, args = _CASES[case]
     args = [corpus.get(a, a) for a in args]
-    folds = [] if command == "simulate" else [
+    folds = [] if command in ("simulate", "worstcase") else [
         "--train", corpus["train"], "--calib", corpus["calib"]]
     out = tmp_path / "run"
     assert main([command, *folds, *args, "--out-dir", str(out)]) == 0

@@ -216,6 +216,82 @@ def test_write_table_cell_format(tmp_path):
                                  b'2,0,,-0.0,"b,c"\r\n3,1,,5e-324,d\r\n')
 
 
+def _csv_writer_table(path, columns, comment):
+    """The csv.writer version of write_table, verbatim: the oracle for the
+    bytes the package writes."""
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        if col.dtype.kind == "f":
+            out = col.tolist()
+            for i in np.flatnonzero(~np.isfinite(col)).tolist():
+                out[i] = ""
+        elif col.dtype.kind in "biu":
+            out = col.astype(int).tolist()
+        else:
+            out = col.tolist()
+        cells.append(out)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308,
+                                1e308, -1.7976931348623157e308, 0.1, 1 / 3, 123456789.0])
+_CELL_TEXT = st.text(st.sampled_from('ab ,"\r\n#'), max_size=4)
+
+
+def _written_column(n):
+    return st.one_of(
+        st.lists(_EDGE_FLOATS | st.floats(), min_size=n, max_size=n).map(np.array),
+        st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
+        st.lists(_CELL_TEXT, min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6), width=st.integers(0, 4), comment=st.sampled_from([None, "", "stamp"]),
+       data=st.data())
+def test_write_table_bytes_equal_the_csv_writer(n, width, comment, data):
+    """Floats (nan, +-inf, -0.0, subnormal, huge), int, bool and text columns
+    (commas, quotes, CR, LF, empty cells), tables with no rows and one-column
+    tables with empty cells: write_table's bytes are the csv writer's."""
+    names = data.draw(st.lists(_CELL_TEXT | st.sampled_from(["x1", "gamma"]),
+                               min_size=width, max_size=width, unique=True))
+    columns = {name: data.draw(_written_column(n)) for name in names}
+    with tempfile.TemporaryDirectory() as d:
+        got, want = os.path.join(d, "got.csv"), os.path.join(d, "want.csv")
+        write_table(got, columns, comment)
+        _csv_writer_table(want, columns, comment)
+        with open(got, "rb") as fg, open(want, "rb") as fw:
+            assert fg.read() == fw.read()
+
+
+@pytest.mark.parametrize("columns, body", [
+    ({"s": ["", "a", ""]}, b's\r\n""\r\na\r\n""\r\n'),
+    ({"f": np.array([np.nan, 1.5])}, b'f\r\n""\r\n1.5\r\n'),
+    ({"": np.array([1.0])}, b'""\r\n1.0\r\n'),
+    ({"x1": np.array([], dtype=float), "t": np.array([], dtype=int)}, b"x1,t\r\n"),
+])
+def test_write_table_edge_tables_equal_the_csv_writer(tmp_path, columns, body):
+    """A one-column table with an empty cell (or an empty header name), which
+    the csv writer quotes as '""' so that no line is empty, and a table with
+    no rows."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_table(str(got), columns, "stamp")
+    _csv_writer_table(str(want), columns, "stamp")
+    assert got.read_bytes() == want.read_bytes() == b"# stamp\n" + body
+
+
+def test_write_table_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(str(tmp_path / "out.csv"), {"a": np.arange(3.0), "b": np.arange(2)}, None)
+
+
 def test_write_dataset_writes_nonfinite_values_as_empty_cells(tmp_path):
     path = tmp_path / "ds.csv"
     write_dataset(str(path), Dataset([[np.inf], [-np.inf]], [1, 0], [np.nan, 2.5]))

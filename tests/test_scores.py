@@ -417,6 +417,51 @@ def test_knn_a_negative_kth_key_certifies_nothing():
     assert scores._uncertified(key, 2, b, np.full(2, 1e-20)).tolist() == [True, False]
 
 
+def test_knn_tied_rows_measure_only_their_candidates(monkeypatch):
+    """Integer covariates on 0..99 with p = 4, 1,000 training points and the
+    default k: a few percent of rows tie at the k-th distance, and each gets
+    the oracle's answer from direct distances to its candidates alone, far
+    fewer than n per tied row."""
+    r = rng(23)
+    n = 1000
+    x = r.integers(0, 100, size=(n, 4)).astype(float)
+    y = r.normal(size=n)
+    xq = r.integers(0, 100, size=(300, 4)).astype(float)
+    measured = []
+    real = scores._tied_neighbours
+
+    def counting(d2, kth, y):
+        measured.append((d2.shape[0], int(np.isfinite(d2).sum())))
+        return real(d2, kth, y)
+
+    monkeypatch.setattr(scores, "_tied_neighbours", counting)
+    model = fit_quantile_model(x, y)
+    assert model.k == 50
+    betas = [0.1, 0.5, 0.9, 1.0]
+    got = model.quantile(xq, betas)
+    tied = sum(rows for rows, _ in measured)
+    direct = sum(count for _, count in measured)
+    assert 0 < tied < xq.shape[0]
+    assert tied * model.k <= direct < tied * n
+    np.testing.assert_array_equal(got, _knn_quantile_oracle(x, y, model.k, xq, betas))
+
+
+def test_knn_a_negative_kth_key_measures_every_column():
+    """A row whose k-th key is negative bounds nothing, so it gets a direct
+    distance to every training point; a row with a non-negative k-th key
+    only to the points within its window."""
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    xq = np.array([[0.5], [0.5]])
+    d = np.array([[-2.0 ** -40, -2.0 ** -41, 1.0, 9.0],
+                  [2.0 ** -41, 2.0 ** -40, 1.0, 9.0]])
+    b = 2
+    key = (d.view(np.int64) & ~3) | np.arange(4)
+    key.partition(2, axis=1)
+    got = scores._candidate_sq_dists(xq, x, key, 2, b, np.full(2, 1e-20), np.empty((2, 4)))
+    assert got[0].tolist() == [0.25, 0.25, 2.25, 6.25]
+    assert got[1].tolist() == [0.25, 0.25, np.inf, np.inf]
+
+
 def test_fit_turns_negative_zero_outcomes_positive():
     # With -0.0 and +0.0 among a row's neighbours the sign of a zero
     # quantile would rest on the selection's internal order.
