@@ -16,7 +16,8 @@ endpoints are serialized as empty cells next to boolean ``unbounded_lo`` /
 
 Exit codes: 0 success (with at most one ``confshift: warning:`` line, for
 a k above the training size), 2 malformed or insufficient input data, 3 bad
-configuration (including missing files and unknown keys).
+configuration (including missing files, unknown keys, and a ``--config`` or
+``--out-dir`` path the run cannot read or write).
 """
 
 from __future__ import annotations
@@ -350,6 +351,12 @@ def _stamp(resolved: dict, h: str) -> str:
     return f"confshift config_hash={h} seed={resolved['seed']}"
 
 
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _write_manifest(resolved: dict, h: str, command: str, outputs: list[str],
                     results: dict | None = None) -> None:
     manifest = {
@@ -361,10 +368,7 @@ def _write_manifest(resolved: dict, h: str, command: str, outputs: list[str],
     }
     if results:
         manifest["results"] = results
-    path = os.path.join(resolved["out_dir"], "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(resolved["out_dir"], "manifest.json"), manifest)
 
 
 def _read_test(path: str, p_train: int, need_outcome: bool) -> dict[str, np.ndarray]:
@@ -419,10 +423,9 @@ def _k_clamp_warning(k: int | None, sizes: dict[int, int]) -> str | None:
 
 
 def _fit_nuisance(train: Dataset) -> tuple:
-    p1 = float(np.mean(train.t == 1))
-    if p1 in (0.0, 1.0):
-        raise DataError(f"training data has no units with t={int(p1 == 0.0)}")
-    return fit_propensity(train.x, train.t), p1
+    for arm in (0, 1):
+        _need_arm(train, arm, "training")
+    return fit_propensity(train.x, train.t), float(np.mean(train.t == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +568,7 @@ def cmd_simulate(resolved: dict, h: str) -> str | None:
     write_table(os.path.join(out_dir, curve), columns, _stamp(resolved, h))
     report["config_hash"] = h
     report["kind"] = resolved["kind"]
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"), report)
     _write_manifest(resolved, h, "simulate", [curve, "manifest.json", "report.json"])
     return warning
 
@@ -580,7 +581,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and a build costs about as much as reading a units file."""
     parser = _Parser(prog="confshift",
                      description="Prediction sets under bounded likelihood-ratio shift.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -590,13 +594,6 @@ def _build_parser() -> _Parser:
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, dest=key, default=None, metavar="V", help=opt.help)
     return parser
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it as
-    it was, and a build costs about as much as reading a units file."""
-    return _build_parser()
 
 
 def _strength_key(command: str, resolved: dict) -> str:
@@ -620,8 +617,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"confshift: config error: bad value for {_strength_key(ns.command, resolved)}: "
               f"{exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"confshift: config error: missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # the --config file or an output path; data files raise DataError
+        where = "" if exc.filename is None else f" {exc.filename}"
+        print(f"confshift: config error: cannot use{where}: {exc.strerror or exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValidationError) as exc:
         print(f"confshift: config error: {exc}", file=sys.stderr)

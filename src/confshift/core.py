@@ -329,10 +329,7 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
 #   line (numpy would skip it), a non-finite cell, a spelling float() takes
 #   and numpy does not ("1_0", non-ASCII digits), a file with a \x1c-\x1f
 #   separator (numpy strips them as spaces, float() refuses them) and a
-#   quoted field that runs past its line (numpy would join the lines).
-#   A line whose first field is quoted and starts with '#' is a comment to
-#   the csv module; the fast path keeps it as data, numpy refuses it, and so
-#   the cell reader skips it.
+#   file holding '"': only the csv module parses quoted fields.
 #   The fast path also reads a numeric field longer than the csv module's
 #   field limit, which the cell reader refuses.
 #
@@ -430,32 +427,20 @@ def _cell_table(path: str, text: str) -> CsvTable:
                     [no for no, _ in records[1:]])
 
 
-def _quote_runs_on(line: str) -> bool:
-    """Whether a quoted field opened on ``line`` runs past its end, so that
-    the csv module takes the next lines into it (or the field is too long
-    for the csv module)."""
-    try:
-        return any("\n" in f for f in next(csv.reader([line + "\n"])))
-    except csv.Error:
-        return True
-
-
 def _fast_table(path: str, text: str) -> CsvTable | None:
     """The fast path's table, or None when the cell reader must decide."""
-    if any(c in text for c in _NOT_FLOAT_SPACE):
+    if '"' in text or any(c in text for c in _NOT_FLOAT_SPACE):
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = list(filter(None, text.split("\n")))
-    if '"' in text and any(_quote_runs_on(s) for s in lines if '"' in s):
-        return None
     if "#" in text:
         lines = [s for s in lines if not s.lstrip().startswith("#")]
     if len(lines) < 2:
         return None
     try:
         header = [c.strip() for c in next(csv.reader(lines[:1]))]
-        values = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):
         return None
     if values.shape != (len(lines) - 1, len(header)) or not np.isfinite(values).all():

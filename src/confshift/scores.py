@@ -88,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import PROB_SLACK, ValidationError
 
 __all__ = [
     "KNNQuantileModel",
@@ -285,7 +285,7 @@ def _checked_sq_norms(x: np.ndarray, what: str) -> np.ndarray:
 
 def _lower_quantiles(ys: np.ndarray, counts: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Entry ceil(beta * count) - 1 of each sorted row of ys, for every level."""
-    idx = np.ceil(betas[None, :] * counts[:, None] - 1e-12).astype(int) - 1
+    idx = np.ceil(betas[None, :] * counts[:, None] - PROB_SLACK).astype(int) - 1
     return ys[np.arange(ys.shape[0])[:, None], np.maximum(idx, 0)]
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ValidationError, _envelope_sums
+from .core import PROB_SLACK, ValidationError, _envelope_sums
 
 __all__ = [
     "CausalDiscreteJoint",
@@ -121,7 +121,7 @@ def worst_witness_marginal(d: DiscreteJoint) -> MarginalWitness:
     # drops, the feasibility tolerance left H(max v) = E[l] a hair above 1.
     vs, cum_lo, tail_hi = d._sums
     ends = np.flatnonzero(np.append(vs[1:] != vs[:-1], True)) + 1
-    hit = cum_lo[ends] + tail_hi[ends] <= 1.0 + 1e-12
+    hit = cum_lo[ends] + tail_hi[ends] <= 1.0 + PROB_SLACK
     t_star = float(vs[ends[np.argmax(hit)] - 1] if hit.any() else vs[-1])
     h_at = float(d.m @ np.where(d.v <= t_star, d.lo, d.hi))
     strictly_below = d.v < t_star

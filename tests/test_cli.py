@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from confshift import cli
 from confshift.cli import _TABLES, main
 from confshift.core import Dataset, write_dataset
 from confshift.scores import KNNQuantileModel
-from confshift.simulate import SimConfig
+from confshift.simulate import _UNREAD, SimConfig
 from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
 
 
@@ -515,6 +516,15 @@ def test_every_sim_config_field_has_a_simulate_option():
     assert {f.name for f in dataclasses.fields(SimConfig)} <= set(_TABLES["simulate"])
 
 
+def test_simulate_defaults_agree_with_the_unread_setting_rule():
+    """``simulate._reject_unread`` refuses a field a campaign never reads
+    when it is off SimConfig's default; the CLI fills every field from its
+    own defaults, so the two must agree on each field the rule compares."""
+    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    for name in {*itertools.chain(*_UNREAD.values()), "envelope", "delta"}:
+        assert _TABLES["simulate"][name].default == defaults[name], name
+
+
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
@@ -730,6 +740,26 @@ def test_undecodable_config_file_exits_3(corpus, tmp_path, capsys):
     assert "config error" in err and "bad.cfg: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("out, config, path", [
+    ("file", None, "file"),               # --out-dir names a file
+    ("dir", None, "dir/cdf.csv"),         # an output name is a directory
+    ("file/sub", None, "file/sub"),       # --out-dir lies under a file
+    ("o", "dir", "dir"),                  # --config names a directory
+    ("o", "nope.cfg", "nope.cfg"),        # --config is missing
+])
+def test_a_path_the_run_cannot_use_exits_3(corpus, tmp_path, capsys, out, config, path):
+    """One config-error line naming the path: an output or --config path
+    that cannot be opened or made is a bad configuration."""
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    (tmp_path / "dir" / "cdf.csv").mkdir(parents=True)
+    flags = ["--out-dir", str(tmp_path / out)]
+    flags += [] if config is None else ["--config", str(tmp_path / config)]
+    assert main(["worstcase", "--instance", corpus["instance"], *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"confshift: config error: cannot use {tmp_path / path}: ")
+
+
 def test_field_over_the_csv_limit_exits_2(corpus, tmp_path, capsys):
     """A non-numeric field past the csv module's 131,072 characters: numpy's
     reader refuses the cell, and the cell reader's csv.Error names the file."""
@@ -745,12 +775,9 @@ def test_field_over_the_csv_limit_exits_2(corpus, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_parser_is_built_once_and_reused(corpus, tmp_path, monkeypatch):
+def test_parser_is_built_once_and_reused(corpus, tmp_path):
     """A usage error, a predict and a sensitivity run through one parser
     write what fresh processes write, and the parser is built once."""
-    builds = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
     cli._parser.cache_clear()
     runs = {
         "predict": ["predict", "--train", corpus["train"], "--calib", corpus["calib"],
@@ -764,7 +791,7 @@ def test_parser_is_built_once_and_reused(corpus, tmp_path, monkeypatch):
     assert exc.value.code == 3
     for name, argv in runs.items():
         assert main([*argv, "--out-dir", str(tmp_path / "in" / name)]) == 0
-    assert len(builds) == 1
+    assert cli._parser.cache_info().misses == 1
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     for name, argv in runs.items():
