@@ -54,6 +54,7 @@ coverage.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,8 @@ METHODS = ("plugin", "hoeffding", "wsr")
 _WSR_TOL = 1e-10
 _LEAF = 8
 _BOUND_FIRST = 4
+_WINDOW = 16
+_SCRATCH_ROWS = max(_LEAF, _WINDOW)  # the most candidates one leaf tests
 _BOUND_MARGIN = 1e-9
 
 
@@ -102,13 +105,31 @@ def _check_m(calib: CalibrationSet, m: float | None) -> float:
     return float(m)
 
 
+class _Side(NamedTuple):
+    """One side of the WSR envelope for one set: its summand at a unit is
+    ``below`` when the unit's score is at or below t and ``above`` otherwise
+    (arrays over the units, or one float for all), and ``g0`` is its bet."""
+
+    below: np.ndarray | float
+    above: np.ndarray | float
+    g0: float
+
+
+def _sides(calib: CalibrationSet, m: float, alpha: float = math.nan) -> tuple[_Side, _Side]:
+    """The l side (f = 1{V <= t} l / M, bet (1 - alpha) / M) and the u side
+    (h = 1 - 1{V > t} u / M, bet (M - alpha) / M) of ``calib``."""
+    return (_Side(calib.lo / m, 0.0, (1.0 - alpha) / m),
+            _Side(1.0, 1.0 - calib.hi / m, (m - alpha) / m))
+
+
 class _Kernel:
     """The WSR log-wealth arithmetic at one sample size n and level delta.
 
-    Built once per search (or per envelope value): ``den`` holds 1 + j for
-    j = 1..n and ``c2`` is 2 log(2/delta). Each method writes its running
-    means, squared deviations, betting fractions and log-wealth into scratch
-    arrays of its own call, in place, with the operations of
+    Built once per search path (or per envelope value): ``den`` holds 1 + j
+    for j = 1..n and ``c2`` is 2 log(2/delta). Each method writes its running
+    means, squared deviations, betting fractions and log-wealth in place,
+    into arrays of its own call or into ``out``/``work``, with the
+    operations of
 
         mu_j  = (1/2 + sum_{k<=j} f_k) / (1 + j)
         s_j   = (1/4 + sum_{k<=j} (f_k - mu_k)^2) / (1 + j),   s_0 = 1/4
@@ -116,41 +137,47 @@ class _Kernel:
         W(g)  = max_i sum_{j<=i} log max{1 + nu_j (f_j - g), 0}
 
     in this order (``x += c`` for ``c + x`` and ``a *= a`` for ``a ** 2`` give
-    the same floats), so the dominance argument of ``_wsr_first_crossing``
-    holds for every float the kernel returns.
+    the same floats), so the dominance arguments of ``_wsr_first_crossing``
+    hold for every float the kernel returns. A kernel built with ``rows``
+    holds three (rows, n) scratch arrays that :meth:`passes` fills for up to
+    ``rows`` candidates at a time; they go when the kernel does.
     """
 
-    def __init__(self, n: int, delta: float) -> None:
+    def __init__(self, n: int, delta: float, rows: int = 0) -> None:
         self.den = 1.0 + np.arange(1, n + 1)
         self.thresh = math.log(2.0 / delta)
         self.c2 = 2.0 * self.thresh
+        self._f, self._w, self._nu = (np.empty((rows, n)) for _ in range(3))
 
     def _mean(self, x: np.ndarray, prior: float, out: np.ndarray) -> np.ndarray:
         """(prior + running sum of each row of ``x``) / (1 + j), into ``out``."""
-        np.cumsum(x, axis=1, out=out)
+        np.add.accumulate(x, axis=-1, out=out)
         out += prior
-        out /= self.den[: x.shape[1]]
+        out /= self.den[: x.shape[-1]]
         return out
 
-    def nu_from_squares(self, sq: np.ndarray) -> np.ndarray:
+    def nu_from_squares(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Betting fractions nu_j from the squared deviations (f_j - mu_j)^2:
         each bet reads the running variance up to j - 1, started at 1/4."""
-        nu = np.empty_like(sq)
-        nu[:, 0] = 0.25
-        self._mean(sq[:, :-1], 0.25, nu[:, 1:])
-        nu *= sq.shape[1]
+        nu = np.empty_like(sq) if out is None else out
+        nu[..., 0] = 0.25
+        self._mean(sq[..., :-1], 0.25, nu[..., 1:])
+        nu *= sq.shape[-1]
         np.divide(self.c2, nu, out=nu)
         np.sqrt(nu, out=nu)
         return np.minimum(nu, 1.0, out=nu)
 
-    def running_nu(self, f: np.ndarray) -> np.ndarray:
-        """Betting fractions nu_j per row of the (R, n) summand matrix ``f``."""
-        sq = self._mean(f, 0.5, np.empty_like(f))
+    def running_nu(self, f: np.ndarray, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+        """Betting fractions nu_j per row of the (R, n) summand matrix ``f``;
+        ``work`` (shaped like ``f``) holds the squared deviations."""
+        sq = self._mean(f, 0.5, np.empty_like(f) if work is None else work)
         np.subtract(f, sq, out=sq)
         sq *= sq
-        return self.nu_from_squares(sq)
+        return self.nu_from_squares(sq, out)
 
-    def log_wealth_max(self, f: np.ndarray, nu: np.ndarray, g) -> np.ndarray:
+    def log_wealth_max(self, f: np.ndarray, nu: np.ndarray, g,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """max_i log prod_{j<=i} (1 + nu_j (f_j - g)) per row, g in [0, 1]
         (a scalar or one bet per row).
 
@@ -158,13 +185,13 @@ class _Kernel:
         which the running max already accounts for through earlier prefixes.
         """
         g = np.asarray(g, dtype=float)
-        w = np.subtract(f, g[:, None] if g.ndim else g)
+        w = np.subtract(f, g[:, None] if g.ndim else g, out=out)
         w *= nu
         w += 1.0
         np.maximum(w, 0.0, out=w)
         with np.errstate(divide="ignore"):
             np.log(w, out=w)
-        np.cumsum(w, axis=1, out=w)
+        np.add.accumulate(w, axis=1, out=w)
         return w.max(axis=1)
 
     def log_wealth_bound(self, lo: np.ndarray, hi: np.ndarray, g0: np.ndarray) -> np.ndarray:
@@ -181,23 +208,52 @@ class _Kernel:
         give, and each factor is at most 1 + nu* (hi - g0), with nu* the
         larger fraction where hi >= g0 and the smaller one elsewhere.
         """
-        mu_lo = self._mean(lo, 0.5, np.empty_like(lo))
-        mu_hi = self._mean(hi, 0.5, np.empty_like(hi))
-        sq_hi, sq_lo, tmp = (np.empty_like(lo) for _ in range(3))
-        np.subtract(lo, mu_lo, out=sq_hi)
-        sq_hi *= sq_hi
-        for x, mu in ((lo, mu_hi), (hi, mu_lo), (hi, mu_hi)):
-            np.subtract(x, mu, out=tmp)
-            tmp *= tmp
-            np.maximum(sq_hi, tmp, out=sq_hi)
-        for x, out in ((lo, sq_lo), (hi, tmp)):
-            np.clip(x, mu_lo, mu_hi, out=out)
-            np.subtract(x, out, out=out)
-            out *= out
-        np.minimum(sq_lo, tmp, out=sq_lo)
-        nu = self.nu_from_squares(sq_hi)
-        np.copyto(nu, self.nu_from_squares(sq_lo), where=hi >= g0[:, None])
-        return self.log_wealth_max(hi, nu, g0)
+        x = np.stack((lo, hi))
+        mu = self._mean(x, 0.5, np.empty_like(x))
+        sq = np.empty_like(x)  # sq[0] the smallest squared deviation, sq[1] the largest
+        corners = x[:, None] - mu[None]
+        corners *= corners
+        np.max(corners, axis=(0, 1), out=sq[1])
+        near = np.clip(x, mu[0], mu[1])
+        np.subtract(x, near, out=near)
+        near *= near
+        np.minimum(near[0], near[1], out=sq[0])
+        nu = self.nu_from_squares(sq)
+        return self.log_wealth_max(hi, np.where(hi >= g0[:, None], nu[0], nu[1]), g0)
+
+    def side_rows(self, v: np.ndarray, t: np.ndarray, side: _Side) -> np.ndarray:
+        """The summand rows of ``side`` at each threshold in ``t``,
+        ``np.where(v <= t, below, above)``, written into the scratch."""
+        f = self._f[: t.shape[0]]
+        np.copyto(f, side.above)
+        np.putmask(f, v <= t[:, None], side.below)  # ``below`` repeats along each row
+        return f
+
+    def passes(self, v: np.ndarray, t: np.ndarray, side: _Side) -> np.ndarray:
+        """Crossing test of ``side`` at each threshold in ``t``: the
+        log-wealth at its bet reaches log(2/delta). The rows live in the
+        scratch, so ``t`` holds at most ``rows`` thresholds."""
+        f = self.side_rows(v, t, side)
+        w = self._w[: f.shape[0]]
+        nu = self.running_nu(f, self._nu[: f.shape[0]], w)
+        return self.log_wealth_max(f, nu, side.g0, w) >= self.thresh
+
+    def range_dead(self, v: np.ndarray, vs: np.ndarray, a: int, b: int, side: _Side) -> bool:
+        """Whether ``log_wealth_bound`` of the end rows of the candidates
+        ``vs[a..b]`` proves that no row of ``side`` there passes."""
+        ends = self.side_rows(v, vs[[a, b]], side)
+        bound = self.log_wealth_bound(ends[:1], ends[1:], np.array([side.g0]))[0]
+        return bound < self.thresh - _BOUND_MARGIN
+
+    def side_dead(self, side: _Side) -> bool:
+        """Whether the static certificate proves that no row of the l side
+        passes at any t: the sum of log(1 + (l_j / M - g0)) over the units
+        with l_j / M > g0, in unit order, stays below log(2/delta)."""
+        d = side.below[side.below > side.g0] - side.g0
+        if not d.size:
+            return True
+        d += 1.0
+        return np.cumsum(np.log(d, out=d))[-1] < self.thresh - _BOUND_MARGIN
 
 
 def _wsr_lcb_rows(kernel: _Kernel, f: np.ndarray, tol: float = _WSR_TOL) -> np.ndarray:
@@ -218,22 +274,6 @@ def _wsr_lcb_rows(kernel: _Kernel, f: np.ndarray, tol: float = _WSR_TOL) -> np.n
         hi[ok] = mid[ok]
         lo[~ok] = mid[~ok]
     return 0.5 * (lo + hi)
-
-
-def _summands(v: np.ndarray, lo_m: np.ndarray, hi_m: np.ndarray, t: np.ndarray,
-              sides) -> np.ndarray:
-    """WSR summand rows at each threshold in ``t`` for each side in ``sides``,
-    shape (len(sides), len(t), n), from the bounds already divided by M:
-    side 0 is f = 1{V <= t} l / M and side 1 is h = 1 - 1{V > t} u / M."""
-    below = v[None, :] <= t[:, None]
-    out = np.empty((len(sides), len(t), v.shape[0]))
-    for rows, side in zip(out, sides):
-        if side == 0:
-            np.multiply(below, lo_m, out=rows)
-        else:
-            np.multiply(~below, hi_m, out=rows)
-            np.subtract(1.0, rows, out=rows)
-    return out
 
 
 def _sum_envelope(calib: CalibrationSet, penalty: float) -> tuple[np.ndarray, np.ndarray]:
@@ -275,14 +315,60 @@ def envelope_wsr(
     """
     _check_levels("wsr", delta)
     m = _check_m(calib, M)
-    rows = _summands(calib.v, calib.lo / m, calib.hi / m, np.array([t], dtype=float), (0, 1))
-    g_l, g_u = _wsr_lcb_rows(_Kernel(calib.n, delta), rows[:, 0])
+    rows = np.array([np.where(calib.v <= t, s.below, s.above) for s in _sides(calib, m)])
+    g_l, g_u = _wsr_lcb_rows(_Kernel(calib.n, delta), rows)
     value = max(m * g_l, 1.0 - m + m * g_u)
     return min(max(value, 0.0), 1.0)
 
 
+def _first_pass(kernel: _Kernel, v: np.ndarray, vs: np.ndarray, side: _Side, a: int, b: int,
+                bound: bool = True) -> int:
+    """Index of the first of the candidates ``vs[a..b]`` whose row on ``side``
+    passes, or -1: the range is bounded first when ``bound`` and it holds more
+    than ``_BOUND_FIRST`` candidates, split in halves when it holds more than
+    ``_LEAF``, and tested row by row otherwise. A right half is searched only
+    when its left sibling holds no pass. When its parent took a bound of its
+    own, that bound failed on the two halves together, so the right half
+    skips its bound and splits at once; when the parent skipped its bound,
+    the right half takes one."""
+    if bound and b - a >= _BOUND_FIRST and kernel.range_dead(v, vs, a, b, side):
+        return -1
+    if b - a >= _LEAF:
+        mid = (a + b) // 2
+        k = _first_pass(kernel, v, vs, side, a, mid)
+        return k if k >= 0 else _first_pass(kernel, v, vs, side, mid + 1, b, not bound)
+    hit = kernel.passes(v, vs[a : b + 1], side)
+    return a + int(np.argmax(hit)) if hit.any() else -1
+
+
+def _side_search(kernel: _Kernel, v: np.ndarray, vs: np.ndarray, side: _Side, start: int,
+                 stop: int, window: int) -> int:
+    """Index of the first of the candidates ``vs[start:stop]`` whose row on
+    ``side`` passes, else ``stop``. With no ``window`` the range is split top
+    down (``_first_pass``). Otherwise the search takes ranges from ``start``
+    on: the first holds ``window`` candidates and each after a miss twice as
+    many. A range of at most ``_WINDOW`` candidates is tested as one leaf, a
+    longer one goes through ``_first_pass``."""
+    if not window:
+        k = _first_pass(kernel, v, vs, side, start, stop - 1)
+        return stop if k < 0 else k
+    a, size = start, window
+    while a < stop:
+        b = min(a + size, stop) - 1
+        if b - a < _WINDOW:
+            hit = kernel.passes(v, vs[a : b + 1], side)
+            k = a + int(np.argmax(hit)) if hit.any() else -1
+        else:
+            k = _first_pass(kernel, v, vs, side, a, b)
+        if k >= 0:
+            return k
+        a, size = b + 1, 2 * size
+    return stop
+
+
 def _wsr_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
-                        m: float, start: int = 0) -> int:
+                        m: float, start: int = 0, window: int = 0,
+                        kernel: _Kernel | None = None) -> int:
     """Index of the first of the sorted scores ``vs`` at or after ``start``
     whose raw WSR envelope reaches 1-alpha; n when none does.
 
@@ -292,73 +378,34 @@ def _wsr_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, del
     g0 = (M-alpha)/M. No bisection, so no tolerance flicker at the boundary.
     A candidate passes when either side does.
 
-    The test is not monotone in t (see the module notes), so the search is
-    an exact branch and bound, side by side. A side none of whose summands
-    exceeds its bet never gains wealth and is dead from the start: the l
-    side when max(l) / M <= g0, which holds at many scan sets. The
-    candidates from ``start`` on are cut into ranges of doubling length
-    (along a path the next crossing is usually a few candidates on) and
-    visited left to right, each with its own mask of live sides. A range of
-    more than ``_BOUND_FIRST`` candidates first takes
-    ``_Kernel.log_wealth_bound`` of its two end rows on its live sides, and a
-    side whose bound stays below log(2/delta) is dead for the range and for
-    every range split from it. A range with no live side is skipped; one of
-    more than ``_LEAF`` candidates is split, left half first; the rest are
-    tested row by row on their live sides, and the first row that passes is
-    the answer (the module notes say how the two sizes were chosen). The bound is built from the kernel's own steps in the same
-    operation order, and IEEE add, multiply, divide, sqrt, a cumsum in fixed
-    order and max are each monotone in every input, so it dominates every
-    row's computed log-wealth, not only its exact value; ``_BOUND_MARGIN``
-    covers ``np.log``, which need not be correctly rounded. So a dead side
-    holds no passing row in its range, and the result equals the index of a
-    linear scan.
+    The test is not monotone in t (see the module notes), so each side is
+    searched by an exact branch and bound of its own (``_first_pass``): the
+    u side on ``[start, n)`` first, top down, or from a first ``window`` of
+    candidates when one is given (``_side_search``); then the l side only
+    on ``[start, x_u)``, unless ``_Kernel.side_dead`` drops it for the whole
+    set. Bounds and leaves read the rows the kernel builds in its scratch;
+    ``kernel`` must have been built for this n and delta with
+    ``_SCRATCH_ROWS`` rows, and a fresh one is built when it is None.
     """
     n = calib.n
     if start >= n:
         return n
-    g0 = np.array([(1.0 - alpha) / m, (m - alpha) / m])
-    if g0[1] <= 0.0:  # degenerate M <= alpha: u side trivially certifies
+    l_side, u_side = _sides(calib, m, alpha)
+    if u_side.g0 <= 0.0:  # degenerate M <= alpha: u side trivially certifies
         return start
-    v, lo_m, hi_m = calib.v, calib.lo / m, calib.hi / m
-    kernel = _Kernel(n, delta)
-    # The largest summand is max(l) / M on the l side and 1 on the u side.
-    live = np.array([lo_m.max() > g0[0], 1.0 > g0[1]])
-    if not live.any():
-        return n
-    ranges, a = [], start
-    while a < n:
-        ranges.append((a, min(2 * a - start, n - 1), live))
-        a = ranges[-1][1] + 1
-    ranges.reverse()
-    while ranges:
-        a, b, live = ranges.pop()
-        if b - a >= _BOUND_FIRST:
-            ends = _summands(v, lo_m, hi_m, vs[[a, b]], np.flatnonzero(live))
-            live = live.copy()
-            live[live] = (kernel.log_wealth_bound(ends[:, 0], ends[:, 1], g0[live])
-                          >= kernel.thresh - _BOUND_MARGIN)
-            if not live.any():
-                continue
-            if b - a >= _LEAF:
-                mid = (a + b) // 2
-                ranges += [(mid + 1, b, live), (a, mid, live)]
-                continue
-        sides = np.flatnonzero(live)
-        x = _summands(v, lo_m, hi_m, vs[a : b + 1], sides).reshape(-1, n)
-        g = np.repeat(g0[sides], b - a + 1)
-        hit = kernel.log_wealth_max(x, kernel.running_nu(x), g) >= kernel.thresh
-        hit = hit.reshape(len(sides), -1).any(axis=0)
-        if hit.any():
-            return a + int(np.argmax(hit))
-    return n
+    if kernel is None:
+        kernel = _Kernel(n, delta, _SCRATCH_ROWS)
+    x = _side_search(kernel, calib.v, vs, u_side, start, n, window)
+    if x > start and not kernel.side_dead(l_side):
+        x = _side_search(kernel, calib.v, vs, l_side, start, x, 0)
+    return x
 
 
-def _first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
-                    method: str, m: float, start: int) -> int:
+def _sum_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
+                        method: str, m: float, start: int) -> int:
     """Index of the first of the sorted scores ``vs`` at or after ``start``
-    whose raw envelope reaches 1 - alpha; n when none does."""
-    if method == "wsr":
-        return _wsr_first_crossing(calib, vs, alpha, delta, m, start)
+    whose raw plugin or Hoeffding envelope reaches 1 - alpha; n when none
+    does."""
     penalty = 0.0 if method == "plugin" else _hoeffding_penalty(calib.n, delta, m)
     crossed = _sum_envelope(calib, penalty)[1][1 + start:] >= (1.0 - alpha) - PROB_SLACK
     return start + int(np.argmax(crossed)) if crossed.any() else calib.n
@@ -411,11 +458,17 @@ def pac_threshold_path(
         _check_m(c, m)
     vs = np.sort(calibs[0].v, kind="stable")
     n = vs.shape[0]
+    kernel = _Kernel(n, delta, _SCRATCH_ROWS) if method == "wsr" else None
     out = np.empty(len(calibs))
-    cur = 0
+    cur = window = 0
     for i, c in enumerate(calibs):
         if cur < n:
-            cur = _first_crossing(c, vs, alpha, delta, method, m, cur)
+            if kernel is None:
+                nxt = _sum_first_crossing(c, vs, alpha, delta, method, m, cur)
+            else:
+                nxt = _wsr_first_crossing(c, vs, alpha, delta, m, cur, window, kernel)
+                window = min(nxt - cur + 1, _WINDOW)
+            cur = nxt
         out[i] = float(vs[cur]) if cur < n else math.inf
     return out
 

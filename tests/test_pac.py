@@ -1,6 +1,8 @@
 """PAC thresholds via plug-in, Hoeffding, and betting-martingale envelopes."""
 
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -407,9 +409,9 @@ def test_wsr_crossing_predicate_is_monotone_in_t(v, data):
 FLIP = Path(__file__).with_name("wsr_crossing_flip.npz")
 
 
-def _crossing_hits(calib, t, alpha, delta, m):
-    """Exact crossing test at each threshold in ``t``, OR over the sides:
-    log-wealth at the fixed bet g0 reaches log(2/delta)."""
+def _side_hits(calib, t, alpha, delta, m):
+    """Exact crossing test at each threshold in ``t`` on the l side and on
+    the u side: log-wealth at the fixed bet g0 reaches log(2/delta)."""
     thresh = math.log(2.0 / delta)
     hits = []
     for rows, g0 in zip(_summands(calib, t, m), ((1.0 - alpha) / m, (m - alpha) / m)):
@@ -417,7 +419,13 @@ def _crossing_hits(calib, t, alpha, delta, m):
             hits.append(_log_wealth_max(rows, _running_nu(rows, delta), g0) >= thresh)
         else:
             hits.append(np.zeros(len(t), dtype=bool))
-    return hits[0] | hits[1]
+    return hits
+
+
+def _crossing_hits(calib, t, alpha, delta, m):
+    """Exact crossing test at each threshold in ``t``, OR over the sides."""
+    l_hits, u_hits = _side_hits(calib, t, alpha, delta, m)
+    return l_hits | u_hits
 
 
 def _linear_first_crossing(calib, alpha, delta, m, start=0):
@@ -469,15 +477,19 @@ _inflate = st.one_of(st.just(1.0), st.floats(1.0, 4.0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(start=st.floats(0.0, 1.0), inflate=_inflate, **_search_cases)
-def test_wsr_search_equals_linear_scan(seed, n, ties, spread, inflate, alpha, delta, start):
+@given(start=st.floats(0.0, 1.0), inflate=_inflate, window=st.sampled_from((0, 1, 3, 16)),
+       **_search_cases)
+def test_wsr_search_equals_linear_scan(seed, n, ties, spread, inflate, alpha, delta, start,
+                                       window):
     """The branch-and-bound search returns the linear scan's index, from any
-    start, with tied scores and M above its default. n exceeds the leaf
-    size, so ranges are skipped by the bound."""
+    start, top down (no window) or from a first window that may overshoot
+    the crossing or miss it by more than the leaf-tested ranges reach, with
+    tied scores and M above its default. n exceeds the leaf size, so ranges
+    are skipped by the bound."""
     calib = _seeded_calib(seed, n, ties, spread)
     m = _default_m(calib) * inflate
     k = int(start * n)
-    assert (_wsr_first_crossing(calib, _vs(calib), alpha, delta, m, k)
+    assert (_wsr_first_crossing(calib, _vs(calib), alpha, delta, m, k, window)
             == _linear_first_crossing(calib, alpha, delta, m, k))
 
 
@@ -541,6 +553,29 @@ def test_kernel_floats_equal_the_oracle(seed, rows, n, share, delta, g_end):
     np.testing.assert_array_equal(kernel.log_wealth_bound(lo, hi, g),
                                   _log_wealth_bound(lo, hi, g, delta))
     np.testing.assert_array_equal(_wsr_lcb_rows(kernel, f), [_wsr_lcb(x, delta) for x in f])
+    out, work = np.empty((rows, n)), np.empty((rows, n))
+    assert kernel.running_nu(f, out, work) is out
+    np.testing.assert_array_equal(out, nu)
+    np.testing.assert_array_equal(kernel.log_wealth_max(f, out, g, work),
+                                  _log_wealth_max(f, nu, g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaf=st.integers(1, 16), at=st.floats(0.0, 1.0), inflate=_inflate, **_search_cases)
+def test_leaf_kernel_equals_the_oracle(seed, n, ties, spread, inflate, alpha, delta, leaf, at):
+    """The one-side leaf writes each side's summand rows into its scratch
+    with the oracle's floats, and its crossing test agrees with the oracle's
+    on every row, on both sides."""
+    calib = _seeded_calib(seed, n, ties, spread)
+    m = _default_m(calib) * inflate
+    a = int(at * (n - leaf))
+    t = _vs(calib)[a : a + leaf]
+    kernel = _Kernel(n, delta, 16)
+    for side, rows, hits in zip(pac._sides(calib, m, alpha), _summands(calib, t, m),
+                                _side_hits(calib, t, alpha, delta, m)):
+        np.testing.assert_array_equal(kernel.side_rows(calib.v, t, side), rows)
+        if side.g0 <= 1.0:
+            np.testing.assert_array_equal(kernel.passes(calib.v, t, side), hits)
 
 
 @settings(max_examples=100, deadline=None)
@@ -571,22 +606,24 @@ def test_wsr_crossing_predicate_flips_on_campaign_instance():
 
 
 def _count_rows(monkeypatch):
-    """Record (summand rows, sides) of every ``pac._summands`` call."""
+    """Record (rows, side) of every summand block the search builds through
+    ``_Kernel.side_rows``: two end rows per bound, one row per candidate of
+    a leaf. The side is "u" (summand 1 below t) or "l"."""
     rows = []
-    build = pac._summands
+    build = pac._Kernel.side_rows
 
-    def counted(v, lo_m, hi_m, t, sides):
-        out = build(v, lo_m, hi_m, t, sides)
-        rows.append((out.shape[0] * out.shape[1], list(sides)))
-        return out
+    def counted(self, v, t, side):
+        rows.append((len(t), "u" if np.isscalar(side.below) else "l"))
+        return build(self, v, t, side)
 
-    monkeypatch.setattr(pac, "_summands", counted)
+    monkeypatch.setattr(pac._Kernel, "side_rows", counted)
     return rows
 
 
 def test_wsr_search_evaluates_few_rows(monkeypatch):
-    """A search from 0 to a crossing above 0.9 n builds summands for fewer
-    than n / 4 candidate rows, bound end rows included."""
+    """A search from 0 to a crossing above 0.9 n splits [0, n) top down: it
+    builds summands for at most 32 candidate rows, bound end rows included
+    (a bound per level, then one leaf)."""
     n = 1000
     r = rng(0)
     w = r.uniform(0.3, 1.5, size=n)
@@ -596,25 +633,27 @@ def test_wsr_search_evaluates_few_rows(monkeypatch):
     k = _wsr_first_crossing(calib, _vs(calib), 0.1, 0.05, m)
     monkeypatch.undo()
     assert k == _linear_first_crossing(calib, 0.1, 0.05, m) > 0.9 * n
-    assert sum(r for r, _ in rows) < n / 4
+    assert sum(r for r, _ in rows) <= 32
 
 
 def test_wsr_resumed_searches_build_one_side(monkeypatch):
-    """On the campaign set, max(l) / M is below the l-side bet, so the l side
-    is dead at every t. Searches resumed at every start from 900 to the
-    crossing at 958 build u-side rows only, fewer in total than the 1770
-    candidates they walk."""
+    """On the campaign set, max(l) / M is below the l-side bet, so the static
+    certificate drops the l side at every t. A search resumed at each start
+    from 943 to the crossing at 958, with a window that ends at the crossing,
+    builds one u-side leaf of exactly its window: one row per candidate
+    walked, and no bound."""
     d = np.load(FLIP)
     calib = CalibrationSet(d["v"], d["lo"], d["hi"], float(d["u_test"]))
     m, alpha, delta = float(d["m"]), float(d["alpha"]), float(d["delta"])
     assert calib.lo.max() / m <= (1.0 - alpha) / m
+    assert _Kernel(calib.n, delta).side_dead(pac._sides(calib, m, alpha)[0])
     rows = _count_rows(monkeypatch)
-    starts = range(900, 959)
+    starts = range(943, 959)
     vs = _vs(calib)
-    assert [_wsr_first_crossing(calib, vs, alpha, delta, m, s) for s in starts] == [958] * len(starts)
+    got = [_wsr_first_crossing(calib, vs, alpha, delta, m, s, 959 - s) for s in starts]
     monkeypatch.undo()
-    assert {tuple(sides) for _, sides in rows} == {(1,)}
-    assert sum(r for r, _ in rows) < sum(959 - s for s in starts)
+    assert got == [958] * len(starts)
+    assert rows == [(959 - s, "u") for s in starts]
 
 
 def _one_side_calib(seed, n, alpha, l_live):
@@ -642,21 +681,46 @@ def test_wsr_search_with_a_dead_side_equals_linear_scan(seed, n, alpha, delta, s
             == _linear_first_crossing(calib, alpha, delta, m, k))
 
 
+def _ratio_calib(seed, n, mean=1.03):
+    """Calibration set with one ratio w for both bounds (Gamma = 1): w falls
+    with the score and averages ``mean``, so the l-side envelope
+    mean(w 1{V <= t}) runs above the u side's 1 - mean(w 1{V > t})."""
+    r = rng(seed)
+    v = r.normal(size=n)
+    w = np.exp(-0.15 * v + 0.05 * r.normal(size=n))
+    w *= mean / w.mean()
+    return CalibrationSet(v, w, w, float(w.max()))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_wsr_search_revives_a_side_in_a_later_range(monkeypatch, seed):
-    """A side is dead on one range and live on a later one: each doubling
-    range starts from the search's own live sides, so after the bound drops
-    the l side on an early range a later range tests both sides again, and
-    the search still returns the linear scan's index."""
-    calib = _seeded_calib(seed, 300, False, 0.3)
+    """A bound drops a side for its own range only: the l side of a Gamma = 1
+    set is dead by the bound on an early range and still tested on a later
+    one (by a bound that fails or by a leaf), and the search returns the
+    linear scan's index."""
+    calib = _ratio_calib(seed, 300, mean=1.0)
     m = _default_m(calib)
-    rows = _count_rows(monkeypatch)
-    k = _wsr_first_crossing(calib, _vs(calib), 0.2, 0.05, m)
+    steps = []  # ("dead" | "live" | "leaf") of each l-side bound or leaf, in order
+    bound, leaf = pac._Kernel.range_dead, pac._Kernel.passes
+
+    def bounded(self, v, vs, a, b, side):
+        out = bound(self, v, vs, a, b, side)
+        if not np.isscalar(side.below):
+            steps.append("dead" if out else "live")
+        return out
+
+    def tested(self, v, t, side):
+        if not np.isscalar(side.below):
+            steps.append("leaf")
+        return leaf(self, v, t, side)
+
+    monkeypatch.setattr(pac._Kernel, "range_dead", bounded)
+    monkeypatch.setattr(pac._Kernel, "passes", tested)
+    k = _wsr_first_crossing(calib, _vs(calib), 0.1, 0.05, m)
     monkeypatch.undo()
-    assert k == _linear_first_crossing(calib, 0.2, 0.05, m)
-    sides = [tuple(s) for _, s in rows]
-    first_drop = sides.index((1,))
-    assert (0, 1) in sides[first_drop:]
+    assert k == _linear_first_crossing(calib, 0.1, 0.05, m)
+    assert "dead" in steps
+    assert {"live", "leaf"} & set(steps[steps.index("dead") + 1:])
 
 
 def test_wsr_search_finds_an_l_side_just_above_its_bet():
@@ -674,6 +738,121 @@ def test_wsr_search_finds_an_l_side_just_above_its_bet():
     assert _log_wealth_max(f, _running_nu(f, delta), (1.0 - alpha) / m)[0] >= thresh
     assert _log_wealth_max(h, _running_nu(h, delta), (m - alpha) / m)[0] < thresh
     assert _wsr_first_crossing(calib, _vs(calib), alpha, delta, m) == k < n
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)),
+                  min_size=1, max_size=40),
+       data=st.data())
+def test_wsr_static_certificate_never_drops_a_passing_l_side(v, data):
+    """When ``_Kernel.side_dead`` drops the l side, the oracle finds no t at
+    which it passes: small n (where nu is often 1 and the certificate is
+    tight), tied scores, and every l between 0.9 and 1.2 times 1 - alpha, so
+    each l-side summand lies just below or just above its bet. The search
+    still returns the linear scan's index."""
+    n = len(v)
+    alpha = data.draw(st.floats(0.05, 0.5))
+    delta = data.draw(st.floats(0.01, 0.5))
+    lo = (1.0 - alpha) * np.array(data.draw(st.lists(st.floats(0.9, 1.2), min_size=n,
+                                                      max_size=n)))
+    hi = lo * np.array(data.draw(st.lists(st.floats(1.0, 1.5), min_size=n, max_size=n)))
+    calib = CalibrationSet(np.array(v), lo, hi, float(hi.max()))
+    m = _default_m(calib) * data.draw(_inflate)
+    if _Kernel(n, delta).side_dead(pac._sides(calib, m, alpha)[0]):
+        assert not _side_hits(calib, np.unique(calib.v), alpha, delta, m)[0].any()
+    assert (_wsr_first_crossing(calib, _vs(calib), alpha, delta, m)
+            == _linear_first_crossing(calib, alpha, delta, m))
+
+
+@pytest.mark.parametrize("ratio", [0.99, 1.01])
+def test_wsr_static_certificate_is_exact_where_every_bet_is_full(ratio):
+    """n = 20 equal l, each just above the bet: the running variance stays
+    so small that every nu is 1, and at the top score the l-side log-wealth
+    is the certificate's own sum. With that sum 1 % below log(2/delta) the
+    side is dropped and passes nowhere; 1 % above, it passes at the top
+    score and the certificate keeps it."""
+    n, alpha, delta, m = 20, 0.1, 0.05, 2.0
+    thresh = math.log(2.0 / delta)
+    lo = np.full(n, (1.0 - alpha) + m * math.expm1(ratio * thresh / n))
+    calib = CalibrationSet(rng(4).normal(size=n), lo, lo, 1.0)
+    l_side = pac._sides(calib, m, alpha)[0]
+    f = _summands(calib, _vs(calib)[-1:], m)[0]
+    assert (_running_nu(f, delta) == 1.0).all()
+    passes = _side_hits(calib, _vs(calib), alpha, delta, m)[0]
+    assert _Kernel(n, delta).side_dead(l_side) == (ratio < 1.0) == (not passes.any())
+
+
+def _gamma_path(base, gammas):
+    """``base`` widened by each strength: bounds l / gamma and u * gamma."""
+    return [CalibrationSet(base.v, base.lo / g, base.hi * g, base.u_test * g) for g in gammas]
+
+
+def test_wsr_path_from_a_collapsed_set_crosses_on_the_l_side_first():
+    """The first set of a scan path has l == u (Gamma = 1); there the l side
+    passes before the u side, so the search must find the l side's crossing
+    below the u side's, and the path equals the resumed linear walk."""
+    base = _ratio_calib(0, 300)
+    path = _gamma_path(base, np.linspace(1.0, 2.2, 13))
+    m = max(_default_m(c) for c in path)
+    l_hits, u_hits = _side_hits(path[0], _vs(base), 0.1, 0.05, m)
+    assert np.argmax(l_hits) < np.argmax(u_hits)
+    np.testing.assert_array_equal(pac_threshold_path(path, 0.1, 0.05),
+                                  _linear_path(path, 0.1, 0.05))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 300), alpha=st.floats(0.05, 0.3),
+       delta=st.floats(0.01, 0.5), mean=st.floats(0.98, 1.08), shuffle=st.booleans())
+def test_wsr_path_from_a_collapsed_set_equals_resumed_linear_walk(seed, n, alpha, delta, mean,
+                                                                  shuffle):
+    """Paths whose first set has l == u, widening or shuffled after it."""
+    gammas = np.linspace(1.0, 2.2, 7)
+    if shuffle:
+        rng(seed).shuffle(gammas[1:])
+    path = _gamma_path(_ratio_calib(seed, n, mean), gammas)
+    np.testing.assert_array_equal(pac_threshold_path(path, alpha, delta),
+                                  _linear_path(path, alpha, delta))
+
+
+def test_wsr_non_widening_path_overshoots_and_misses_its_window():
+    """Strengths out of order: the window taken from one search's offset
+    overshoots the next crossing (offset 0 after a window of 16) and falls
+    short of another (offset 20 after a window of 1); the path still equals
+    the resumed linear walk."""
+    path = _gamma_path(_seeded_calib(1, 200, False, 0.0), [1.0, 1.0, 2.5, 1.0, 1.2, 3.0, 1.1])
+    m = max(_default_m(c) for c in path)
+    cur, offsets = 0, []
+    for c in path:
+        nxt = _linear_first_crossing(c, 0.2, 0.05, m, cur)
+        offsets.append(nxt - cur)
+        cur = nxt
+    windows = [min(o + 1, 16) for o in offsets[:-1]]
+    assert (16, 0) in zip(windows, offsets[1:]) and (1, 20) in zip(windows, offsets[1:])
+    np.testing.assert_array_equal(pac_threshold_path(path, 0.2, 0.05),
+                                  _linear_path(path, 0.2, 0.05))
+
+
+def test_wsr_path_leaves_nothing_for_the_cyclic_collector(monkeypatch):
+    """A path's kernel and its scratch go when the call returns: with the
+    cyclic collector paused, the kernel is freed by reference counting
+    alone and a collection afterwards finds nothing."""
+    kernels = []
+    build = pac._Kernel.__init__
+
+    def recorded(self, *args):
+        build(self, *args)
+        kernels.append(weakref.ref(self))
+
+    monkeypatch.setattr(pac._Kernel, "__init__", recorded)
+    path = _gamma_path(_ratio_calib(2, 300), np.linspace(1.0, 2.2, 13))
+    gc.collect()
+    gc.disable()
+    try:
+        pac_threshold_path(path, 0.1, 0.05)
+        assert len(kernels) == 1 and kernels[0]() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3])
