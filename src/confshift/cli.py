@@ -43,6 +43,7 @@ from .core import (
     read_dataset,
     read_table,
     read_units,
+    rng,
     split,
     write_table,
 )
@@ -389,7 +390,11 @@ def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
         if calib.p != train.p:
             raise DataError(f"calibration has {calib.p} covariates, training has {train.p}")
         _check_covariates(resolved["calib"], calib.x)
-        return train, calib
+        # alg2:wsr reads the calibration units in order, and that order must
+        # not depend on their values: sort the file's rows canonically, then
+        # permute them with the seed, as split does for a fold it draws.
+        order = np.lexsort(np.column_stack([calib.x, calib.t, calib.y]).T[::-1])
+        return train, calib.subset(order[rng(resolved["seed"]).permutation(calib.n)])
     return split(train, resolved["train_fraction"], resolved["seed"])
 
 

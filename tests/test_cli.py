@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from confshift import cli
 from confshift.cli import _TABLES, main
-from confshift.core import Dataset, write_dataset
+from confshift.core import Dataset, read_dataset, write_dataset
 from confshift.scores import KNNQuantileModel
 from confshift.simulate import _UNREAD, SimConfig
 from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
@@ -170,6 +171,75 @@ def test_predict_split_calibration_without_calib_file(corpus, tmp_path):
     stamp, _, rows = _read_csv(out / "intervals.csv")
     assert stamp.endswith("seed=4")
     assert len(rows) == 12
+
+
+# ---------------------------------------------------------------------------
+# calibration row order
+# ---------------------------------------------------------------------------
+
+_ALL_METHODS = ("alg1", "alg2:plugin", "alg2:hoeffding", "alg2:wsr")
+
+
+def _run_on_calib(corpus, calib_path, out, command, method, seed="0"):
+    """Run ``command`` with ``calib_path`` as --calib; return each CSV it
+    wrote, without the stamp line (which hashes the input paths)."""
+    extra = (["--test", corpus["test"], "--gamma", "1.0,1.5,2.5"] if command == "predict"
+             else ["--test", corpus["obstest"], "--gamma-grid", _SENS_GRID])
+    assert main([command, "--train", corpus["train"], "--calib", str(calib_path), *extra,
+                 "--method", method, "--alpha", "0.3", "--seed", seed,
+                 "--out-dir", str(out)]) == 0
+    return {name: (out / name).read_bytes().split(b"\n", 1)[1]
+            for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+
+
+@pytest.mark.parametrize("command", ["predict", "sensitivity"])
+def test_a_calib_file_sorted_by_outcome_gives_the_same_alg2_wsr_outputs(corpus, tmp_path,
+                                                                       command):
+    """alg2:wsr's certificate reads the calibration units in order, and it
+    used to take a --calib file's row order: the corpus file sorted by y, or
+    by -y, moved its thresholds. The fold is now sorted canonically and then
+    permuted with --seed, so all three files give the same bytes."""
+    calib = read_dataset(corpus["calib"])
+    paths = [corpus["calib"]]
+    for name, order in (("up", np.argsort(calib.y)), ("down", np.argsort(-calib.y))):
+        paths.append(tmp_path / f"calib_{name}.csv")
+        write_dataset(str(paths[-1]), calib.subset(order))
+    got = [_run_on_calib(corpus, p, tmp_path / f"run{i}", command, "alg2:wsr")
+           for i, p in enumerate(paths)]
+    assert got[0] == got[1] == got[2]
+
+
+def test_the_seed_orders_a_calib_file_for_alg2_wsr(corpus, tmp_path):
+    """With --calib given, --seed picks the fold's order, so it moves the
+    alg2:wsr threshold; alg1 does not read the order."""
+    for method, moves in (("alg2:wsr", True), ("alg1", False)):
+        runs = [_run_on_calib(corpus, corpus["calib"], tmp_path / f"{method}-{seed}", "predict",
+                              method, seed) for seed in ("0", "1")]
+        assert (runs[0] != runs[1]) == moves
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(8, 40), ties=st.booleans(),
+       data=st.data())
+def test_calib_row_order_never_changes_an_output(corpus, seed, n, ties, data):
+    """Any permutation of a --calib file's rows leaves every CSV that
+    predict and sensitivity write byte-identical below the stamp line, under
+    every method. With ``ties`` the covariates and outcomes are rounded to
+    one decimal, so rows tie on leading sort keys and some repeat whole."""
+    calib = _toy_dataset(n, seed)
+    if ties:
+        calib = Dataset(np.round(calib.x, 1), calib.t, np.round(calib.y, 1))
+    order = np.array(data.draw(st.permutations(range(n))))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_dataset(str(root / "a.csv"), calib)
+        write_dataset(str(root / "b.csv"), calib.subset(order))
+        for command in ("predict", "sensitivity"):
+            for method in _ALL_METHODS:
+                runs = [_run_on_calib(corpus, root / f"{name}.csv",
+                                      root / f"{command}-{method}-{name}", command, method)
+                        for name in ("a", "b")]
+                assert runs[0] == runs[1], (command, method)
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -1223,13 +1293,16 @@ _DIGESTS = {
         "intervals.csv":
             "a2f715277d430ae7245962a432f9054475c5a80431b24bbeb7ee4a0f1c30bf62",
     },
+    # The four alg2:wsr cases below that read a --calib file were recorded
+    # after that fold's rows were put in a seeded order independent of the
+    # file's row order.
     "predict-alg2:wsr-abs_residual": {
         "intervals.csv":
-            "61174da1e8c828b5e9b99f556936b501e815d9bed37f28bc96739a36f30abba8",
+            "f5fa2b92f54ff8023cfd5c09e032bd137b9dd11b37894d5990965f1ee4466c50",
     },
     "predict-alg2:wsr-cqr": {
         "intervals.csv":
-            "ee0289e5c1151c5b3eee0b622c7ef844532b7e3282492ed31ebb3a238b3b1240",
+            "e8b6ef63eac14290ac9ef6754baa90be0646cc3ea1935655be926817d73493bd",
     },
     "sensitivity-alg1-ge": {
         "gammas.csv":
@@ -1251,9 +1324,9 @@ _DIGESTS = {
     },
     "sensitivity-alg2:wsr-ge": {
         "gammas.csv":
-            "377a19b2ac48155490f37c590900d730544c4e7253340a70a42d286a12c89a4a",
+            "146d3bba67b831d6ffe0b5c5a209f3a6a4a4c4599a708c810ccecad9d8ed0400",
         "survival.csv":
-            "2f1ad9e0085c9124b82bee1ff598fb7983ce8d0804b522ee47db61b322dd6d6b",
+            "7bb7091f654858d9d8cd17ae18bf7d4130ea7d8f78e784d8cf688de6a2fea32d",
     },
     "sensitivity-alg2:wsr-le": {
         "gammas.csv":
@@ -1263,9 +1336,9 @@ _DIGESTS = {
     },
     "sensitivity-alg2:wsr-point": {
         "gammas.csv":
-            "377a19b2ac48155490f37c590900d730544c4e7253340a70a42d286a12c89a4a",
+            "146d3bba67b831d6ffe0b5c5a209f3a6a4a4c4599a708c810ccecad9d8ed0400",
         "survival.csv":
-            "2f1ad9e0085c9124b82bee1ff598fb7983ce8d0804b522ee47db61b322dd6d6b",
+            "7bb7091f654858d9d8cd17ae18bf7d4130ea7d8f78e784d8cf688de6a2fea32d",
     },
     "simulate-sensitivity-estimated": {
         "curves.csv":
