@@ -213,6 +213,15 @@ _FOLDS = {
 _SCORE = _pchoice(*ScoreFn.KINDS)
 _POP = _pchoice(*POPULATIONS)
 
+
+def _sim_options(**options: tuple[Callable[[str], object], str]) -> dict[str, _Opt]:
+    """simulate's options for SimConfig fields, each ``name=(parse, help)``,
+    with SimConfig's defaults; the CLI sets its own campaign sizes."""
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    defaults.update(n_train=1000, n_calib=500, n_reps=20)
+    return {name: _Opt(parse, defaults[name], help) for name, (parse, help) in options.items()}
+
+
 _TABLES: dict[str, dict[str, _Opt]] = {
     "predict": {
         **_COMMON,
@@ -242,25 +251,27 @@ _TABLES: dict[str, dict[str, _Opt]] = {
         **_COMMON,
         "threads": _Opt(_pinteger(1), None, "worker process cap; default: every usable CPU"),
         "kind": _Opt(_pchoice("coverage", "sensitivity"), "coverage", "experiment family"),
-        "n_train": _Opt(_pinteger(1, _MAX_UNITS), 1000, "target-arm units in the training fold"),
-        "n_calib": _Opt(_pinteger(1, _MAX_UNITS), 500, "target-arm units in the calibration fold"),
-        "n_test": _Opt(_pinteger(1, _MAX_UNITS), 1, "test units per replication"),
-        "p": _Opt(_pinteger(1, _MAX_P), 4, "covariate dimension"),
-        "gamma_true": _Opt(_pfloat, 1.0, "latent confounding strength"),
-        "arm": _Opt(_parm, 1, "counterfactual arm (0 or 1)"),
-        "population": _Opt(_POP, "ate", "target population"),
-        "score": _Opt(_SCORE, "cqr", "nonconformity score kind"),
-        "alphas": _Opt(_plevels, (0.2,), "miscoverage levels"),
-        "delta": _Opt(_plevel, 0.05, "PAC failure level"),
-        "procedure": _Opt(_pchoice("alg1", "alg2"), "alg1", "threshold procedure"),
-        "envelope": _Opt(_pchoice(*METHODS), "wsr", "alg2 envelope"),
-        "bounds": _Opt(_pchoice("oracle", "estimated"), "oracle", "bound construction"),
-        "gamma_bounds": _Opt(_pfloat, None, "strength used for bounds; default gamma_true"),
-        "effect_kind": _Opt(_pchoice("fixed", "random"), "fixed", "treatment effect form"),
-        "effect_a": _Opt(_pfloat, 0.0, "effect size a"),
-        "n_reps": _Opt(_pinteger(1, _MAX_REPS), 20, "replications"),
-        "n_eval_gap": _Opt(_pinteger(0, _MAX_UNITS), 0, "evaluation draws for gap certificates"),
-        "grid": _Opt(_pgrid, None, "sensitivity grid; default 1..26"),
+        **_sim_options(
+            n_train=(_pinteger(1, _MAX_UNITS), "target-arm units in the training fold"),
+            n_calib=(_pinteger(1, _MAX_UNITS), "target-arm units in the calibration fold"),
+            n_test=(_pinteger(1, _MAX_UNITS), "test units per replication"),
+            p=(_pinteger(1, _MAX_P), "covariate dimension"),
+            gamma_true=(_pfloat, "latent confounding strength"),
+            arm=(_parm, "counterfactual arm (0 or 1)"),
+            population=(_POP, "target population"),
+            score=(_SCORE, "nonconformity score kind"),
+            alphas=(_plevels, "miscoverage levels"),
+            delta=(_plevel, "PAC failure level"),
+            procedure=(_pchoice("alg1", "alg2"), "threshold procedure"),
+            envelope=(_pchoice(*METHODS), "alg2 envelope"),
+            bounds=(_pchoice("oracle", "estimated"), "bound construction"),
+            gamma_bounds=(_pfloat, "strength used for bounds; default gamma_true"),
+            effect_kind=(_pchoice("fixed", "random"), "treatment effect form"),
+            effect_a=(_pfloat, "effect size a"),
+            n_reps=(_pinteger(1, _MAX_REPS), "replications"),
+            n_eval_gap=(_pinteger(0, _MAX_UNITS), "evaluation draws for gap certificates"),
+            grid=(_pgrid, "sensitivity grid; default 1..26"),
+        ),
     },
 }
 
