@@ -18,8 +18,12 @@ over the calibration draw. Three constructions:
 The WSR bound for mean mu of summands f_j in [0, 1] is
 inf{g >= 0 : max_i prod_{j<=i} (1 + nu_j (f_j - g)) <= 2/delta} with betting
 fractions nu_j = min{1, sqrt(2 log(2/delta) / (n shat^2_{j-1}))} driven by the
-running mean/variance started at 1/2 and 1/4. Products use the original
-sample order; sorting would break the martingale property.
+running mean/variance started at 1/2 and 1/4. Products use the sample order
+of the calibration units as given; sorting them would break the martingale
+property. The bound holds only when that order is fixed apart from the
+units' values, so callers pass a random order drawn independently of the
+data: ``core.split`` permutes with its seed, and the CLI sorts a --calib
+file canonically and then permutes it with --seed.
 
 A threshold is the first sorted calibration score at which the envelope
 reaches 1 - alpha; a running max repairs a curve into a monotone one without
@@ -33,18 +37,63 @@ of the sensitivity campaign (n = 1000, Gamma = 2.1) the u-side log-wealth
 at the fixed bet is 3.742 at sorted index 958 and 3.624 at 959, against
 log(40) = 3.689, so the crossing test turns from true to false as t rises.
 Bisection over t is therefore unsound; the WSR search is an exact branch and
-bound that returns the linear scan's index (see _wsr_first_crossing). Each
-candidate range carries its own mask of live sides (l and u). A range of
-more than ``_BOUND_FIRST`` candidates first bounds each live side's
-log-wealth from its two end rows, and a side whose bound stays below the
-threshold is dead for the range and every range split from it; ranges of
-more than ``_LEAF`` candidates are split, the rest tested row by row on the
-sides still live. Each kernel row costs three sequential cumulative sums, so
-the number of rows sets the cost. The constants were picked by replaying 32
-captured sensitivity-campaign paths and 16 coverage-campaign searches
-(n = 1000 and 2000) on one CPU of a shared 2-CPU Xeon: leaf 8 with the
-bound first above 4 candidates was the fastest, and every other pair tried
-with both constants between 4 and 16 was at most 15 % slower.
+bound that returns the linear scan's index (see _wsr_first_crossing).
+
+The search treats the two sides of the envelope apart. The u side goes
+first, over every candidate from the start on, and gives its first passing
+index x_u; the l side is then searched only below x_u, where a pass could
+still move the answer. Each side's search splits candidate ranges: a range
+of more than ``_BOUND_FIRST`` candidates first takes an upper bound on its
+log-wealth from its two end rows (``_Kernel.log_wealth_bound``) and is
+dropped when the bound stays below log(2/delta); a range of more than
+``_LEAF`` candidates is split in halves, left first, and the rest is tested
+row by row. A right half is reached only when its left sibling held no
+pass: when the parent took a bound of its own, that bound failed on both
+halves together, so the right half splits at once; when the parent skipped
+its bound, the right half takes one.
+
+* A search from 0 splits [0, n) top down this way on the u side, then
+  [0, x_u) on the l side.
+* Along a path each later search resumes at the previous crossing. Its u
+  side starts with a window of min(offset + 1, ``_WINDOW``) candidates,
+  offset being how far the previous search moved, tested as one leaf;
+  after a miss the next range is twice as long, a range of at most
+  ``_WINDOW`` candidates is again one leaf, and a longer one goes through
+  the split search. Its l side is split top down on [start, x_u).
+* A static certificate drops the l side of a set at every t. Every l-side
+  summand is l_j / M or 0 and nu_j <= 1, so a row's log factor is at most
+  log(1 + (l_j / M - g0)) where l_j / M > g0 and at most 0 elsewhere. In
+  floating point the kernel forms that factor as 1 + nu_j d from the very
+  same d = l_j / M - g0, and nu_j d <= d after rounding; IEEE addition is
+  monotone in each argument, so a float cumulative sum is monotone in each
+  term, and every running sum of every row stays at most the certificate,
+  the sum of log(1 + (l_j / M - g0)) over l_j / M > g0 in unit order.
+  When that sum stays below log(2/delta) - ``_BOUND_MARGIN`` (the margin
+  covers ``np.log``, which need not be correctly rounded), no row passes.
+
+``pac_threshold_path`` builds one ``_Kernel`` per call; its scratch of
+``_SCRATCH_ROWS`` rows holds the summand rows of one leaf, written as
+np.where(v <= t, below, above) from per-set arrays (l / M and 0 on the l
+side, 1 and 1 - u / M on the u side), and goes when the call returns. A
+leaf then runs the float operations of ``running_nu`` and
+``log_wealth_max`` on those rows, so each row keeps the bits of the linear
+scan's. Each kernel row costs three sequential cumulative sums, so rows and
+calls set the cost. The window rule and the two constants were checked by
+replaying 64 captured sensitivity-campaign paths (n = 1000, 13 strengths)
+and 32 coverage-campaign paths (n = 2000), counting leaf calls, leaf rows
+and bounds, and weighting them by their cost on one CPU of a shared 2-CPU
+Xeon (a leaf about 15 us plus 21 us a row, a bound about 80 us, at
+n = 1000). Leaf 8 with the bound first above 4 candidates came within 2 %
+of the best pair; every pair with a leaf of 4 to 12 and a bound first above
+2 to 6 came within 3 %, and a leaf of 16 or a bound first above 8 cost 3 to
+15 % more. Resumed searches there moved a median of 3 candidates (90 % at
+most 7), and the first one after the search from 0 a mean of 22, hence the
+window rule; a bound after a window's miss almost never held, hence the
+leaf test of short ranges. A right half that always skipped its bound cost
+4 % less on the sensitivity paths and 40 % more on the coverage paths. The
+static certificate dropped the l side in 265 of the 583 sensitivity sets
+whose largest l / M is above the bet.
+
 Along a path a later set could cross below the previous crossing and dip
 again above it. There the resumed search is itself the path's repair, so
 every entry is at least the previous one, and a larger threshold only adds
@@ -444,6 +493,16 @@ def pac_threshold_path(
     thresholds (see the module notes). The searches read one stable sort of
     the shared scores, taken here; plugin and Hoeffding sum each set's
     envelope with ``core._envelope_sums``.
+
+    For wsr the units must come in an order fixed apart from their values
+    (a seeded random permutation, say): the betting martingale reads them
+    in the order given, and an order that depends on the data voids the
+    certificate. One kernel serves the whole path. The first search splits
+    the candidates top down; each later one tries the u side on a window of
+    min(offset + 1, 16) candidates past the previous crossing, offset being
+    how far the previous search moved, and doubles the range after a miss;
+    the l side is searched only below the u side's crossing, and not at all
+    when its static certificate holds (module notes).
 
     M must dominate every set's bounds; default: the largest single-set M.
     """
