@@ -287,6 +287,12 @@ class _Kernel:
         nu = self.running_nu(f, self._nu[: f.shape[0]], w)
         return self.log_wealth_max(f, nu, side.g0, w) >= self.thresh
 
+    def leaf(self, v: np.ndarray, vs: np.ndarray, a: int, b: int, side: _Side) -> int:
+        """Index of the first of the candidates ``vs[a..b]`` whose row on
+        ``side`` passes, or -1, from one :meth:`passes` over all of them."""
+        hit = self.passes(v, vs[a : b + 1], side)
+        return a + int(np.argmax(hit)) if hit.any() else -1
+
     def range_dead(self, v: np.ndarray, vs: np.ndarray, a: int, b: int, side: _Side) -> bool:
         """Whether ``log_wealth_bound`` of the end rows of the candidates
         ``vs[a..b]`` proves that no row of ``side`` there passes."""
@@ -386,8 +392,7 @@ def _first_pass(kernel: _Kernel, v: np.ndarray, vs: np.ndarray, side: _Side, a: 
         mid = (a + b) // 2
         k = _first_pass(kernel, v, vs, side, a, mid)
         return k if k >= 0 else _first_pass(kernel, v, vs, side, mid + 1, b, not bound)
-    hit = kernel.passes(v, vs[a : b + 1], side)
-    return a + int(np.argmax(hit)) if hit.any() else -1
+    return kernel.leaf(v, vs, a, b, side)
 
 
 def _side_search(kernel: _Kernel, v: np.ndarray, vs: np.ndarray, side: _Side, start: int,
@@ -404,11 +409,8 @@ def _side_search(kernel: _Kernel, v: np.ndarray, vs: np.ndarray, side: _Side, st
     a, size = start, window
     while a < stop:
         b = min(a + size, stop) - 1
-        if b - a < _WINDOW:
-            hit = kernel.passes(v, vs[a : b + 1], side)
-            k = a + int(np.argmax(hit)) if hit.any() else -1
-        else:
-            k = _first_pass(kernel, v, vs, side, a, b)
+        k = (kernel.leaf(v, vs, a, b, side) if b - a < _WINDOW
+             else _first_pass(kernel, v, vs, side, a, b))
         if k >= 0:
             return k
         a, size = b + 1, 2 * size
