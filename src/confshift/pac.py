@@ -434,7 +434,13 @@ def _wsr_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, del
     u side on ``[start, n)`` first, top down, or from a first ``window`` of
     candidates when one is given (``_side_search``); then the l side only
     on ``[start, x_u)``, unless ``_Kernel.side_dead`` drops it for the whole
-    set. Bounds and leaves read the rows the kernel builds in its scratch;
+    set. The bound is built from the kernel's own steps in the same
+    operation order, and IEEE add, multiply, divide, sqrt, a cumsum in fixed
+    order and max are each monotone in every input, so it dominates every
+    row's computed log-wealth, not only its exact value; ``_BOUND_MARGIN``
+    covers ``np.log``, which need not be correctly rounded. So a dropped
+    range holds no passing row, and the result equals the index of a linear
+    scan. Bounds and leaves read the rows the kernel builds in its scratch;
     ``kernel`` must have been built for this n and delta with
     ``_SCRATCH_ROWS`` rows, and a fresh one is built when it is None.
     """
