@@ -1293,9 +1293,6 @@ _DIGESTS = {
         "intervals.csv":
             "a2f715277d430ae7245962a432f9054475c5a80431b24bbeb7ee4a0f1c30bf62",
     },
-    # The four alg2:wsr cases below that read a --calib file were recorded
-    # after that fold's rows were put in a seeded order independent of the
-    # file's row order.
     "predict-alg2:wsr-abs_residual": {
         "intervals.csv":
             "f5fa2b92f54ff8023cfd5c09e032bd137b9dd11b37894d5990965f1ee4466c50",
