@@ -43,7 +43,6 @@ __all__ = [
     "read_dataset",
     "rng",
     "split",
-    "write_dataset",
 ]
 
 # Absolute slack for cumulative-probability threshold comparisons.
@@ -223,35 +222,23 @@ def ndtri(p):
 
 
 class Dataset:
-    """Array-backed collection of units (x, t, y[, y1, y0]).
+    """Array-backed collection of observed units (x, t, y).
 
-    ``x`` is (n, p) float, ``t`` is 0/1, ``y`` the realized outcome. The
-    counterfactual columns are optional and, when present, must be consistent
-    with the realized outcome: y == y1 where t == 1 and y == y0 where t == 0.
+    ``x`` is (n, p) float, ``t`` is 0/1, ``y`` the realized outcome.
     """
 
-    def __init__(self, x, t, y, y1=None, y0=None):
+    def __init__(self, x, t, y):
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.t = np.asarray(t, dtype=int)
         self.y = np.asarray(y, dtype=float)
-        self.y1 = None if y1 is None else np.asarray(y1, dtype=float)
-        self.y0 = None if y0 is None else np.asarray(y0, dtype=float)
         n = self.x.shape[0]
         if n == 0:
             raise ValidationError("empty-dataset")
-        for name, arr in (("t", self.t), ("y", self.y), ("y1", self.y1), ("y0", self.y0)):
-            if arr is not None and arr.shape != (n,):
+        for name, arr in (("t", self.t), ("y", self.y)):
+            if arr.shape != (n,):
                 raise ValidationError(f"column {name} has shape {arr.shape}, expected ({n},)")
         if not np.isin(self.t, (0, 1)).all():
             raise ValidationError("treatment indicator must be 0 or 1")
-        if self.y1 is not None:
-            m = self.t == 1
-            if not np.array_equal(self.y[m], self.y1[m]):
-                raise ValidationError("y must equal y1 on treated units")
-        if self.y0 is not None:
-            m = self.t == 0
-            if not np.array_equal(self.y[m], self.y0[m]):
-                raise ValidationError("y must equal y0 on control units")
 
     @property
     def n(self) -> int:
@@ -266,13 +253,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(
-            self.x[idx],
-            self.t[idx],
-            self.y[idx],
-            None if self.y1 is None else self.y1[idx],
-            None if self.y0 is None else self.y0[idx],
-        )
+        return Dataset(self.x[idx], self.t[idx], self.y[idx])
 
     def arm(self, t: int) -> "Dataset":
         """Units with treatment indicator ``t`` (errors when none exist)."""
@@ -307,10 +288,10 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 # Units files (train, calib, test) have one rule: a header row naming the
-# covariates x1..xp in any order, the treatment t (0 or 1), the outcome y and
-# the optional counterfactual pair y1, y0; any other column is an error. Train
-# and calib files need t and y, test files may leave them out. Every cell must
-# parse as a finite float. No column may repeat, in any CSV input.
+# covariates x1..xp in any order, the treatment t (0 or 1) and the outcome y;
+# any other column is an error. Train and calib files need t and y, test files
+# may leave them out. Every cell must parse as a finite float. No column may
+# repeat, in any CSV input.
 #
 # Reading: the file must be UTF-8 text. Lines end at \n, \r\n or a lone \r,
 # as in the csv module. An empty line, and a line whose first field,
@@ -340,7 +321,7 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
 # ends in \n, the header and every data row in \r\n, and a one-column row
 # whose cell is empty is written '""', so that no data line is empty.
 
-_OUTCOMES = ("t", "y", "y1", "y0")
+_OUTCOMES = ("t", "y")
 
 # Separators that numpy's converter strips as whitespace and float() refuses.
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
@@ -467,9 +448,8 @@ def read_table(path: str) -> CsvTable:
 def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
     """Columns of a units file, keyed like the :class:`Dataset` arguments.
 
-    ``x`` is (n, p) in covariate order; ``t`` (ints), ``y``, ``y1`` and
-    ``y0`` are present when the file has them. With ``need_outcome`` the
-    file must carry ``t`` and ``y``.
+    ``x`` is (n, p) in covariate order; ``t`` (ints) and ``y`` are present
+    when the file has them. With ``need_outcome`` the file must carry both.
     """
     tab = read_table(path)
     header = tab.header
@@ -480,11 +460,9 @@ def read_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
     for c in header:
         if c not in xs and c not in _OUTCOMES:
             raise DataError(f"{path}: unknown column {c!r}")
-    for c in ("t", "y") if need_outcome else ():
+    for c in _OUTCOMES if need_outcome else ():
         if c not in header:
             raise DataError(f"{path}: missing required column {c!r}")
-    if ("y1" in header) != ("y0" in header):
-        raise DataError(f"{path}: y1 and y0 must both be present or both absent")
     cols = {"x": np.column_stack([tab.floats(c) for c in covariates])}
     cols.update((c, tab.floats(c)) for c in _OUTCOMES if c in header)
     if "t" in cols:
@@ -541,12 +519,3 @@ def write_table(path: str, columns: dict[str, np.ndarray], comment: str | None) 
     text = "\r\n".join(lines) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n{text}" if comment else text)
-
-
-def write_dataset(path: str, ds: Dataset, comment: str | None = None) -> None:
-    """Write a dataset CSV that :func:`read_dataset` reads back bit-exactly."""
-    columns = {f"x{j + 1}": ds.x[:, j] for j in range(ds.p)}
-    columns.update(t=ds.t, y=ds.y)
-    if ds.y1 is not None and ds.y0 is not None:
-        columns.update(y1=ds.y1, y0=ds.y0)
-    write_table(path, columns, comment)

@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 from confshift import cli
 from confshift.cli import _TABLES, main
-from confshift.core import Dataset, read_dataset, write_dataset
+from confshift.core import Dataset, read_dataset, read_table
 from confshift.scores import KNNQuantileModel
 from confshift.simulate import _UNREAD, SimConfig
 from confshift.worstcase import DiscreteJoint, lp_oracle_marginal, worst_cdf_marginal
+from conftest import write_units
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +65,8 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_corpus")
     train = _toy_dataset(160, seed=5)
     calib = _toy_dataset(90, seed=6)
-    write_dataset(str(root / "train.csv"), train)
-    write_dataset(str(root / "calib.csv"), calib)
+    write_units(str(root / "train.csv"), train)
+    write_units(str(root / "calib.csv"), calib)
     test = _toy_dataset(12, seed=7)
     _write_xmatrix(root / "test.csv", test.x)
     obs = _toy_dataset(10, seed=8)
@@ -203,7 +204,7 @@ def test_a_calib_file_sorted_by_outcome_gives_the_same_alg2_wsr_outputs(corpus, 
     paths = [corpus["calib"]]
     for name, order in (("up", np.argsort(calib.y)), ("down", np.argsort(-calib.y))):
         paths.append(tmp_path / f"calib_{name}.csv")
-        write_dataset(str(paths[-1]), calib.subset(order))
+        write_units(str(paths[-1]), calib.subset(order))
     got = [_run_on_calib(corpus, p, tmp_path / f"run{i}", command, "alg2:wsr")
            for i, p in enumerate(paths)]
     assert got[0] == got[1] == got[2]
@@ -232,8 +233,8 @@ def test_calib_row_order_never_changes_an_output(corpus, seed, n, ties, data):
     order = np.array(data.draw(st.permutations(range(n))))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        write_dataset(str(root / "a.csv"), calib)
-        write_dataset(str(root / "b.csv"), calib.subset(order))
+        write_units(str(root / "a.csv"), calib)
+        write_units(str(root / "b.csv"), calib.subset(order))
         for command in ("predict", "sensitivity"):
             for method in _ALL_METHODS:
                 runs = [_run_on_calib(corpus, root / f"{name}.csv",
@@ -446,7 +447,7 @@ def test_single_arm_calibration_exits_2(corpus, tmp_path, capsys):
     ds = _toy_dataset(40, seed=9)
     treated = ds.arm(1)
     path = tmp_path / "treated_only.csv"
-    write_dataset(str(path), treated)
+    write_units(str(path), treated)
     rc = main(["predict", "--train", corpus["train"], "--calib", str(path),
                "--test", corpus["test"], "--arm", "0",
                "--out-dir", str(tmp_path / "o")])
@@ -569,17 +570,20 @@ def test_covariate_norm_overflow_exits_2(corpus, tmp_path, capsys, role):
     assert not (tmp_path / "o" / "intervals.csv").exists()
 
 
-def test_written_dataset_with_counterfactuals_is_a_test_file(tmp_path):
-    """A write_dataset file carrying y1,y0 serves as --train and as --test."""
-    ds = _toy_dataset(60, seed=12)
-    full = Dataset(ds.x, ds.t, ds.y, np.where(ds.t == 1, ds.y, ds.y + 1.0),
-                   np.where(ds.t == 0, ds.y, ds.y - 1.0))
-    path = str(tmp_path / "full.csv")
-    write_dataset(path, full)
-    for command in ("predict", "sensitivity"):
-        strengths = "--gamma-grid" if command == "sensitivity" else "--gamma"
-        assert main([command, "--train", path, "--test", path, strengths, "1.0,1.5",
-                     "--k", "5", "--out-dir", str(tmp_path / command)]) == 0
+@pytest.mark.parametrize("command,test", [("predict", "test"), ("sensitivity", "obstest")])
+@pytest.mark.parametrize("role", ["train", "calib", "test"])
+@pytest.mark.parametrize("extra", [["y1"], ["y0"], ["y1", "y0"]])
+def test_a_units_file_with_y1_or_y0_exits_2(corpus, tmp_path, capsys, command, test, role,
+                                             extra):
+    """A units file carries x1..xp, t and y only: the counterfactual pair
+    y1, y0 is an unknown column in every role, like any other."""
+    files = {"train": corpus["train"], "calib": corpus["calib"], "test": corpus[test]}
+    bad = tmp_path / "cf.csv"
+    _rewrite_units(files[role], bad, header=read_table(files[role]).header + extra)
+    files[role] = str(bad)
+    assert main([command, "--train", files["train"], "--calib", files["calib"],
+                 "--test", files["test"], "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"cf.csv: unknown column {extra[0]!r}" in capsys.readouterr().err
 
 
 def test_every_sim_config_field_has_a_simulate_option():
@@ -895,7 +899,7 @@ def test_a_k_above_the_training_size_is_one_warning_line(corpus, tmp_path, comma
     exits 0 with the outputs of k = n."""
     train = tmp_path / "train.csv"
     x = np.random.default_rng(3).uniform(size=(20, 2))
-    write_dataset(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
+    write_units(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
     folds = ["--train", str(train), "--calib", corpus["calib"]]
     argv = [corpus.get(a, a) for a in argv] + (folds if command != "simulate" else [])
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
@@ -920,7 +924,7 @@ def test_a_clamped_k_then_a_failure_prints_the_error_alone(corpus, tmp_path, cap
     only once the run has succeeded."""
     train = tmp_path / "train.csv"
     x = np.random.default_rng(3).uniform(size=(20, 2))
-    write_dataset(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
+    write_units(str(train), Dataset(x, np.arange(20) % 2, x.sum(axis=1)))
     assert main(["predict", "--train", str(train), "--calib", corpus["calib"],
                  "--test", corpus["test"], "--k", "20", "--gamma", "1,1e308",
                  "--out-dir", str(tmp_path / "out")]) == 3

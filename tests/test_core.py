@@ -21,11 +21,11 @@ from confshift import (
     read_dataset,
     rng,
     split,
-    write_dataset,
 )
 from confshift.cli import _read_instance
 from confshift.core import _fast_table, expit, ndtri, read_table, read_units, write_table
 from confshift.worstcase import DiscreteJoint
+from conftest import write_units
 
 
 def test_rng_reproducible():
@@ -37,22 +37,16 @@ def test_rng_reproducible():
 # ---------------------------------------------------------------------------
 
 
-def _toy_dataset(n=10, p=3, seed=0, counterfactuals=False):
+def _toy_dataset(n=10, p=3, seed=0):
     r = rng(seed)
     x = r.normal(size=(n, p))
     t = r.integers(0, 2, size=n)
-    y1 = r.normal(size=n)
-    y0 = r.normal(size=n)
-    y = np.where(t == 1, y1, y0)
-    if counterfactuals:
-        return Dataset(x, t, y, y1, y0)
-    return Dataset(x, t, y)
+    return Dataset(x, t, r.normal(size=n))
 
 
 def test_dataset_shapes_and_access():
-    ds = _toy_dataset(n=7, p=2, counterfactuals=True)
+    ds = _toy_dataset(n=7, p=2)
     assert (ds.n, ds.p, len(ds)) == (7, 2, 7)
-    np.testing.assert_array_equal(ds.y, np.where(ds.t == 1, ds.y1, ds.y0))
     treated = ds.arm(1)
     assert treated.n == int(ds.t.sum()) and (treated.t == 1).all()
 
@@ -62,9 +56,6 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1)), [0, 2], [0.0, 0.0])
     with pytest.raises(ValidationError):
         Dataset(np.zeros((2, 1)), [0, 1], [0.0])
-    with pytest.raises(ValidationError):
-        # realized outcome must match the stated arm
-        Dataset(np.zeros((1, 1)), [1], [5.0], y1=[4.0], y0=[0.0])
     with pytest.raises(ValidationError):
         Dataset(np.zeros((0, 1)), [], [])
 
@@ -104,15 +95,13 @@ def test_split_rejects_empty_fold():
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
-    ds = _toy_dataset(n=12, p=4, seed=5, counterfactuals=True)
+    ds = _toy_dataset(n=12, p=4, seed=5)
     path = str(tmp_path / "ds.csv")
-    write_dataset(path, ds, comment="round trip")
+    write_units(path, ds, comment="round trip")
     back = read_dataset(path)
     np.testing.assert_array_equal(back.x, ds.x)
     np.testing.assert_array_equal(back.t, ds.t)
     np.testing.assert_array_equal(back.y, ds.y)
-    np.testing.assert_array_equal(back.y1, ds.y1)
-    np.testing.assert_array_equal(back.y0, ds.y0)
 
 
 def test_csv_bad_cell_names_row(tmp_path):
@@ -158,11 +147,6 @@ def test_csv_schema_errors(tmp_path):
     with pytest.raises(DataError, match="duplicate column 't'"):
         read_dataset(str(twice))
 
-    lonely_cf = tmp_path / "c.csv"
-    lonely_cf.write_text("x1,t,y,y1\n0.5,1,1.0,1.0\n")
-    with pytest.raises(DataError, match="y1 and y0"):
-        read_dataset(str(lonely_cf))
-
     with pytest.raises(DataError, match="cannot read"):
         read_dataset(str(tmp_path / "nope.csv"))
 
@@ -182,24 +166,22 @@ def _bits(a) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), p=st.integers(1, 3), data=st.data())
 def test_written_units_read_back_bit_exact(n, p, data):
-    """write_dataset and a write_table in any column order both read back
-    through read_dataset to the same float64 bits."""
+    """A units file written with a stamp, and one with its columns in any
+    order, both read back through read_dataset to the same float64 bits."""
     x = np.array(data.draw(st.lists(_FLOATS, min_size=n * p, max_size=n * p))).reshape(n, p)
     t = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    y1, y0 = (np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n)))
-              for _ in range(2))
-    ds = Dataset(x, t, np.where(t == 1, y1, y0), y1, y0)
+    ds = Dataset(x, t, np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n))))
     columns = {f"x{j + 1}": x[:, j] for j in range(p)}
-    columns.update(t=t, y=ds.y, y1=y1, y0=y0)
+    columns.update(t=t, y=ds.y)
     order = data.draw(st.permutations(list(columns)))
     with tempfile.TemporaryDirectory() as d:
         a, b = os.path.join(d, "a.csv"), os.path.join(d, "b.csv")
-        write_dataset(a, ds, comment="round trip")
+        write_units(a, ds, comment="round trip")
         write_table(b, {c: columns[c] for c in order}, None)
         backs = [read_dataset(a), read_dataset(b)]
     for back in backs:
         np.testing.assert_array_equal(back.t, ds.t)
-        for got, want in ((back.x, ds.x), (back.y, ds.y), (back.y1, y1), (back.y0, y0)):
+        for got, want in ((back.x, ds.x), (back.y, ds.y)):
             assert _bits(got) == _bits(want)
 
 
@@ -292,9 +274,10 @@ def test_write_table_refuses_columns_of_unequal_length(tmp_path):
         write_table(str(tmp_path / "out.csv"), {"a": np.arange(3.0), "b": np.arange(2)}, None)
 
 
-def test_write_dataset_writes_nonfinite_values_as_empty_cells(tmp_path):
+def test_write_table_writes_nonfinite_values_as_empty_cells(tmp_path):
     path = tmp_path / "ds.csv"
-    write_dataset(str(path), Dataset([[np.inf], [-np.inf]], [1, 0], [np.nan, 2.5]))
+    write_table(str(path), {"x1": np.array([np.inf, -np.inf]), "t": np.array([1, 0]),
+                            "y": np.array([np.nan, 2.5])}, None)
     assert path.read_text().splitlines() == ["x1,t,y", ",1,", ",0,2.5"]
     with pytest.raises(DataError, match="row 2: column 'x1' is not a finite number: ''"):
         read_dataset(str(path))
@@ -386,15 +369,13 @@ def _oracle_units(path: str, need_outcome: bool) -> dict[str, np.ndarray]:
     if not xs or set(xs) != set(covariates):
         raise DataError(f"{path}: covariate columns must be x1..xp, got {xs}")
     for c in header:
-        if c not in xs and c not in ("t", "y", "y1", "y0"):
+        if c not in xs and c not in ("t", "y"):
             raise DataError(f"{path}: unknown column {c!r}")
     for c in ("t", "y") if need_outcome else ():
         if c not in header:
             raise DataError(f"{path}: missing required column {c!r}")
-    if ("y1" in header) != ("y0" in header):
-        raise DataError(f"{path}: y1 and y0 must both be present or both absent")
     cols = {"x": np.column_stack([tab.floats(c) for c in covariates])}
-    cols.update((c, tab.floats(c)) for c in ("t", "y", "y1", "y0") if c in header)
+    cols.update((c, tab.floats(c)) for c in ("t", "y") if c in header)
     if "t" in cols:
         bad = (cols["t"] != 0) & (cols["t"] != 1)
         if bad.any():
@@ -487,8 +468,7 @@ def _assert_same(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), key
 
 
-_UNITS_NAMES = st.sampled_from([["x1", "t", "y"], ["x1", "x2", "t", "y"], ["x2", "x1"],
-                                ["x1", "t", "y", "y1", "y0"]])
+_UNITS_NAMES = st.sampled_from([["x1", "t", "y"], ["x1", "x2", "t", "y"], ["x2", "x1"]])
 
 
 @settings(max_examples=400, deadline=None)
@@ -513,9 +493,9 @@ def test_reader_matches_the_cell_reader(data):
 
 
 def test_fast_path_reads_written_files(tmp_path):
-    """What write_dataset and write_table write goes through numpy's reader."""
+    """What write_table writes goes through numpy's reader."""
     path = str(tmp_path / "ds.csv")
-    write_dataset(path, _toy_dataset(n=50, p=3, seed=1), comment="stamp")
+    write_units(path, _toy_dataset(n=50, p=3, seed=1), comment="stamp")
     tab = read_table(path)
     assert tab.values is not None and tab.values.shape == (5, 50) and not tab.rows
     for text in ("x1,y\n1,2\n  \n3,4\n", "x1,y\n1,2 # note\n", "x1,y\n1_0,2\n",

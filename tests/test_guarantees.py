@@ -2,13 +2,17 @@
 acceptance gate does not test: the gap certificates under a misspecified
 envelope, PAC coverage of the Hoeffding envelope, validity with the
 over-coverage (sharpness) reported at several strengths, and alg2's validity
-and sharpness against the envelope's exact worst case.
+and sharpness against the envelope's exact worst case. Also a check that
+every test the README's guarantees ledger names exists.
 
 Sizes, seeds and tolerances are fixed in advance; the observed numbers are
 printed (``pytest -s``) so a failure shows by how much it missed.
 """
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +126,17 @@ def test_alg2_covers_the_whole_envelope_class_and_is_sharp():
           f"mean slack {slack.mean():.4f} < width {min(widths):.4f}")
     assert share <= cap
     assert slack.mean() < min(widths)
+
+
+def test_every_test_the_ledger_names_is_collected():
+    """Each test named in the README's guarantees ledger is a module-level
+    ``test*`` function of a ``tests/test_*.py`` file, which pytest collects,
+    so a renamed or removed test cannot leave a row pointing at nothing."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    ledger = readme.split("\n## Guarantees ledger\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(test_\w+)`", ledger))
+    collected = {node.name for path in (root / "tests").glob("test_*.py")
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("test")}
+    assert named and sorted(named - collected) == []
