@@ -16,8 +16,8 @@ endpoints are serialized as empty cells next to boolean ``unbounded_lo`` /
 
 Exit codes: 0 success (with at most one ``confshift: warning:`` line, for
 a k above the training size), 2 malformed or insufficient input data, 3 bad
-configuration (including missing files, unknown keys, and a ``--config`` or
-``--out-dir`` path the run cannot read or write).
+configuration (including missing files, unknown or repeated keys, and a
+``--config`` or ``--out-dir`` path the run cannot read or write).
 """
 
 from __future__ import annotations
@@ -286,14 +286,19 @@ def _parse_config_file(path: str) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # the line that set each key
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key):
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        if key == "config":
+            raise ConfigError(f"{path}:{line_no}: a config file cannot set config")
+        if key in first:
+            raise ConfigError(f"{path}:{line_no}: {key} repeats, first set on line {first[key]}")
+        first[key], out[key] = line_no, value
     return out
 
 

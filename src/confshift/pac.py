@@ -44,13 +44,14 @@ first, over every candidate from the start on, and gives its first passing
 index x_u; the l side is then searched only below x_u, where a pass could
 still move the answer. Each side's search splits candidate ranges: a range
 of more than ``_BOUND_FIRST`` candidates first takes an upper bound on its
-log-wealth from its two end rows (``_Kernel.log_wealth_bound``) and is
-dropped when the bound stays below log(2/delta); a range of more than
-``_LEAF`` candidates is split in halves, left first, and the rest is tested
-row by row. A right half is reached only when its left sibling held no
-pass: when the parent took a bound of its own, that bound failed on both
-halves together, so the right half splits at once; when the parent skipped
-its bound, the right half takes one.
+log-wealth from its one pair of end rows at the side's bet
+(``_Kernel.log_wealth_bound``) and is dropped when that bound stays below
+log(2/delta); a range of more than ``_LEAF`` candidates is split in
+halves, left first, and the rest is tested row by row. A right half is
+reached only when its left sibling held no pass: when the parent took a
+bound of its own, that bound failed on both halves together, so the right
+half splits at once; when the parent skipped its bound, the right half
+takes one.
 
 * A search from 0 splits [0, n) top down this way on the u side, then
   [0, x_u) on the l side.
@@ -189,7 +190,8 @@ class _Kernel:
     the same floats), so the dominance arguments of ``_wsr_first_crossing``
     hold for every float the kernel returns. A kernel built with ``rows``
     holds three (rows, n) scratch arrays that :meth:`passes` fills for up to
-    ``rows`` candidates at a time; they go when the kernel does.
+    ``rows`` candidates at a time, and :meth:`range_dead` for a range's two
+    end rows; they go when the kernel does.
     """
 
     def __init__(self, n: int, delta: float, rows: int = 0) -> None:
@@ -243,32 +245,31 @@ class _Kernel:
         np.add.accumulate(w, axis=1, out=w)
         return w.max(axis=1)
 
-    def log_wealth_bound(self, lo: np.ndarray, hi: np.ndarray, g0: np.ndarray) -> np.ndarray:
-        """Upper bound on ``log_wealth_max(r, running_nu(r), g0)`` over every
-        summand row r whose entries each equal the entry of ``lo`` or of ``hi``
-        in the same row, where lo <= hi entrywise; one bound per row.
+    def log_wealth_bound(self, ends: np.ndarray, g0: float) -> float:
+        """Upper bound on ``log_wealth_max(r, running_nu(r), g0)`` at the one
+        bet g0, over every summand row r whose entries each equal the entry
+        of ``ends[0]`` or ``ends[1]`` in the same column, ends[0] <= ends[1].
 
         Such rows are the summands at every t between two sorted scores,
         because each summand is a nondecreasing step function of t. The
-        running means lie between the two corner rows' means; each squared
-        deviation lies between ``sq_lo`` (the squared distance from the
-        entry's two values to that mean interval) and ``sq_hi`` (the largest
+        running means lie between the two end rows' means; each squared
+        deviation lies between ``sq[0]`` (the squared distance from the
+        entry's two values to that mean interval) and ``sq[1]`` (the largest
         of the four corners); so nu lies between the fractions those squares
-        give, and each factor is at most 1 + nu* (hi - g0), with nu* the
-        larger fraction where hi >= g0 and the smaller one elsewhere.
+        give, and each factor is at most 1 + nu* (ends[1] - g0), with nu* the
+        larger fraction where ends[1] >= g0 and the smaller one elsewhere.
         """
-        x = np.stack((lo, hi))
-        mu = self._mean(x, 0.5, np.empty_like(x))
-        sq = np.empty_like(x)  # sq[0] the smallest squared deviation, sq[1] the largest
-        corners = x[:, None] - mu[None]
+        mu = self._mean(ends, 0.5, np.empty_like(ends))
+        sq = np.empty_like(ends)  # sq[0] the smallest squared deviation, sq[1] the largest
+        corners = ends[:, None] - mu[None]
         corners *= corners
         np.max(corners, axis=(0, 1), out=sq[1])
-        near = np.clip(x, mu[0], mu[1])
-        np.subtract(x, near, out=near)
+        near = np.clip(ends, mu[0], mu[1])
+        np.subtract(ends, near, out=near)
         near *= near
         np.minimum(near[0], near[1], out=sq[0])
         nu = self.nu_from_squares(sq)
-        return self.log_wealth_max(hi, np.where(hi >= g0[:, None], nu[0], nu[1]), g0)
+        return float(self.log_wealth_max(ends[1:], np.where(ends[1] >= g0, nu[0], nu[1]), g0)[0])
 
     def side_rows(self, v: np.ndarray, t: np.ndarray, side: _Side) -> np.ndarray:
         """The summand rows of ``side`` at each threshold in ``t``,
@@ -297,8 +298,7 @@ class _Kernel:
         """Whether ``log_wealth_bound`` of the end rows of the candidates
         ``vs[a..b]`` proves that no row of ``side`` there passes."""
         ends = self.side_rows(v, vs[[a, b]], side)
-        bound = self.log_wealth_bound(ends[:1], ends[1:], np.array([side.g0]))[0]
-        return bound < self.thresh - _BOUND_MARGIN
+        return self.log_wealth_bound(ends, side.g0) < self.thresh - _BOUND_MARGIN
 
     def side_dead(self, side: _Side) -> bool:
         """Whether the static certificate proves that no row of the l side

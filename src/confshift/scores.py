@@ -48,31 +48,34 @@ exactly. To first order in u:
 
 So |e - d| <= (5p + 8) u S + 3p eta. ``_rounding_bound`` takes
 tol = 8 (p + 2) (u S + eta), at least 1.6 times that for every p, which also
-covers the second-order terms and the rounding of the test below.
+covers the second-order terms and the rounding of the window limit below.
 
-The certificate. After the partition, a row's k-th key kk (the largest of
-the first k) and next key nk (entry k) bound its product distances: the k
-picked are at most kk's class ceiling (kk with its low b set), every other
-one at least nk's class floor (nk with them cleared). A row is certified
-when kk >= 0 and floor - ceiling > 2 tol: then every picked point's d is
-below every other point's d, so the k picked are the row's k nearest under
-d, with no tie at the k-th. Negative floats' bits sort in reverse, so a
-negative kk bounds nothing.
+The window. After the partition, a row's k-th key kk (the largest of the
+first k) bounds the product distances of the k picked points by c, kk's
+class ceiling (kk with its low b set): a non-negative key at most kk has e
+at most c, a negative one e < 0. The row's window limit is c + 2 tol, or
++inf when kk < 0 (negative floats' bits sort in reverse, so a negative kk
+bounds nothing), and its candidates are the points whose key's class floor
+(the key with its low b cleared) is at most the limit. The k picked points
+are candidates, and so is every neighbour under d:
 
-The window. Every other row (ties, near ties, negative product distances)
-takes the tie path, with d computed only to its candidates: the points whose
-key's class floor is at most c + 2 tol, with c the class ceiling of kk (every
-point, when kk < 0). Every neighbour under d is a candidate:
-
-* the k picked points have e <= c (a non-negative key at most kk has e at
-  most c, a negative one has e < 0), so d <= c + tol at k points and the
-  k-th smallest d, D_k, is at most c + tol;
+* d <= c + tol at the k picked points, so the k-th smallest d, D_k, is at
+  most c + tol;
 * a neighbour has d <= D_k, so e <= d + tol <= c + 2 tol, and its class
   floor is at most its e.
 
-So every other point's d is above D_k, and +inf in its place moves neither
-the k-th distance nor the set at or within it. The factor 1.6 in tol covers
-the rounding of c + 2 tol, as it covers the certificate's test.
+A row is certified when its next key's class floor (entry k) lies above its
+limit: every later key's floor is at least as large, so the window holds
+the k picked points alone, and they are the row's neighbours under d, with
+no tie at the k-th. Every other row (ties, near ties, negative product
+distances) takes the tie path, with d computed only to its candidates and
++inf in every other point's place, which moves neither the k-th distance
+nor the set at or within it.
+
+The limit is a rounded sum. With B = (5p + 8) u S + 3p eta, tol >= 1.6 B
+gives 2 tol - 2B >= 0.75 tol >= 18 u S, while fl(c + 2 tol) lies below
+c + 2 tol by at most u (c + 2 tol), about u D_k <= 2 u S. So the rounded
+limit is at least c + 2B, and the argument holds for it.
 
 No overflow. With every |.|^2 at most ``MAX_SQ_NORM`` = max / 8, each
 product |a_l 2 x_l| <= 2 |a| |x| <= max / 4 and every partial sum of the
@@ -187,35 +190,33 @@ class KNNQuantileModel:
         their keys, then the exact rows' direct distances."""
         rows, n, k = xq.shape[0], self.x.shape[0], self.k
         d2 = np.matmul(aq, ax, out=buf[:rows])
-        # Key, in place: the distance's int64 bits with the low b cleared, the
+        # Key, in place: the distance's int64 bits with ``low`` cleared, the
         # column in them. On non-negative floats the bits order as the values,
         # and every negative float's bits sort below them.
-        b = (n - 1).bit_length()
-        low = (1 << b) - 1
+        low = (1 << (n - 1).bit_length()) - 1
         key = d2.view(np.int64)
         key &= ~low
         key |= np.arange(n)
         # One pivot at k: the first k keys are the k smallest, entry k the next.
         key.partition(k, axis=1)
-        exact = _uncertified(key, k, b, tol)
+        limit = _window_limit(key, k, low, tol)
+        # Certified unless the next key is a candidate too.
+        exact = (key[:, k] & ~low).view(float) <= limit
         q = _lower_quantiles(np.sort(self.y[key[:, :k] & low], axis=1), np.full(rows, k), betas)
         if exact.any():
             # The exact rows' keys are copied out: the buffer takes their distances.
-            d = _candidate_sq_dists(xq[exact], self.x, key[exact], k, b, tol[exact], buf)
+            d = _candidate_sq_dists(xq[exact], self.x, key[exact], limit[exact], low, buf)
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
             q[exact] = _lower_quantiles(*_tied_neighbours(d, kth, self.y), betas)
         return q
 
 
-def _uncertified(key: np.ndarray, k: int, b: int, tol: np.ndarray) -> np.ndarray:
-    """Rows of the keys, partitioned at k with b low bits for the column, that
-    do not certify their first k as the k nearest under direct distances: a
-    negative k-th key, or a gap from the next key's class floor to the k-th
-    key's class ceiling of at most 2 tol."""
-    low = (1 << b) - 1
-    kk, nk = key[:, :k].max(axis=1), key[:, k]
-    gap = (nk & ~low).view(float) - (kk | low).view(float)
-    return (kk < 0) | ~(gap > 2.0 * tol)
+def _window_limit(key: np.ndarray, k: int, low: int, tol: np.ndarray) -> np.ndarray:
+    """Per row of the keys partitioned at k (``low`` masks their column
+    bits), the window limit: the k-th key's class ceiling plus 2 tol, or +inf
+    when that key is negative (module docstring)."""
+    kk = key[:, :k].max(axis=1)
+    return np.where(kk < 0, np.inf, (kk | low).view(float) + 2.0 * tol)
 
 
 def _rounding_bound(xq_sq: np.ndarray, x_sq_max: float, p: int) -> np.ndarray:
@@ -225,21 +226,14 @@ def _rounding_bound(xq_sq: np.ndarray, x_sq_max: float, p: int) -> np.ndarray:
     return (8 * (p + 2) * _U) * (xq_sq + x_sq_max) + (8 * (p + 2) * _ETA)
 
 
-def _candidate_sq_dists(xq: np.ndarray, x: np.ndarray, key: np.ndarray, k: int, b: int,
-                        tol: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _candidate_sq_dists(xq: np.ndarray, x: np.ndarray, key: np.ndarray, limit: np.ndarray,
+                        low: int, out: np.ndarray) -> np.ndarray:
     """Direct distances ((xq_i - x_j) ** 2).sum() from each row of xq to its
-    candidates, +inf to every other training point, into the first rows of
-    out, about ``_BLOCK_ENTRIES`` differences at a time. ``key`` holds the
-    rows' keys partitioned at k with b low bits for the column, ``tol`` their
-    rounding bounds. A candidate's class floor is at most the k-th key's
-    class ceiling plus 2 tol; a row whose k-th key is negative takes every
-    column. The module docstring shows that every neighbour is a candidate.
+    candidates (a ``key`` whose class floor is at most the row's ``limit``;
+    ``low`` masks the column bits), +inf to every other training point, into
+    the first rows of out, about ``_BLOCK_ENTRIES`` differences at a time.
     Elementwise, so a row's distances do not depend on the rows computed
     with it."""
-    low = (1 << b) - 1
-    kk = key[:, :k].max(axis=1)
-    # A negative key's class floor is a negative float, under any limit.
-    limit = np.where(kk < 0, np.inf, (kk | low).view(float) + 2.0 * tol)
     rows, at = np.nonzero((key & ~low).view(float) <= limit[:, None])
     cols = key[rows, at] & low
     d = out[: xq.shape[0]]

@@ -355,6 +355,27 @@ def test_unknown_config_key_is_rejected(corpus, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_file_repeating_a_key_is_rejected(corpus, tmp_path, capsys):
+    """The last value used to win silently: alpha=0.1 then alpha=0.3 ran at
+    0.3 with exit 0."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("alpha=0.1\n# a comment\nseed = 3\n alpha = 0.3\n", encoding="utf-8")
+    assert _run_predict(corpus, tmp_path / "o", "--config", str(cfg)) == 3
+    assert f"{cfg}:4: alpha repeats, first set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_setting_config_is_rejected(corpus, tmp_path, capsys):
+    """A config line used to be ignored silently: the file cannot name
+    another config file."""
+    other = tmp_path / "other.cfg"
+    other.write_text("alpha=0.3\n", encoding="utf-8")
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(f"alpha=0.1\nconfig={other}\n", encoding="utf-8")
+    assert _run_predict(corpus, tmp_path / "o", "--config", str(cfg)) == 3
+    assert f"{cfg}:2: a config file cannot set config" in capsys.readouterr().err
+
+
 def test_malformed_config_values_exit_3(corpus, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha=oops\n", encoding="utf-8")
@@ -364,6 +385,11 @@ def test_malformed_config_values_exit_3(corpus, tmp_path, capsys):
     cfg.write_text("just a line\n", encoding="utf-8")
     assert _run_predict(corpus, tmp_path / "o2", "--config", str(cfg)) == 3
     assert "expected key=value" in capsys.readouterr().err
+
+    # A line with no key used to report an unknown key with an empty name.
+    cfg.write_text(" = 0.1\n", encoding="utf-8")
+    assert _run_predict(corpus, tmp_path / "o3", "--config", str(cfg)) == 3
+    assert f"{cfg}:1: expected key=value, got '= 0.1'" in capsys.readouterr().err
 
 
 def test_missing_required_and_missing_file_exit_3(corpus, tmp_path, capsys):

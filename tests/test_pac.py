@@ -522,8 +522,7 @@ def test_wsr_log_wealth_bound_dominates_every_row(seed, n, ties, spread, inflate
     for rows, g0 in zip(_summands(calib, _vs(calib)[a : b + 1], m),
                         ((1.0 - alpha) / m, (m - alpha) / m)):
         exact = kernel.log_wealth_max(rows, kernel.running_nu(rows), g0)
-        bound = kernel.log_wealth_bound(rows[:1], rows[-1:], np.array([g0]))[0]
-        assert bound >= exact.max()
+        assert kernel.log_wealth_bound(rows[[0, -1]], g0) >= exact.max()
 
 
 @settings(max_examples=300, deadline=None)
@@ -533,9 +532,10 @@ def test_wsr_log_wealth_bound_dominates_every_row(seed, n, ties, spread, inflate
 def test_kernel_floats_equal_the_oracle(seed, rows, n, share, delta, g_end):
     """The in-place kernel returns the oracle's floats bit for bit: betting
     fractions, max log-wealth at a common bet and at one bet per row, the
-    range bound, and the bisection of several stacked rows. A ``share`` of
-    the entries (and of the bets) comes from {0, 1/4, 1/2, 1}, so rows hold
-    zeros, ones and exact ties; n may be 1; the common bet is 0 or 1."""
+    range bound of each row's end pair against the batched oracle, and the
+    bisection of several stacked rows. A ``share`` of the entries (and of
+    the bets) comes from {0, 1/4, 1/2, 1}, so rows hold zeros, ones and
+    exact ties; n may be 1; the common bet is 0 or 1."""
     r = rng(seed)
 
     def draw(shape):
@@ -550,7 +550,8 @@ def test_kernel_floats_equal_the_oracle(seed, rows, n, share, delta, g_end):
     np.testing.assert_array_equal(kernel.log_wealth_max(f, nu, g_end),
                                   _log_wealth_max(f, nu, g_end))
     np.testing.assert_array_equal(kernel.log_wealth_max(f, nu, g), _log_wealth_max(f, nu, g))
-    np.testing.assert_array_equal(kernel.log_wealth_bound(lo, hi, g),
+    np.testing.assert_array_equal([kernel.log_wealth_bound(np.stack((a, b)), g0)
+                                   for a, b, g0 in zip(lo, hi, g)],
                                   _log_wealth_bound(lo, hi, g, delta))
     np.testing.assert_array_equal(_wsr_lcb_rows(kernel, f), [_wsr_lcb(x, delta) for x in f])
     out, work = np.empty((rows, n)), np.empty((rows, n))

@@ -1,12 +1,13 @@
 """The public surface: every name ``confshift`` exports has a caller, and
 every private helper has a reader in the package.
 
-A name counts as used when the package source, the README (its Python
-examples and inline code) or the acceptance gate reads it. Its definition,
-an import of it and its ``__all__`` entry do not count, so a name that only
-the unit tests keep alive shows up here. A private name (one leading
-underscore) counts as used only when the package source reads it outside
-its own definition; reads from the tests do not count.
+A name counts as used when the package source, the README's Python
+examples or the acceptance gate reads it. Its definition, an import of it,
+its ``__all__`` entry and a mention in README prose or inline code do not
+count, so a name that only the unit tests or the prose keep alive shows up
+here. A private name (one leading underscore) counts as used only when the
+package source reads it outside its own definition; reads from the tests
+do not count.
 """
 
 import ast
@@ -28,15 +29,9 @@ def _names_read(source: str) -> set[str]:
 
 
 def _readme_names(text: str) -> set[str]:
-    """Names read by the README's Python blocks, plus every word of its
-    inline code spans."""
-    out = set()
-    for lang, body in _FENCE.findall(text):
-        if lang == "python":
-            out |= _names_read(body)
-    for span in re.findall(r"`([^`\n]+)`", _FENCE.sub("", text)):
-        out |= set(re.findall(r"\w+", span))
-    return out
+    """Names read by the README's Python blocks."""
+    return {name for lang, body in _FENCE.findall(text) if lang == "python"
+            for name in _names_read(body)}
 
 
 def _used_names() -> set[str]:

@@ -406,15 +406,56 @@ def test_knn_certifies_a_row_only_past_twice_the_rounding_bound(monkeypatch):
         assert sent == exact
 
 
+def _partitioned_keys(d, k):
+    """Keys of the distance rows d with 2 low bits for the column (so at most
+    4 columns), partitioned at k as the query packs them."""
+    key = (d.view(np.int64) & ~3) | np.arange(d.shape[1])
+    key.partition(k, axis=1)
+    return key
+
+
+# Row 0's two smallest distances are negative, row 1's positive; both are
+# far below the next one.
+_NEGATIVE_KTH = np.array([[-2.0 ** -40, -2.0 ** -41, 1.0, 9.0],
+                          [2.0 ** -41, 2.0 ** -40, 1.0, 9.0]])
+
+
 def test_knn_a_negative_kth_key_certifies_nothing():
     """Negative floats' bits sort in reverse, so a k-th key below 0 bounds
-    nothing, however wide its gap to the next key."""
-    d = np.array([[-2.0 ** -40, -2.0 ** -41, 1.0, 9.0],
-                  [2.0 ** -41, 2.0 ** -40, 1.0, 9.0]])
-    b = 2
-    key = (d.view(np.int64) & ~3) | np.arange(4)
-    key.partition(2, axis=1)
-    assert scores._uncertified(key, 2, b, np.full(2, 1e-20)).tolist() == [True, False]
+    nothing: its window limit is +inf, however wide its gap to the next key,
+    and the next key's class floor never lies above it."""
+    key = _partitioned_keys(_NEGATIVE_KTH, 2)
+    limit = scores._window_limit(key, 2, 3, np.full(2, 1e-20))
+    assert limit[0] == np.inf
+    assert 2.0 ** -40 < limit[1] < 1.0
+    assert ((key[:, 2] & ~3).view(float) <= limit).tolist() == [True, False]
+
+
+def test_knn_tie_path_takes_exactly_the_rows_tied_at_the_kth_distance(monkeypatch):
+    """Integer covariates on 0..99 make every product and direct distance an
+    exact integer, so a gap between distances is at least 1, far past the
+    window: the rows sent to the tie path, over three blocks, are exactly
+    those whose k-th and (k + 1)-th direct distances tie."""
+    r = rng(29)
+    n = 1000
+    x = r.integers(0, 100, size=(n, 4)).astype(float)
+    xq = r.integers(0, 100, size=(300, 4)).astype(float)
+    sent = []
+    real = scores._candidate_sq_dists
+
+    def recording(xq, *args):
+        sent.append(xq.copy())
+        return real(xq, *args)
+
+    monkeypatch.setattr(scores, "_candidate_sq_dists", recording)
+    model = fit_quantile_model(x, r.normal(size=n))
+    k = model.k
+    assert xq.shape[0] > 2 * (scores._BLOCK_ENTRIES // n)
+    model.quantile(xq, [0.5])
+    d = np.sort(((xq[:, None, :] - x[None]) ** 2).sum(-1), axis=1)
+    tied = d[:, k - 1] == d[:, k]
+    assert 0 < tied.sum() < xq.shape[0]
+    np.testing.assert_array_equal(np.concatenate(sent), xq[tied])
 
 
 def test_knn_tied_rows_measure_only_their_candidates(monkeypatch):
@@ -447,17 +488,14 @@ def test_knn_tied_rows_measure_only_their_candidates(monkeypatch):
 
 
 def test_knn_a_negative_kth_key_measures_every_column():
-    """A row whose k-th key is negative bounds nothing, so it gets a direct
-    distance to every training point; a row with a non-negative k-th key
-    only to the points within its window."""
+    """A row whose k-th key is negative has an unbounded window, so it gets a
+    direct distance to every training point; a row with a non-negative k-th
+    key only to the points at or below its window limit."""
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     xq = np.array([[0.5], [0.5]])
-    d = np.array([[-2.0 ** -40, -2.0 ** -41, 1.0, 9.0],
-                  [2.0 ** -41, 2.0 ** -40, 1.0, 9.0]])
-    b = 2
-    key = (d.view(np.int64) & ~3) | np.arange(4)
-    key.partition(2, axis=1)
-    got = scores._candidate_sq_dists(xq, x, key, 2, b, np.full(2, 1e-20), np.empty((2, 4)))
+    key = _partitioned_keys(_NEGATIVE_KTH, 2)
+    limit = scores._window_limit(key, 2, 3, np.full(2, 1e-20))
+    got = scores._candidate_sq_dists(xq, x, key, limit, 3, np.empty((2, 4)))
     assert got[0].tolist() == [0.25, 0.25, 2.25, 6.25]
     assert got[1].tolist() == [0.25, 0.25, np.inf, np.inf]
 
