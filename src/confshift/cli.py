@@ -49,7 +49,7 @@ from .core import (
 )
 from .nuisance import POPULATIONS, TargetSpec, _EnvelopeOverflow, fit_propensity
 from .pac import METHODS
-from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, clamp_k
+from .scores import MAX_SQ_NORM, ScoreFn, _sq_norms, default_k
 from .sensitivity import GammaGrid, NullSpec, survival_curve
 from .simulate import (SimConfig, _calibrated_thresholds, run_coverage_experiment,
                        run_sensitivity_experiment, scan_gamma_values, training_arm)
@@ -411,7 +411,10 @@ def _load_folds(resolved: dict) -> tuple[Dataset, Dataset]:
         # permute them with the seed, as split does for a fold it draws.
         order = np.lexsort(np.column_stack([calib.x, calib.t, calib.y]).T[::-1])
         return train, calib.subset(order[rng(resolved["seed"]).permutation(calib.n)])
-    return split(train, resolved["train_fraction"], resolved["seed"])
+    try:
+        return split(train, resolved["train_fraction"], resolved["seed"])
+    except ValidationError as exc:  # a fold comes out empty: too few rows to split
+        raise DataError(f"{resolved['train']}: {exc}") from None
 
 
 def _check_covariates(path: str, x: np.ndarray) -> None:
@@ -433,12 +436,12 @@ def _need_arm(ds: Dataset, arm: int, role: str) -> Dataset:
 
 def _k_clamp_warning(k: int | None, sizes: dict[int, int]) -> str | None:
     """The warning line for the arms in ``sizes`` (arm: training units)
-    whose fits clamp ``k`` (:func:`clamp_k`) to their size, or None. The
-    command returns it and :func:`main` prints it once the run succeeded."""
+    below ``k`` (or its :func:`default_k`), whose fits take every unit, or
+    None: the run's one report, which :func:`main` prints on success."""
     over = []
     for arm, n in sorted(sizes.items()):
-        want, used = clamp_k(k, n)
-        if used < want:
+        want = default_k(n) if k is None else k
+        if want > n:
             over.append(f"k={want} exceeds training size n={n} of arm {arm}")
     return f"confshift: warning: {'; '.join(over)}; clamping to n" if over else None
 

@@ -78,6 +78,14 @@ def _envelope_sums(v, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``lo`` and ``hi`` may be (strengths x n): one sort of ``v`` serves every
     row, and each row's sums equal those of the 1-d call, because a
     cumulative sum along an axis adds in sequence.
+
+    Every envelope curve built on these sums never decreases in j, in
+    floating point too, so none needs a running-max repair: the sums add
+    positive terms in sequence (fl(s + x) >= s for x >= 0), so ``cum_lo``
+    rises and ``tail_hi`` falls in j, and the curves (alg1's key, the
+    plug-in and Hoeffding envelopes) then take only float operations each
+    monotone in every input: scaling by a positive constant, subtraction,
+    max and a constant shift.
     """
     v = np.asarray(v, dtype=float)
     order = np.argsort(v, kind="stable")

@@ -86,10 +86,11 @@ def robust_threshold_many(v, lo, hi, alpha: float, u_tests) -> np.ndarray:
 
     # F(k) >= c with c = (1 - alpha) - slack, rewritten to avoid the division:
     # (1 - c) cum_lo - c tail_hi >= c u_test at the k-th sorted score. The
-    # left side is nondecreasing in k in exact arithmetic; accumulate-max
-    # irons out float dust so searchsorted stays valid.
+    # left side never decreases in k (``_envelope_sums``); when c <= 0 (alpha
+    # within the slack of 1) every key is >= 0 >= c u_test, and searchsorted
+    # gives 0 on any order.
     c = (1.0 - alpha) - PROB_SLACK
-    key = np.maximum.accumulate((1.0 - c) * cum_lo[..., 1:] - c * tail_hi[..., 1:], axis=-1)
+    key = (1.0 - c) * cum_lo[..., 1:] - c * tail_hi[..., 1:]
     target = c * np.asarray(u_tests, dtype=float)
     if key.ndim == 2 and (target.ndim != 2 or len(target) != len(key)):
         raise ValidationError("u_tests must have one row per strength")

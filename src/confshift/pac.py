@@ -28,10 +28,10 @@ file canonically and then permutes it with --seed.
 A threshold is the first sorted calibration score at which the envelope
 reaches 1 - alpha; a running max repairs a curve into a monotone one without
 moving its first crossing. The plugin and Hoeffding curves need no repair:
-they are maxima of cumulative sums of positive terms (minus a constant), and
-those never decrease, in floating point too. So along a path of calibration
-sets the search may resume at the previous crossing and still returns the
-running max of the per-set thresholds. The WSR curve is not monotone in t,
+they never decrease, in floating point too (``core._envelope_sums`` states
+why). So ``pac_threshold_path`` builds every set's curve in one stacked
+``_envelope_sums`` pass over one sort, and the path is the running max of
+the sets' first crossings. The WSR curve is not monotone in t,
 because its bets adapt to the running mean and variance: in one replication
 of the sensitivity campaign (n = 1000, Gamma = 2.1) the u-side log-wealth
 at the fixed bet is 3.742 at sorted index 958 and 3.624 at 959, against
@@ -95,10 +95,10 @@ leaf test of short ranges. A right half that always skipped its bound cost
 static certificate dropped the l side in 265 of the 583 sensitivity sets
 whose largest l / M is above the bet.
 
-Along a path a later set could cross below the previous crossing and dip
-again above it. There the resumed search is itself the path's repair, so
-every entry is at least the previous one, and a larger threshold only adds
-coverage.
+Along a WSR path a later set could cross below the previous crossing and
+dip again above it. There the resumed search is itself the path's repair,
+so every entry is at least the previous one, and a larger threshold only
+adds coverage.
 """
 
 from __future__ import annotations
@@ -145,12 +145,14 @@ def _check_levels(method: str, delta: float, alpha: float | None = None) -> None
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
 
 
-def _check_m(calib: CalibrationSet, m: float | None) -> float:
+def _check_m(calibs, m: float | None) -> float:
+    """M for the sets ``calibs``: their largest :func:`_default_m`, which
+    dominates each by construction, or ``m`` checked against every set."""
     if m is None:
-        return _default_m(calib)
+        return max(_default_m(c) for c in calibs)
     if not math.isfinite(m):
         raise ValidationError(f"M must be finite, got M={m}")
-    if m < max(calib.lo.max(), calib.hi.max()):
+    if m < max(max(c.lo.max(), c.hi.max()) for c in calibs):
         raise ValidationError(f"M-too-small: M={m} below max bound")
     return float(m)
 
@@ -331,15 +333,16 @@ def _wsr_lcb_rows(kernel: _Kernel, f: np.ndarray, tol: float = _WSR_TOL) -> np.n
     return 0.5 * (lo + hi)
 
 
-def _sum_envelope(calib: CalibrationSet, penalty: float) -> tuple[np.ndarray, np.ndarray]:
-    """The set's stably sorted scores, and the plug-in envelope minus
-    ``penalty``, floored at 0, on them.
+def _sum_envelope(v, lo, hi, penalty: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stably sorted scores ``v``, and the plug-in envelope of the bounds
+    ``lo``/``hi`` (n, or sets x n) minus ``penalty``, floored at 0, on them.
 
-    Entry j of the curve (n + 1 entries) is the envelope with the first j
+    Entry j of a curve (n + 1 entries) is the envelope with the first j
     sorted scores at or below t: max{sum(l 1{V<=t}), n - sum(u 1{V>t})} / n.
     """
-    vs, cum_lo, tail_hi = _envelope_sums(calib.v, calib.lo, calib.hi)
-    return vs, np.maximum(np.maximum(cum_lo / calib.n, 1.0 - tail_hi / calib.n) - penalty, 0.0)
+    vs, cum_lo, tail_hi = _envelope_sums(v, lo, hi)
+    n = vs.shape[0]
+    return vs, np.maximum(np.maximum(cum_lo / n, 1.0 - tail_hi / n) - penalty, 0.0)
 
 
 def _hoeffding_penalty(n: int, delta: float, m: float) -> float:
@@ -355,7 +358,8 @@ def envelope_hoeffding(
     final value is floored at 0.
     """
     _check_levels("hoeffding", delta)
-    vs, curve = _sum_envelope(calib, _hoeffding_penalty(calib.n, delta, _check_m(calib, M)))
+    penalty = _hoeffding_penalty(calib.n, delta, _check_m([calib], M))
+    vs, curve = _sum_envelope(calib.v, calib.lo, calib.hi, penalty)
     return float(curve[np.searchsorted(vs, t, side="right")])
 
 
@@ -369,7 +373,7 @@ def envelope_wsr(
     summands h_j = 1 - 1{V_j > t} u_j / M.
     """
     _check_levels("wsr", delta)
-    m = _check_m(calib, M)
+    m = _check_m([calib], M)
     rows = np.array([np.where(calib.v <= t, s.below, s.above) for s in _sides(calib, m)])
     g_l, g_u = _wsr_lcb_rows(_Kernel(calib.n, delta), rows)
     value = max(m * g_l, 1.0 - m + m * g_u)
@@ -458,16 +462,6 @@ def _wsr_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, del
     return x
 
 
-def _sum_first_crossing(calib: CalibrationSet, vs: np.ndarray, alpha: float, delta: float,
-                        method: str, m: float, start: int) -> int:
-    """Index of the first of the sorted scores ``vs`` at or after ``start``
-    whose raw plugin or Hoeffding envelope reaches 1 - alpha; n when none
-    does."""
-    penalty = 0.0 if method == "plugin" else _hoeffding_penalty(calib.n, delta, m)
-    crossed = _sum_envelope(calib, penalty)[1][1 + start:] >= (1.0 - alpha) - PROB_SLACK
-    return start + int(np.argmax(crossed)) if crossed.any() else calib.n
-
-
 def pac_threshold(
     calib: CalibrationSet,
     alpha: float,
@@ -477,9 +471,8 @@ def pac_threshold(
 ) -> float:
     """Smallest sorted score whose envelope clears 1 - alpha, else +inf.
 
-    The envelope is evaluated at sorted calibration scores only and repaired
-    to be monotone by a running max; the first raw crossing therefore equals
-    the first repaired crossing, which is what the search returns.
+    The envelope is evaluated at sorted calibration scores only; its first
+    raw crossing is also the first crossing of its running-max repair.
     """
     return float(pac_threshold_path([calib], alpha, delta, method, M)[0])
 
@@ -495,22 +488,23 @@ def pac_threshold_path(
 
     Intended for a widening sequence of bound pairs (a strength grid): the
     result is nondecreasing, each entry certifying coverage for its own set
-    (a larger threshold is always conservative). Each search resumes at the
-    previous crossing, so a whole path costs little more than one search;
-    for plugin and Hoeffding the path equals the running max of the per-set
-    thresholds (see the module notes). The searches read one stable sort of
-    the shared scores, taken here; plugin and Hoeffding sum each set's
-    envelope with ``core._envelope_sums``.
+    (a larger threshold is always conservative). The scores are sorted once
+    per call, stably. Plugin and Hoeffding build every set's curve in one
+    stacked ``core._envelope_sums`` pass on that sort; the curves never
+    decrease, so the path is the running max of the sets' first crossings
+    (module notes).
 
-    For wsr the units must come in an order fixed apart from their values
-    (a seeded random permutation, say): the betting martingale reads them
-    in the order given, and an order that depends on the data voids the
-    certificate. One kernel serves the whole path. The first search splits
-    the candidates top down; each later one tries the u side on a window of
-    min(offset + 1, 16) candidates past the previous crossing, offset being
-    how far the previous search moved, and doubles the range after a miss;
-    the l side is searched only below the u side's crossing, and not at all
-    when its static certificate holds (module notes).
+    For wsr each search resumes at the previous crossing, so a whole path
+    costs little more than one search. The units must come in an order
+    fixed apart from their values (a seeded random permutation, say): the
+    betting martingale reads them in the order given, and an order that
+    depends on the data voids the certificate. One kernel serves the whole
+    path. The first search splits the candidates top down; each later one
+    tries the u side on a window of min(offset + 1, 16) candidates past the
+    previous crossing, offset being how far the previous search moved, and
+    doubles the range after a miss; the l side is searched only below the
+    u side's crossing, and not at all when its static certificate holds
+    (module notes).
 
     M must dominate every set's bounds; default: the largest single-set M.
     """
@@ -518,26 +512,27 @@ def pac_threshold_path(
     calibs = list(calibs)
     if not calibs:
         raise ValidationError("empty calibration path")
-    m = max(_default_m(c) for c in calibs) if M is None else float(M)
-    for c in calibs:
-        if not np.array_equal(c.v, calibs[0].v):
-            raise ValidationError("path members must share the score vector")
-        _check_m(c, m)
-    vs = np.sort(calibs[0].v, kind="stable")
-    n = vs.shape[0]
-    kernel = _Kernel(n, delta, _SCRATCH_ROWS) if method == "wsr" else None
-    out = np.empty(len(calibs))
-    cur = window = 0
-    for i, c in enumerate(calibs):
-        if cur < n:
-            if kernel is None:
-                nxt = _sum_first_crossing(c, vs, alpha, delta, method, m, cur)
-            else:
-                nxt = _wsr_first_crossing(c, vs, alpha, delta, m, cur, window, kernel)
-                window = min(nxt - cur + 1, _WINDOW)
-            cur = nxt
-        out[i] = float(vs[cur]) if cur < n else math.inf
-    return out
+    v = calibs[0].v
+    if not all(np.array_equal(c.v, v) for c in calibs):
+        raise ValidationError("path members must share the score vector")
+    m = _check_m(calibs, M)
+    n = v.shape[0]
+    if method == "wsr":
+        vs = np.sort(v, kind="stable")
+        kernel = _Kernel(n, delta, _SCRATCH_ROWS)
+        idx = np.empty(len(calibs), dtype=int)
+        cur = window = 0
+        for i, c in enumerate(calibs):
+            nxt = _wsr_first_crossing(c, vs, alpha, delta, m, cur, window, kernel)
+            window = min(nxt - cur + 1, _WINDOW)
+            idx[i] = cur = nxt
+    else:
+        penalty = 0.0 if method == "plugin" else _hoeffding_penalty(n, delta, m)
+        vs, curve = _sum_envelope(v, np.array([c.lo for c in calibs]),
+                                  np.array([c.hi for c in calibs]), penalty)
+        crossed = curve[:, 1:] >= (1.0 - alpha) - PROB_SLACK
+        idx = np.maximum.accumulate(np.where(crossed.any(axis=1), crossed.argmax(axis=1), n))
+    return np.where(idx < n, vs[np.minimum(idx, n - 1)], math.inf)
 
 
 def pac_gap(w_eval, lo, hi) -> float:

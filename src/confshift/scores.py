@@ -8,8 +8,9 @@ Three score families are supported, all monotone transports of the outcome:
 * ``abs_residual``   V(x, y) = |y - q(x, 1/2)|
 
 The baseline quantile model is a k-nearest-neighbor empirical quantile:
-Euclidean distances, k = max(20, ceil(n/20)), distance ties all included,
-lower-quantile convention throughout. It is deliberately simple. A score
+Euclidean distances, k = max(20, ceil(n/20)) by default (a k at or above
+n takes every training point), distance ties all included, lower-quantile
+convention throughout. It is deliberately simple. A score
 asks its model for one thing, ``quantile(x, betas)``: an (n, len(betas))
 array of conditional quantiles per row of x, nondecreasing in beta. Any
 object with that method can stand in for the kNN model.
@@ -86,7 +87,6 @@ most 2 (|a|^2 + |x|^2) <= max / 2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +96,6 @@ from .core import PROB_SLACK, ValidationError
 __all__ = [
     "KNNQuantileModel",
     "ScoreFn",
-    "clamp_k",
     "default_k",
     "fit_quantile_model",
 ]
@@ -122,13 +121,6 @@ _ETA = float(np.finfo(float).smallest_subnormal)
 
 def default_k(n: int) -> int:
     return max(20, math.ceil(n / 20))
-
-
-def clamp_k(k: int | None, n: int) -> tuple[int, int]:
-    """The k requested for a fit on ``n`` training units (``k``, or
-    :func:`default_k` of n) and the k the fit uses: the request clamped to n."""
-    want = default_k(n) if k is None else int(k)
-    return want, min(want, n)
 
 
 @dataclass(frozen=True)
@@ -284,6 +276,10 @@ def _lower_quantiles(ys: np.ndarray, counts: np.ndarray, betas: np.ndarray) -> n
 
 
 def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
+    """The kNN quantile model on training rows ``x`` and outcomes ``y``, with
+    ``k`` neighbours (default :func:`default_k` of the row count). A k at or
+    above the row count is kept: every query row then takes every training
+    point as its neighbours (``KNNQuantileModel.quantile``)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float) + 0.0
     if x.shape[0] == 0:
@@ -293,14 +289,9 @@ def fit_quantile_model(x, y, k: int | None = None) -> KNNQuantileModel:
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("training covariates and outcomes must be finite")
     _checked_sq_norms(x, "training")
-    want, k = clamp_k(k, x.shape[0])
-    if want < 1:
-        raise ValidationError(f"k must be >= 1, got {want}")
-    if k < want:
-        warnings.warn(
-            f"k={want} exceeds training size n={x.shape[0]}; clamping to n",
-            stacklevel=2,
-        )
+    k = default_k(x.shape[0]) if k is None else int(k)
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     return KNNQuantileModel(x=x, y=y, k=k)
 
 

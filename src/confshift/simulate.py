@@ -41,7 +41,7 @@ from .nuisance import (BoundPair, PropensityModel, TargetSpec, bound_functions, 
 # pac_threshold is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) patches threshold callables at this module.
 from .pac import pac_gap, pac_threshold, pac_threshold_path  # noqa: F401
-from .scores import ScoreFn, clamp_k, fit_quantile_model
+from .scores import ScoreFn, fit_quantile_model
 from .sensitivity import (GammaGrid, Interval, NullSpec, fdp_curve, fwer_estimate,
                           gamma_values_from_rejections, ite_set_one_missing,
                           survival_curve)
@@ -377,11 +377,10 @@ def _calibrated_thresholds(target: TargetSpec, gammas, propensity, p1: float, tr
     kind, so each alpha owns as many columns). Returns the score per alpha,
     the test rows' quantile columns (rows x alphas x levels) and the
     thresholds (alphas x (procedure, envelope) methods x strengths x rows).
-    A ``k`` above the training size is clamped to it (:func:`clamp_k`)
-    without a warning: the CLI reports it once per run, from the parent
-    process.
+    ``k`` goes to :func:`fit_quantile_model` as given; the CLI reports a k
+    above the training size once per run, from the parent process.
     """
-    model = fit_quantile_model(*train, k=clamp_k(k, len(train[1]))[1])
+    model = fit_quantile_model(*train, k=k)
     fns = [ScoreFn(kind=score, model=model, alpha=alpha) for alpha in alphas]
     betas = [b for fn in fns for b in fn.betas]
     x_cal, y_cal = calib
@@ -511,8 +510,8 @@ def _sensitivity_rep(job: tuple[SimConfig, np.random.SeedSequence]) -> dict:
 
     (fn,), q_test, thr = _calibrated_thresholds(
         cfg.target(), grid.values, *_propensity(cfg, train),
-        (train_c.x, train_c.outcome(arm)), (calib_c.x, calib_c.outcome(arm)), test.x, "cqr_one_sided", cfg.alphas,
-        (("alg1", cfg.envelope), ("alg2", cfg.envelope)), cfg.delta)
+        (train_c.x, train_c.outcome(arm)), (calib_c.x, calib_c.outcome(arm)), test.x,
+        "cqr_one_sided", cfg.alphas, (("alg1", cfg.envelope), ("alg2", cfg.envelope)), cfg.delta)
     alg1, alg2 = scan_gamma_values(fn, q_test[:, 0], 1, test.y1, thr[0], grid, NullSpec("le", 0.0))
     return {"ite": test.y1 - test.y0, "alg1": alg1, "alg2": alg2}
 

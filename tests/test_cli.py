@@ -469,6 +469,16 @@ def test_bad_data_exits_2(corpus, tmp_path, capsys):
     assert "calibration has 3 covariates, training has 2" in capsys.readouterr().err
 
 
+def test_a_training_file_too_small_to_split_exits_2(corpus, tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("x1,x2,t,y\n0.1,0.2,1,1.0\n", encoding="utf-8")
+    rc = main(["predict", "--train", str(one), "--test", corpus["test"],
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"confshift: data error: {one}: "
+                                       "empty-fold: n=1, train_fraction=0.5\n")
+
+
 def test_single_arm_calibration_exits_2(corpus, tmp_path, capsys):
     ds = _toy_dataset(40, seed=9)
     treated = ds.arm(1)

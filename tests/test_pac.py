@@ -126,25 +126,35 @@ def _summands(calib: CalibrationSet, t: np.ndarray, m: float) -> tuple[np.ndarra
     return f, h
 
 
-def envelope_plugin(calib, t):
+def envelope_plugin(calib, t, penalty=0.0):
     """Scalar reference: the plug-in envelope
-    max{mean(1{V<=t} l), 1 - mean(1{V>t} u)}, clamped to [0, 1]."""
+    max{mean(1{V<=t} l), 1 - mean(1{V>t} u)} minus ``penalty``, clamped to
+    [0, 1]."""
     below = calib.v <= t
-    value = max(calib.lo[below].sum(), calib.n - calib.hi[~below].sum()) / calib.n
+    value = max(calib.lo[below].sum(), calib.n - calib.hi[~below].sum()) / calib.n - penalty
     return min(max(value, 0.0), 1.0)
 
 
-def _envelope_curve(method, calib, delta):
+def _envelope_curve(method, calib, delta, m=None):
     """Scalar reference: the envelope at every sorted score, repaired by a
-    running max, as (sorted scores, curve)."""
+    running max, as (sorted scores, curve). Hoeffding is the plug-in minus
+    M sqrt(log(2/delta) / (2n)); ``m`` defaults to the set's own M."""
     vs = np.sort(calib.v, kind="stable")
-    if method == "plugin":
-        raw = [envelope_plugin(calib, t) for t in vs]
-    elif method == "hoeffding":
-        raw = [envelope_hoeffding(calib, t, delta) for t in vs]
+    if method == "wsr":
+        raw = [envelope_wsr(calib, t, delta, m) for t in vs]
     else:
-        raw = [envelope_wsr(calib, t, delta) for t in vs]
+        m = _default_m(calib) if m is None else m
+        penalty = 0.0 if method == "plugin" else m * math.sqrt(math.log(2 / delta) / (2 * calib.n))
+        raw = [envelope_plugin(calib, t, penalty) for t in vs]
     return vs, np.maximum.accumulate(raw)
+
+
+def _scan_threshold(method, calib, alpha, delta, m=None):
+    """Scalar reference: the first sorted score whose repaired envelope
+    clears 1 - alpha, else +inf."""
+    vs, curve = _envelope_curve(method, calib, delta, m)
+    crossed = curve >= (1.0 - alpha) - LEVEL_SLACK
+    return float(vs[np.argmax(crossed)]) if crossed.any() else math.inf
 
 
 def _random_calib(r, n=None, collapse=False):
@@ -263,12 +273,7 @@ def test_threshold_matches_envelope_scan(method):
     for _ in range(20):
         c = _random_calib(r)
         alpha = float(r.uniform(0.1, 0.9))
-        delta = 0.1
-        vs, curve = _envelope_curve(method, c, delta)
-        level = (1.0 - alpha) - LEVEL_SLACK
-        crossed = curve >= level
-        want = float(vs[np.argmax(crossed)]) if crossed.any() else math.inf
-        assert pac_threshold(c, alpha, delta, method) == want
+        assert pac_threshold(c, alpha, 0.1, method) == _scan_threshold(method, c, alpha, 0.1)
 
 
 @pytest.mark.parametrize("method", ["plugin", "hoeffding", "wsr"])
@@ -352,8 +357,9 @@ def test_path_equals_repaired_single_thresholds(method):
        v=st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30),
        data=st.data())
 def test_path_equals_running_max_on_arbitrary_paths(method, v, data):
-    """Any path, widening or not, with tied scores: resuming each search at
-    the previous crossing gives the running max of the per-set thresholds."""
+    """Any path, widening or not, with tied scores, is the running max of the
+    per-set thresholds: for plugin and Hoeffding those of the scalar
+    envelope scan, for wsr those of one-set searches."""
     n = len(v)
     bound = st.floats(0.05, 3.0)
     path = []
@@ -364,7 +370,8 @@ def test_path_equals_running_max_on_arbitrary_paths(method, v, data):
     alpha = data.draw(st.floats(0.05, 0.95))
     delta = data.draw(st.floats(0.01, 0.5))
     m = max(max(c.lo.max(), c.hi.max(), c.u_test) for c in path)
-    singles = [pac_threshold(c, alpha, delta, method, M=m) for c in path]
+    singles = [pac_threshold(c, alpha, delta, method, M=m) if method == "wsr"
+               else _scan_threshold(method, c, alpha, delta, m) for c in path]
     np.testing.assert_array_equal(pac_threshold_path(path, alpha, delta, method),
                                   np.maximum.accumulate(singles))
 

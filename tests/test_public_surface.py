@@ -1,5 +1,7 @@
 """The public surface: every name ``confshift`` exports has a caller, and
-every private helper has a reader in the package.
+every private helper has a reader in the package. Also here, as no linter
+is part of the test suite: every line of the package and the tests fits
+100 columns.
 
 A name counts as used when the package source, the README's Python
 examples or the acceptance gate reads it. Its definition, an import of it,
@@ -81,3 +83,12 @@ def test_every_private_helper_is_read_in_the_package():
               if name.startswith("_") and not name.endswith("__")
               and reads[name] <= _reads(node).count(name)]
     assert unread == []
+
+
+def test_every_source_line_fits_100_columns():
+    paths = [*sorted((ROOT / "src" / "confshift").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    long = [f"{path.relative_to(ROOT)}:{i}" for path in paths
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []

@@ -28,16 +28,20 @@ def test_default_k_rule():
     assert default_k(2000) == 100
 
 
-def test_fit_validation_and_clipping():
-    x = np.zeros((5, 1))
-    y = np.arange(5.0)
+def test_fit_validation_and_a_k_above_the_training_size():
+    """A k above the training size is kept, warns of nothing (pytest turns
+    warnings into errors) and answers bit for bit like k = n."""
+    r = np.random.default_rng(4)
+    x, y = r.normal(size=(5, 2)), r.normal(size=5)
     with pytest.raises(ValidationError):
         fit_quantile_model(x, y[:3])
     with pytest.raises(ValidationError):
         fit_quantile_model(x, y, k=0)
-    with pytest.warns(UserWarning, match="clamping"):
-        model = fit_quantile_model(x, y, k=99)
-    assert model.k == 5
+    model = fit_quantile_model(x, y, k=99)
+    assert model.k == 99
+    xq, betas = r.normal(size=(7, 2)), [0.1, 0.5, 1.0]
+    np.testing.assert_array_equal(model.quantile(xq, betas),
+                                  fit_quantile_model(x, y, k=5).quantile(xq, betas))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
